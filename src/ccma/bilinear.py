@@ -6,8 +6,6 @@ correctness means W((A x) .* (B y)) equals the coordinates of x*y for all
 x, y.  Checking this on all D^2 basis pairs is exact by bilinearity.
 """
 
-import itertools
-
 from . import linalg
 from .errors import CcmaError, FieldMismatch, VerificationError
 from .gf import (
@@ -681,12 +679,86 @@ def _monic_vectors(spec, dim):
     return out
 
 
+def _pivot_row(spec, v):
+    """(pivot, row) for a nonzero vector: row is v scaled to a 1 at the pivot."""
+    piv = next(i for i, c in enumerate(v) if c)
+    inv = spec.inv(v[piv])
+    return piv, [spec.mul(inv, c) for c in v]
+
+
+def _eliminate(spec, v, pivot_row):
+    """v minus the multiple of a pivot row that clears v at that pivot."""
+    piv, row = pivot_row
+    c = v[piv]
+    if not c:
+        return v
+    add, mul = spec.add, spec.mul
+    neg_c = spec.neg(c)
+    return [add(x, mul(neg_c, y)) if y else x for x, y in zip(v, row)]
+
+
+def _reduce(spec, basis, v):
+    """Residue of v modulo a semi-echelon basis (a list of pivot rows)."""
+    for pivot_row in basis:
+        v = _eliminate(spec, v, pivot_row)
+    return v
+
+
+def _first_spanning_combination(spec, layers, t_basis, r):
+    """Lexicographically first r independent layers whose span S contains T.
+
+    Depth-first over `itertools.combinations(range(len(layers)), r)` order.
+    Each chosen layer either lies in T+S, or raises dim(T+S) by one; with r
+    independent layers dim(T+S) = dim T + (raises) >= r, with equality
+    exactly when T lies in S.  So a branch is cut as soon as it has more
+    than r - dim T raises, and every leaf reached contains T.  A layer that
+    already lies in S is skipped: a minimal decomposition has independent
+    terms.  Each level carries the residues of the remaining layers modulo
+    S and modulo T+S, updated by one elimination per chosen layer.
+    """
+    budget = r - len(t_basis)
+    if budget < 0:
+        return None
+    count = len(layers)
+    chosen = []
+
+    def walk(start, s_res, ts_res, raises):
+        depth = len(chosen)
+        for i in range(start, count - (r - depth) + 1):
+            v = s_res[i - start]
+            if not any(v):
+                continue  # the layer lies in S
+            w = ts_res[i - start]
+            grows = any(w)
+            if grows and raises == budget:
+                continue
+            chosen.append(i)
+            if depth + 1 == r:
+                return True
+            s_row = _pivot_row(spec, v)
+            s_next = [_eliminate(spec, x, s_row) for x in s_res[i + 1 - start :]]
+            if grows:
+                ts_row = _pivot_row(spec, w)
+                ts_next = [_eliminate(spec, x, ts_row) for x in ts_res[i + 1 - start :]]
+            else:
+                ts_next = ts_res[i + 1 - start :]
+            if walk(i + 1, s_next, ts_next, raises + grows):
+                return True
+            chosen.pop()
+        return False
+
+    ts_res = [_reduce(spec, t_basis, lay) for lay in layers]
+    return chosen if walk(0, layers, ts_res, 0) else None
+
+
 def brute_force_min_rank(target, max_rank, symmetric_only=False, limit=None):
     """Exact minimum decomposition length within max_rank, with a witness.
 
-    Rank-one terms are enumerated by their projective (phi, psi) pair; for
-    each support set the w coefficients are solved linearly, so the search
-    is exhaustive over decompositions with that support.
+    Rank-one terms are enumerated by their projective (phi, psi) pair.  A
+    length-r decomposition is a set of r rank-one layers whose span contains
+    the target space T spanned by the dim output forms; supports are walked
+    in increasing r and lexicographic order, so the first support found is
+    minimal, and its w coefficients are then solved linearly.
     """
     sp = target.base
     dim = target.dim
@@ -712,25 +784,29 @@ def brute_force_min_rank(target, max_rank, symmetric_only=False, limit=None):
                     if b[k]:
                         lay[i * dim + k] = sp.mul(a[i], b[k])
         layers.append(lay)
+    t_basis = []
+    for h in range(dim):
+        res = _reduce(sp, t_basis, [row[h] for row in T])
+        if any(res):
+            t_basis.append(_pivot_row(sp, res))
     for r in range(1, max_rank + 1):
-        for combo in itertools.combinations(range(len(pairs)), r):
-            mat = [[layers[s][row] for s in combo] for row in range(dim * dim)]
-            aug = [mat[row] + T[row] for row in range(dim * dim)]
-            red, pivots = linalg.rref(sp, aug)
-            if any(c >= r for c in pivots):
-                continue  # some target column is outside the span
-            sol = [[0] * dim for _ in range(r)]
-            for rr, c in enumerate(pivots):
-                for h in range(dim):
-                    sol[c][h] = red[rr][r + h]
-            A = [pairs[s][0][:] for s in combo]
-            B = [pairs[s][1][:] for s in combo]
-            W = [[sol[s][h] for s in range(r)] for h in range(dim)]
-            alg = BilinearAlgorithm(
-                target, A, B, W, meta={"method": "brute_force", "rank": r}
-            )
-            assert verify(alg)
-            return SearchOutcome(r, alg)
+        combo = _first_spanning_combination(sp, layers, t_basis, r)
+        if combo is None:
+            continue
+        aug = [[layers[s][row] for s in combo] + T[row] for row in range(dim * dim)]
+        red, pivots = linalg.rref(sp, aug)
+        sol = [[0] * dim for _ in range(r)]
+        for rr, c in enumerate(pivots):
+            for h in range(dim):
+                sol[c][h] = red[rr][r + h]
+        A = [pairs[s][0][:] for s in combo]
+        B = [pairs[s][1][:] for s in combo]
+        W = [[sol[s][h] for s in range(r)] for h in range(dim)]
+        alg = BilinearAlgorithm(
+            target, A, B, W, meta={"method": "brute_force", "rank": r}
+        )
+        assert verify(alg)
+        return SearchOutcome(r, alg)
     return SearchOutcome(None, None)
 
 

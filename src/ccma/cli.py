@@ -173,6 +173,12 @@ def main(argv=None):
     if args.command is None:
         parser.print_help()
         return EXIT_USAGE
+    for name in ("n", "max_rank"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     handler = {
         "synth": cmd_synth,
         "verify": cmd_verify,

@@ -28,24 +28,34 @@ class LinearCode:
         self._distance = None
 
     def min_distance(self, limit=None):
-        """Exact minimum Hamming weight over all nonzero codewords (guarded)."""
+        """Exact minimum Hamming weight over all nonzero codewords (guarded).
+
+        Scaling a message keeps its weight, so only messages whose first
+        nonzero coordinate is 1 are visited, depth first: each codeword is
+        its parent plus one precomputed scaled generator row.
+        """
         if self._distance is not None:
             return self._distance
         spec = self.spec
         q = spec.q
         check_guard(q ** self.n, f"codeword enumeration [{self.N},{self.n}]_{q}", limit)
+        add = spec.add
+        scaled = [
+            [[spec.mul(c, x) for x in row] for c in range(1, q)] for row in self.G
+        ]
         best = self.N + 1
-        msg = [0] * self.n
-        columns = linalg.transpose(self.G)
-        for enc in range(1, q ** self.n):
-            v = enc
-            for i in range(self.n):
-                msg[i] = v % q
-                v //= q
-            word = linalg.mat_vec(spec, columns, msg)
-            w = sum(1 for c in word if c)
+
+        def walk(word, start):
+            nonlocal best
+            w = self.N - word.count(0)
             if w < best:
                 best = w
+            for j in range(start, self.n):
+                for row in scaled[j]:
+                    walk([add(x, y) for x, y in zip(word, row)], j + 1)
+
+        for lead in range(self.n):
+            walk(self.G[lead], lead + 1)
         self._distance = best
         return best
 
@@ -69,10 +79,6 @@ def code_from_decomposition(alg):
     spec = alg.target.base
     G = linalg.transpose(alg.A)
     return LinearCode(spec, G)
-
-
-def min_distance(code, limit=None):
-    return code.min_distance(limit)
 
 
 class Supercode:
@@ -172,17 +178,15 @@ def symmetric_from_supercode(S):
     A = [ [canon[i][n + l] for i in range(n)] for l in range(S.N) ]
     sub = Supercode(S.algebra, S.N, canon)
     span = sub.square_span()
-    # W solves W v = z for every (z, v) in the square span
-    cols = [row[n:] for row in span]
-    zs = [row[:n] for row in span]
-    W = []
-    for h in range(n):
-        rhs = [zs[s][h] for s in range(len(span))]
-        aug = [[cols[s][l] for l in range(S.N)] for s in range(len(span))]
-        sol = linalg.solve(spec, aug, rhs)
-        if sol is None:
-            raise SupercodeConditionError(2, "square span is inconsistent")
-        W.append(sol)
+    # W solves W v = z for every (z, v) in the square span: one row
+    # reduction of [v | z] carries all n right-hand sides, free variables 0
+    red, pivots = linalg.rref(spec, [row[n:] + row[:n] for row in span])
+    if any(c >= S.N for c in pivots):
+        raise SupercodeConditionError(2, "square span is inconsistent")
+    W = [[0] * S.N for _ in range(n)]
+    for r, c in enumerate(pivots):
+        for h in range(n):
+            W[h][c] = red[r][S.N + h]
     alg = BilinearAlgorithm(
         S.algebra, A, [r[:] for r in A], W, meta={"method": "supercode"}
     )

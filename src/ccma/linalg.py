@@ -42,10 +42,6 @@ def mat_vec(spec, a, v):
     return out
 
 
-def mat_add(spec, a, b):
-    return [[spec.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 

@@ -149,6 +149,15 @@ def test_brute_force_symmetric_f8_reaches_six():
     assert out.algorithm.symmetric and verify(out.algorithm)
 
 
+def test_brute_force_asymmetric_f8_is_six():
+    # 49 projective pairs: 49^6 combinations, above the default guard limit
+    target = extension_target(F2, 3)
+    assert brute_force_min_rank(target, 5, limit=49**6).exceeded
+    out = brute_force_min_rank(target, 6, limit=49**6)
+    assert out.rank == 6
+    assert verify(out.algorithm)
+
+
 def test_brute_force_truncated_order3():
     target = truncated_target(F2, 1, 3)
     out = brute_force_min_rank(target, 5, symmetric_only=True)

@@ -103,6 +103,20 @@ def test_cli_guard_exit_code(monkeypatch, capsys):
     assert "resource guard" in capsys.readouterr().err
 
 
+def test_cli_nonpositive_counts_are_usage_errors(capsys):
+    for argv, flag in (
+        (["search", "--q", "2", "--n", "0", "--max-rank", "3"], "--n"),
+        (["synth", "--q", "2", "--n", "0"], "--n"),
+        (["search", "--q", "2", "--n", "2", "--max-rank", "-1"], "--max-rank"),
+        (["search", "--q", "2", "--n", "2", "--max-rank", "0"], "--max-rank"),
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} must be at least 1")
+        assert captured.err.count("\n") == 1
+
+
 def test_cli_usage_error_missing_file(capsys):
     assert main(["verify", "/nonexistent/path.json"]) == 1
 
