@@ -229,13 +229,6 @@ def stv_limsup(q):
     return BoundResult("limsup-square", {"q": q}, val, ok)
 
 
-def stv_limsup_sym(q):
-    root = math.isqrt(q)
-    ok = root * root == q and q >= 49
-    val = 2 * (1 + Fraction(1, root - 2)) if ok else None
-    return BoundResult("limsup-square-sym", {"q": q}, val, ok)
-
-
 def newbound_sym_square(q):
     root = math.isqrt(q)
     ok = root * root == q and q >= 16

@@ -179,6 +179,11 @@ def main(argv=None):
             flag = "--" + name.replace("_", "-")
             print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
             return EXIT_USAGE
+    try:
+        guard_limit()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     handler = {
         "synth": cmd_synth,
         "verify": cmd_verify,

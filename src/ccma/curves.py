@@ -10,7 +10,7 @@ valuation constraints, computed with truncated series expansions.
 """
 
 from . import linalg
-from .bilinear import BilinearAlgorithm, ExtAlgebra, TruncAlgebra, verify_or_raise
+from .bilinear import ExtAlgebra, TruncAlgebra, entry_conversion, interpolation_algorithm
 from .errors import CcmaError, ConditionFailure, DivisorSearchFailed
 from .gf import ExtensionRing, FieldSpec, Poly, is_irreducible, iter_irreducibles
 from .guard import check_guard
@@ -265,17 +265,6 @@ class FuncElem:
 
     def __repr__(self):
         return f"FuncElem(({self.a!r}) + ({self.b!r})*y) / ({self.den!r})"
-
-    def pole_order_at_infinity(self):
-        curve = self.curve
-        vals = []
-        if not self.a.is_zero():
-            vals.append(self.a.degree * curve.wt_x)
-        if not self.b.is_zero():
-            vals.append(self.b.degree * curve.wt_x + curve.wt_y)
-        if not vals:
-            return None
-        return max(vals) - self.den.degree * curve.wt_x
 
 
 # -- quadratic solving in residue fields -------------------------------------
@@ -957,7 +946,12 @@ def _multisets(pool, total_degree):
 
 
 def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table, limit=None):
-    """Assemble the interpolation algorithm; exhaustively verified."""
+    """Assemble the interpolation algorithm; not verified here.
+
+    The interpolation conditions are checked first (ConditionFailure if
+    they fail); the caller verifies the algorithm where it enters a
+    certificate.
+    """
     base = curve.base
     n = Q.degree
     report = check_conditions(curve, Q, D1, D2, items, ell, limit)
@@ -977,43 +971,22 @@ def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table, limit=None):
     S1 = _right_inverse(base, EvQ1)
     S2 = S1 if same else _right_inverse(base, EvQ2)
 
-    A_rows = []
-    B_rows = []
-    e_rows = []
-    w_blocks = []
+    blocks = []
     for place, u in items:
         entry = cost_table.get(place.degree, u)
-        conv = _entry_conversion(base, place, entry, limit)
-        phi1 = evaluation_rows(curve, L1, place, u, conv)
-        phi2 = phi1 if same else evaluation_rows(curve, L2, place, u, conv)
-        phi12 = evaluation_rows(curve, L12, place, u, conv)
-        A_rows.extend(linalg.mat_mul(base, entry.A, linalg.mat_mul(base, phi1, S1)))
-        B_rows.extend(linalg.mat_mul(base, entry.B, linalg.mat_mul(base, phi2, S2)))
-        e_rows.extend(phi12)
-        w_blocks.append(entry.W)
-
-    R = linalg.left_inverse(base, e_rows)
-    if R is None:
-        raise ConditionFailure("product-space evaluation is not injective")
+        conv = None
+        if not place.is_infinity:
+            conv = entry_conversion(base, place.residue.modulus, entry, limit)
+        X1 = linalg.mat_mul(base, evaluation_rows(curve, L1, place, u, conv), S1)
+        X2 = X1
+        if not same:
+            X2 = linalg.mat_mul(base, evaluation_rows(curve, L2, place, u, conv), S2)
+        blocks.append((entry, X1, X2, evaluation_rows(curve, L12, place, u, conv)))
     T = q_evaluation_matrix(curve, L12, Q, ell)
-
-    total_rows = len(e_rows)
-    total_prods = sum(len(wb[0]) for wb in w_blocks)
-    bigW = [[0] * total_prods for _ in range(total_rows)]
-    roff = coff = 0
-    for wb in w_blocks:
-        for i, row in enumerate(wb):
-            for j, v in enumerate(row):
-                bigW[roff + i][coff + j] = v
-        roff += len(wb)
-        coff += len(wb[0])
-    W = linalg.mat_mul(base, linalg.mat_mul(base, T, R), bigW)
-
-    alg = BilinearAlgorithm(
+    return interpolation_algorithm(
         target,
-        A_rows,
-        B_rows,
-        W,
+        blocks,
+        T,
         meta={
             "method": "curve",
             "curve": curve.describe(),
@@ -1021,8 +994,6 @@ def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table, limit=None):
             "items": [[p.describe(), u] for p, u in items],
         },
     )
-    verify_or_raise(alg, "curve interpolation assembly")
-    return alg
 
 
 def _right_inverse(spec, mat):
@@ -1037,19 +1008,3 @@ def _right_inverse(spec, mat):
             raise ConditionFailure("evaluation at Q is not onto")
         out_cols.append(sol)
     return [[out_cols[c][r] for c in range(rows)] for r in range(cols)]
-
-
-def _entry_conversion(base, place, entry, limit=None):
-    """Matrix rebasing residue coordinates into the entry's field basis."""
-    d = place.degree
-    if d == 1:
-        return None
-    entry_Q = entry.target.Q
-    field = ExtensionRing(base, entry_Q)
-    root = field.find_root(place.residue.modulus, limit)
-    if root is None:
-        raise CcmaError("residue modulus has no root in the entry field")
-    powers = [field.one]
-    for _ in range(d - 1):
-        powers.append(field.mul(powers[-1], root))
-    return [[powers[j][i] for j in range(d)] for i in range(d)]

@@ -7,11 +7,10 @@ with cost-table algorithms, and reconstructs by linear inversion.
 """
 
 from . import linalg
-from .bilinear import BilinearAlgorithm, ExtAlgebra, TruncAlgebra, verify_or_raise
+from .bilinear import ExtAlgebra, TruncAlgebra, entry_conversion, interpolation_algorithm
 from .errors import CcmaError, PlanInfeasible, VerificationError
 from .gf import (
     INFINITY,
-    ExtensionRing,
     Poly,
     PrimePowerLocal,
     count_irreducibles,
@@ -256,11 +255,12 @@ def _place_stream(base, d, Q):
         yield G0Place(INFINITY)
 
 
-def _local_columns(base, bound, place, u, entry, limit=None):
+def _local_columns(base, bound, place, u, conv):
     """Matrix of the local evaluation on the monomial basis x^0..x^bound.
 
     Rows are coordinates in the cost-table entry's own basis of the
-    truncated local algebra (the residue field in the entry's power basis).
+    truncated local algebra: residue digits rebased by `conv` (see
+    `entry_conversion`) into the entry's power basis.
     """
     d = place.degree
     cols = bound + 1
@@ -271,18 +271,6 @@ def _local_columns(base, bound, place, u, entry, limit=None):
                 rows[j][bound - j] = 1
         return rows
     local = PrimePowerLocal(place.poly, u)
-    if d == 1:
-        conv = None
-    else:
-        entry_Q = entry.target.Q
-        field = ExtensionRing(base, entry_Q)
-        root = field.find_root(place.poly, limit)
-        if root is None:
-            raise CcmaError("place polynomial has no root in the entry field")
-        powers = [field.one]
-        for _ in range(d - 1):
-            powers.append(field.mul(powers[-1], root))
-        conv = [[powers[j][i] for j in range(d)] for i in range(d)]
     rows = [[0] * cols for _ in range(d * u)]
     xt = Poly.one(base)
     x = Poly.x(base)
@@ -296,8 +284,20 @@ def _local_columns(base, bound, place, u, entry, limit=None):
     return rows
 
 
+def _place_entry(base, place, u, cost_table, limit=None):
+    """The cost-table entry multiplying at a place and its residue rebasing."""
+    if place.is_infinity:
+        return cost_table.get(1, u), None
+    entry = cost_table.get(place.degree, u)
+    return entry, entry_conversion(base, place.poly, entry, limit)
+
+
 def build(plan, cost_table, limit=None):
-    """Assemble and exhaustively verify the bilinear algorithm of a plan."""
+    """Assemble the bilinear algorithm of a plan; not verified here.
+
+    The caller verifies it where it enters a cost table or a certificate.
+    Raises VerificationError if its rank disagrees with the plan cost.
+    """
     base = plan.base
     n, ell = plan.n, plan.ell
     dim = n * ell
@@ -343,46 +343,15 @@ def build(plan, cost_table, limit=None):
                 tq[i][t] = c
         xt = xt * x
 
-    A_rows = []
-    B_rows = []
-    e_rows = []
-    w_blocks = []
+    blocks = []
     for place, u in plan.items:
-        entry = cost_table.get(place.degree, u) if not place.is_infinity else cost_table.get(1, u)
-        phi1 = _local_columns(base, m1, place, u, entry, limit)
-        phi2 = _local_columns(base, m2, place, u, entry, limit)
+        entry, conv = _place_entry(base, place, u, cost_table, limit)
+        phi1 = _local_columns(base, m1, place, u, conv)
         lifted = linalg.mat_mul(base, phi1, lift)
-        A_rows.extend(linalg.mat_mul(base, entry.A, lifted))
-        B_rows.extend(linalg.mat_mul(base, entry.B, lifted))
-        e_rows.extend(phi2)
-        w_blocks.append(entry.W)
-
-    E = e_rows
-    R = linalg.left_inverse(base, E)
-    if R is None:
-        raise VerificationError("evaluation map is not injective; plan is defective")
-
-    total_rows = len(e_rows)
-    total_prods = sum(len(wb[0]) for wb in w_blocks)
-    bigW = [[0] * total_prods for _ in range(total_rows)]
-    roff = 0
-    coff = 0
-    for wb in w_blocks:
-        for i, row in enumerate(wb):
-            for j, v in enumerate(row):
-                bigW[roff + i][coff + j] = v
-        roff += len(wb)
-        coff += len(wb[0])
-
-    W = linalg.mat_mul(base, linalg.mat_mul(base, tq, R), bigW)
-    alg = BilinearAlgorithm(
-        target,
-        A_rows,
-        B_rows,
-        W,
-        meta={"method": "genus0", "plan": plan.describe()},
+        blocks.append((entry, lifted, lifted, _local_columns(base, m2, place, u, conv)))
+    alg = interpolation_algorithm(
+        target, blocks, tq, meta={"method": "genus0", "plan": plan.describe()}
     )
-    verify_or_raise(alg, "genus-0 assembly")
     if alg.N != plan.cost:
         raise VerificationError("assembled rank disagrees with plan cost")
     return alg
@@ -394,6 +363,6 @@ def interpolation_matrix_rank(plan, cost_table, limit=None):
     m2 = 2 * plan.n * plan.ell - 2
     rows = []
     for place, u in plan.items:
-        entry = cost_table.get(place.degree, u) if not place.is_infinity else cost_table.get(1, u)
-        rows.extend(_local_columns(base, m2, place, u, entry, limit))
+        _, conv = _place_entry(base, place, u, cost_table, limit)
+        rows.extend(_local_columns(base, m2, place, u, conv))
     return linalg.rank(base, rows)

@@ -84,13 +84,14 @@ class FieldSpec:
             if poly is not None:
                 raise CcmaError("prime fields take no defining polynomial")
             self.poly = None
+        elif poly is None:
+            # bootstrap through the prime field, which needs no polynomial
+            self.poly = lex_least_irreducible(FieldSpec.get(p), k).coeffs
         else:
-            if poly is None:
-                poly = _least_irreducible_prime(p, k)
             poly = tuple(c % p for c in poly)
             if len(poly) != k + 1 or poly[-1] != 1:
                 raise CcmaError("defining polynomial must be monic of degree k")
-            if not _prime_poly_irreducible(p, poly):
+            if not is_irreducible(Poly(FieldSpec.get(p), poly)):
                 raise CcmaError("defining polynomial is reducible")
             self.poly = poly
         self._red = self._reduction_rows() if k > 1 else None
@@ -332,103 +333,6 @@ class FieldElement:
         return f"FieldElement({self.spec!r}, {self.coeffs})"
 
 
-# -- prime-field polynomial helpers (used before a FieldSpec exists) --------
-
-
-def _prime_poly_mulmod(p, a, b, mod):
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] = (prod[i + j] + x * y) % p
-    return _prime_poly_mod(p, prod, mod)
-
-
-def _prime_poly_mod(p, a, mod):
-    a = list(a)
-    dm = len(mod) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    while len(a) > dm:
-        a.pop()
-    while len(a) < dm:
-        a.append(0)
-    return a
-
-
-def _prime_poly_gcd_nontrivial(p, a, mod):
-    a = list(a)
-    b = list(mod)
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    a = trim(a)
-    b = trim(b)
-    while a:
-        # b mod a
-        inv_lead = pow(a[-1], p - 2, p)
-        b = list(b)
-        for i in range(len(b) - 1, len(a) - 2, -1):
-            c = (b[i] * inv_lead) % p
-            if c:
-                for j in range(len(a)):
-                    b[i - len(a) + 1 + j] = (b[i - len(a) + 1 + j] - c * a[j]) % p
-        b = trim(b)
-        a, b = b, a
-    return len(b) - 1 > 0  # gcd degree > 0
-
-
-def _prime_poly_irreducible(p, poly):
-    """Rabin test for a monic polynomial over F_p given as a tuple."""
-    d = len(poly) - 1
-    if d == 0:
-        return False
-    if d == 1:
-        return True
-    if poly[0] == 0:
-        return False
-    x = [0, 1]
-    # x^(p^d) mod poly == x
-    cur = _prime_poly_mod(p, x, poly)
-    for _ in range(d):
-        cur = _prime_poly_powp(p, cur, poly)
-    xx = _prime_poly_mod(p, x, poly)
-    if cur != xx:
-        return False
-    primes = _prime_divisors(d)
-    for r in primes:
-        cur = _prime_poly_mod(p, x, poly)
-        for _ in range(d // r):
-            cur = _prime_poly_powp(p, cur, poly)
-        diff = [(cur[i] - xx[i]) % p for i in range(len(cur))]
-        if any(diff) and _prime_poly_gcd_nontrivial(p, diff, poly):
-            return False
-        if not any(diff):
-            return False
-    return True
-
-
-def _prime_poly_powp(p, a, mod):
-    result = None
-    base = a
-    e = p
-    while e:
-        if e & 1:
-            result = base if result is None else _prime_poly_mulmod(p, result, base, mod)
-        e >>= 1
-        if e:
-            base = _prime_poly_mulmod(p, base, base, mod)
-    return result
-
-
 def _prime_divisors(n):
     out = []
     f = 2
@@ -441,20 +345,6 @@ def _prime_divisors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def _least_irreducible_prime(p, d):
-    """Least monic irreducible of degree d over F_p in the canonical order."""
-    for m in range(p ** d):
-        coeffs = []
-        v = m
-        for _ in range(d):
-            coeffs.append(v % p)
-            v //= p
-        cand = tuple(coeffs) + (1,)
-        if _prime_poly_irreducible(p, cand):
-            return cand
-    raise CcmaError("unreachable: irreducibles of every degree exist")
 
 
 # -- polynomials over a FieldSpec -------------------------------------------
@@ -723,6 +613,20 @@ def lex_least_irreducible(spec, d):
     return next(iter_irreducibles(spec, d))
 
 
+def least_root(ring, poly, limit=None):
+    """Least root of `poly` in `ring` in ascending encoding, or None.
+
+    `ring` is a FieldSpec or an ExtensionRing over the coefficient field of
+    `poly`: both provide `q` (the number of elements), `elements`, `zero`,
+    `add`, `mul` and `embed_base`.
+    """
+    check_guard(ring.q, f"root search in {ring!r}", limit)
+    for a in ring.elements():
+        if poly.eval_in(ring, a) == ring.zero:
+            return a
+    return None
+
+
 # -- field extensions --------------------------------------------------------
 
 _EMBED_CACHE = {}
@@ -760,16 +664,8 @@ def embed_map(sub, big, limit=None):
         images = [1]
         _EMBED_CACHE[key] = images
         return images
-    check_guard(big.q, f"embedding search in {big!r}", limit)
-    target = Poly(FieldSpec.get(sub.p), [c for c in sub.poly])
-    root = None
-    for a in range(big.q):
-        acc = 0
-        for c in reversed(sub.poly):
-            acc = big.add(big.mul(acc, a), c % big.p)
-        if acc == 0:
-            root = a
-            break
+    target = Poly(FieldSpec.get(sub.p), sub.poly)
+    root = least_root(big, target, limit)
     if root is None:
         raise CcmaError(f"no root of {target!r} in {big!r}")
     images = [1]
@@ -804,6 +700,7 @@ class ExtensionRing:
         self.spec = spec
         self.modulus = modulus
         self.dim = modulus.degree
+        self.q = spec.q ** self.dim  # number of elements, as FieldSpec.q
         self.zero = (0,) * self.dim
         one = [0] * self.dim
         one[0] = 1
@@ -923,10 +820,10 @@ class ExtensionRing:
     def to_poly(self, a):
         return Poly(self.spec, a)
 
-    def elements(self, limit=None):
-        check_guard(self.spec.q ** self.dim, f"enumeration of {self!r}", limit)
+    def elements(self):
+        """All elements in ascending encoding."""
         q = self.spec.q
-        for m in range(q ** self.dim):
+        for m in range(self.q):
             coeffs = []
             v = m
             for _ in range(self.dim):
@@ -939,17 +836,6 @@ class ExtensionRing:
         for c in reversed(a):
             val = val * self.spec.q + c
         return val
-
-    def find_root(self, poly, limit=None):
-        """Least root of a base-coefficient polynomial in this ring, or None."""
-        check_guard(self.spec.q ** self.dim, f"root search in {self!r}", limit)
-        best = None
-        for a in self.elements(limit=limit):
-            if poly.eval_in(self, a) == self.zero:
-                if best is None or self.encode(a) < self.encode(best):
-                    return a  # elements() is ascending already
-        return best
-
 
 
 # -- local rings F_q[x]/(P^u) and their truncated-algebra coordinates -------

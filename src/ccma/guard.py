@@ -9,12 +9,19 @@ ENV_VAR = "CCMA_GUARD_LIMIT"
 
 
 def guard_limit(override=None):
-    """Active guard limit: explicit override > env var > default."""
+    """Active guard limit: explicit override > env var > default.
+
+    Raises ValueError when the env var is set to anything but an integer
+    >= 1.
+    """
     if override is not None:
         return int(override)
     env = os.environ.get(ENV_VAR)
     if env:
-        return int(env)
+        value = int(env) if env.strip().isdecimal() else 0
+        if value < 1:
+            raise ValueError(f"{ENV_VAR} must be an integer >= 1, got {env!r}")
+        return value
     return DEFAULT_LIMIT
 
 

@@ -1,9 +1,9 @@
 """Cross-strategy synthesis: towers, rational interpolation, curve instances.
 
-For a requested (q, n) the planner evaluates every enabled strategy,
-verifies each produced algorithm exhaustively, and returns the best one
-with a machine-checkable certificate.  Ties break by the documented
-strategy order: composition, then genus 0, then curves.
+For a requested (q, n) the planner evaluates every enabled strategy and
+returns the best one with a machine-checkable certificate; the winner is
+verified exhaustively when its certificate is made.  Ties break by the
+documented strategy order: composition, then genus 0, then curves.
 """
 
 import itertools
@@ -12,9 +12,10 @@ import os
 
 from . import curves as curves_mod
 from . import genus0
-from .bilinear import BilinearAlgorithm, CostTable, verify_or_raise
+from .bilinear import BilinearAlgorithm, CostTable, compose_tower, extension_target
+from .bilinear import karatsuba, verify_or_raise
 from .bounds import factor_prime_power
-from .errors import CcmaError, PlanInfeasible
+from .errors import CcmaError, GuardExceeded, PlanInfeasible
 from .gf import FieldSpec, field_extend
 
 CERT_FORMAT = "ccma-certificate-v1"
@@ -110,10 +111,10 @@ class Planner:
             if n == 1:
                 yield self.table(spec).get(1, 1), {"kind": "trivial"}
                 return
-            from .bilinear import compose_tower, karatsuba, extension_target
-
-            best = None
-            detail = None
+            if n == 2:
+                yield karatsuba(extension_target(spec, 2)), {"kind": "karatsuba"}
+                return
+            # every split is a candidate: _best keeps the first of least rank
             for a in range(2, n):
                 if n % a:
                     continue
@@ -121,23 +122,13 @@ class Planner:
                 big = field_extend(spec, a, self.limit)
                 inner, si = self._best_for_compose(big, n // a)
                 alg = compose_tower(outer, inner, self.limit)
-                if best is None or alg.N < best.N:
-                    best = alg
-                    detail = {
-                        "kind": "tower",
-                        "split": [a, n // a],
-                        "outer": so,
-                        "inner": si,
-                    }
-            if n == 2:
-                alg = karatsuba(extension_target(spec, 2))
-                yield alg, {"kind": "karatsuba"}
-                return
-            if best is not None:
-                yield best, detail
+                yield alg, {
+                    "kind": "tower",
+                    "split": [a, n // a],
+                    "outer": so,
+                    "inner": si,
+                }
         elif strategy == "g0":
-            from .errors import GuardExceeded
-
             try:
                 tab = self.table(spec)
                 plan = genus0.plan_search(
@@ -174,7 +165,12 @@ class Planner:
 
 
 def curve_instance_synth(curve, n, cost_table, limit=None, assignment_cap=40):
-    """Deterministic driver: plan the place multiset, pick the divisor, build."""
+    """Deterministic driver: plan the place multiset, pick the divisor, build.
+
+    An assignment whose divisor search or interpolation conditions fail is
+    skipped for the next one.  The built algorithm is not verified here;
+    that happens when it enters a certificate.
+    """
     g = curve.genus
     need = 2 * n + g - 1
     classes = _curve_classes(curve, need, cost_table, limit)

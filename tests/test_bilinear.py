@@ -250,3 +250,16 @@ def test_compose_tower_trivial_outer_keeps_rank():
     alg = compose_tower(outer, inner)
     assert alg.N == inner.N == 3
     assert verify(alg)
+
+
+def test_every_cost_table_candidate_verifies():
+    # only the winning candidate is verified at run time (when it enters
+    # the table), so the losers of the small tables are checked here
+    for spec in (F2, F3, F4):
+        table = CostTable(spec)
+        for d in range(1, 7):
+            for u in range(1, 6 // d + 1):
+                cands = list(table._candidates(d, u))
+                assert cands, (spec, d, u)
+                for cand in cands:
+                    assert verify(cand), (spec, d, u, cand.meta.get("method"))

@@ -271,6 +271,7 @@ def test_rational_shape_differential_against_genus0():
         alg = ccma_build_curve(c, Q, D, D, items, 1, table)
         plan = plan_search(base, n, 1, table)
         ref = g0_build(plan, table)
+        assert verify(alg) and verify(ref)
         assert ref.target.Q == alg.target.Q
         q = base.q
         for _ in range(60):

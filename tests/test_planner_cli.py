@@ -141,3 +141,37 @@ def test_cli_verify_truncated_target(tmp_path, capsys):
     assert main(["verify", str(path)]) == 0
     out = capsys.readouterr().out
     assert "VERIFIED rank 3" in out
+
+
+def test_cli_bad_guard_env_is_usage_error(monkeypatch, capsys):
+    for value in ("abc", "-5"):
+        monkeypatch.setenv("CCMA_GUARD_LIMIT", value)
+        assert main(["synth", "--q", "2", "--n", "3"]) == 1, value
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "CCMA_GUARD_LIMIT" in captured.err
+        assert captured.err.count("\n") == 1
+
+
+def _entries_built(table):
+    return len(table._entries) + sum(
+        _entries_built(sub) for sub in table._subtables.values()
+    )
+
+
+def test_synth_verifies_each_algorithm_once(monkeypatch):
+    # one exhaustive check per cost-table entry and one for the certificate
+    calls = []
+    failing_pair = BilinearAlgorithm.failing_pair
+
+    def counted(alg):
+        calls.append(alg)
+        return failing_pair(alg)
+
+    monkeypatch.setattr(BilinearAlgorithm, "failing_pair", counted)
+    planner = Planner(spec_for_q(2))
+    cert = planner.synth(6)
+    built = sum(_entries_built(tab) for tab in planner._tables.values())
+    assert cert["rank"] == 15
+    assert built > 0
+    assert len(calls) == built + 1
