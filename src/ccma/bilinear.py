@@ -7,7 +7,8 @@ x, y.  Checking this on all D^2 basis pairs is exact by bilinearity.
 """
 
 from . import linalg
-from .errors import CcmaError, ConditionFailure, FieldMismatch, VerificationError
+from .errors import CcmaError, ConditionFailure, FieldMismatch, MalformedPayload
+from .errors import VerificationError
 from .gf import (
     ExtensionRing,
     FieldSpec,
@@ -256,9 +257,13 @@ class BilinearAlgorithm:
 
     @classmethod
     def from_json(cls, data):
+        _require_keys(data, "algorithm", ("p", "k", "target", "A", "B", "W"))
         poly = data.get("defining_poly")
         base = FieldSpec.get(data["p"], data["k"], tuple(poly) if poly else None)
         tinfo = data["target"]
+        _require_keys(tinfo, "target", ("kind", "Q"))
+        if tinfo["kind"] == "truncated":
+            _require_keys(tinfo, "target", ("m", "l"))
         Q = Poly(base, [base.encode(tuple(c)) for c in tinfo["Q"]])
         if tinfo["kind"] == "extension":
             target = ExtAlgebra(base, Q)
@@ -268,6 +273,14 @@ class BilinearAlgorithm:
             raise CcmaError(f"unknown target kind {tinfo['kind']!r}")
         decode = lambda rows: [[base.encode(tuple(v)) for v in row] for row in rows]
         return cls(target, decode(data["A"]), decode(data["B"]), decode(data["W"]))
+
+
+def _require_keys(data, what, keys):
+    if not isinstance(data, dict):
+        raise MalformedPayload(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in data:
+            raise MalformedPayload(f"{what} lacks required key {key!r}")
 
 
 def verify(alg):
@@ -853,19 +866,24 @@ class CostTable:
     synthesis.  The first candidate of minimum rank wins and is verified
     exhaustively when it enters the table; losing candidates are not
     verified (the test suite checks every candidate of the small tables).
+
+    All tables reached through `subtable` share one registry keyed by
+    field: one table per field, and each entry is built once.
     """
 
     def __init__(self, base, limit=None):
         self.base = base
         self.limit = limit
         self._entries = {}
-        self._subtables = {}
+        self._registry = {base: self}
 
     def subtable(self, spec):
-        tab = self._subtables.get(spec)
+        """The table over `spec` in this table's registry."""
+        tab = self._registry.get(spec)
         if tab is None:
             tab = CostTable(spec, self.limit)
-            self._subtables[spec] = tab
+            tab._registry = self._registry
+            self._registry[spec] = tab
         return tab
 
     def cost(self, d, u=1):
@@ -899,11 +917,8 @@ class CostTable:
         if u == 1:
             if d == 2:
                 yield karatsuba(self._target(d, 1))
-            for a in range(2, d):
-                if d % a == 0:
-                    big = field_extend(self.base, a, self.limit)
-                    inner = self.subtable(big).get(d // a, 1)
-                    yield compose_tower(self.get(a, 1), inner, self.limit)
+            for _, outer, inner in self.tower_splits(d):
+                yield compose_tower(outer, inner, self.limit)
         else:
             target = self._target(d, u)
             if d == 1 and u == 2:
@@ -922,6 +937,17 @@ class CostTable:
             # quadratic rank makes verification of large entries expensive
             yield schoolbook(self._target(d, u))
 
+    def tower_splits(self, d):
+        """(a, outer, inner) for each tower F_q < F_{q^a} < F_{q^d}, 2 <= a < d.
+
+        outer is the entry for F_{q^a} over this field and inner the entry
+        for F_{q^d} over F_{q^a}, taken from the F_{q^a} table.
+        """
+        for a in range(2, d):
+            if d % a == 0:
+                big = field_extend(self.base, a, self.limit)
+                yield a, self.get(a, 1), self.subtable(big).get(d // a, 1)
+
     def _genus0_candidate(self, d, u):
         from . import genus0
         from .errors import GuardExceeded, PlanInfeasible
@@ -935,9 +961,8 @@ class CostTable:
         return genus0.build(plan, self, limit=self.limit)
 
     def load_check(self):
-        """Re-verify every cached entry; raises loudly on any failure."""
-        for key, entry in sorted(self._entries.items()):
-            verify_or_raise(entry, f"cost table entry {key} over {self.base!r}")
-        for tab in self._subtables.values():
-            tab.load_check()
+        """Re-verify every cached entry of every table in the registry."""
+        for tab in self._registry.values():
+            for key, entry in sorted(tab._entries.items()):
+                verify_or_raise(entry, f"cost table entry {key} over {tab.base!r}")
         return True

@@ -141,7 +141,7 @@ def cmd_bounds(args):
 def cmd_codes(args):
     with open(args.source) as fh:
         data = json.load(fh)
-    payload = data.get("algorithm", data)
+    payload = data.get("algorithm", data) if isinstance(data, dict) else data
     alg = BilinearAlgorithm.from_json(payload)
     if args.supercode:
         sc = supercode_from_symmetric(alg)

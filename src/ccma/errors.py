@@ -31,6 +31,10 @@ class DegreeOverflow(CcmaError):
     """A residue does not fit below its modulus degree."""
 
 
+class MalformedPayload(CcmaError):
+    """A stored algorithm is not a JSON object or lacks a required key."""
+
+
 class VerificationError(CcmaError):
     """A bilinear algorithm failed its exhaustive correctness check."""
 

@@ -305,9 +305,8 @@ def build(plan, cost_table, limit=None):
     m2 = 2 * dim - 2  # degree bound of products
     if ell == 1:
         target = ExtAlgebra(base, plan.Q)
-        lift = linalg.identity(base, dim)
-        qmod = plan.Q
-        tq_digits = None
+        lift = None  # the monomial basis is already the target's basis
+        reduce = lambda f: (f % plan.Q).coeffs
     else:
         target = TruncAlgebra(base, n, ell, plan.Q)
         local_q = PrimePowerLocal(plan.Q, ell)
@@ -322,33 +321,24 @@ def build(plan, cost_table, limit=None):
                     col[t] = c
                 cols.append(col)
         lift = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-        qmod = local_q.modulus
-        tq_digits = local_q
+        reduce = lambda f: [c for z in local_q.to_coords(f) for c in z]
 
     # reduction of the product space into the target algebra
     tq = [[0] * (2 * dim - 1) for _ in range(dim)]
     xt = Poly.one(base)
     x = Poly.x(base)
     for t in range(2 * dim - 1):
-        if ell == 1:
-            red = xt % qmod
-            for i, c in enumerate(red.coeffs):
-                tq[i][t] = c
-        else:
-            digits = tq_digits.to_coords(xt)
-            flat = []
-            for z in digits:
-                flat.extend(z)
-            for i, c in enumerate(flat):
-                tq[i][t] = c
+        for i, c in enumerate(reduce(xt)):
+            tq[i][t] = c
         xt = xt * x
 
     blocks = []
     for place, u in plan.items:
         entry, conv = _place_entry(base, place, u, cost_table, limit)
         phi1 = _local_columns(base, m1, place, u, conv)
-        lifted = linalg.mat_mul(base, phi1, lift)
-        blocks.append((entry, lifted, lifted, _local_columns(base, m2, place, u, conv)))
+        if lift is not None:
+            phi1 = linalg.mat_mul(base, phi1, lift)
+        blocks.append((entry, phi1, phi1, _local_columns(base, m2, place, u, conv)))
     alg = interpolation_algorithm(
         target, blocks, tq, meta={"method": "genus0", "plan": plan.describe()}
     )

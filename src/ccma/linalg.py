@@ -5,13 +5,6 @@ def zeros(rows, cols):
     return [[0] * cols for _ in range(rows)]
 
 
-def identity(spec, n):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
-
-
 def mat_mul(spec, a, b):
     rows = len(a)
     inner = len(b)

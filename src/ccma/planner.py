@@ -3,7 +3,9 @@
 For a requested (q, n) the planner evaluates every enabled strategy and
 returns the best one with a machine-checkable certificate; the winner is
 verified exhaustively when its certificate is made.  Ties break by the
-documented strategy order: composition, then genus 0, then curves.
+documented strategy order: composition, then genus 0, then curves.  All
+strategies price and compose from one cost table per field, the planner's
+root table and its subtables.
 """
 
 import itertools
@@ -16,7 +18,7 @@ from .bilinear import BilinearAlgorithm, CostTable, compose_tower, extension_tar
 from .bilinear import karatsuba, verify_or_raise
 from .bounds import factor_prime_power
 from .errors import CcmaError, GuardExceeded, PlanInfeasible
-from .gf import FieldSpec, field_extend
+from .gf import FieldSpec
 
 CERT_FORMAT = "ccma-certificate-v1"
 
@@ -38,7 +40,7 @@ def spec_for_q(q):
 
 
 class Planner:
-    """Strategy orchestrator with per-field memoized cost tables."""
+    """Strategy orchestrator over one root cost table and its subtables."""
 
     STRATEGY_ORDER = ("tower", "g0", "curve")
 
@@ -59,19 +61,20 @@ class Planner:
         self.max_mult = max_mult
         self.limit = limit
         self.instances = instances if instances is not None else shipped_instances()
-        self._tables = {}
+        self.table = CostTable(base, limit)
         self._memo = {}
-
-    def table(self, spec):
-        tab = self._tables.get(spec)
-        if tab is None:
-            tab = CostTable(spec, self.limit)
-            self._tables[spec] = tab
-        return tab
 
     def synth(self, n):
         """Best verified algorithm across the enabled strategies."""
-        alg, strategy = self._best(self.base, n)
+        if n not in self._memo:
+            # min keeps the first candidate of least rank: strategy order,
+            # then candidate order, breaks ties
+            self._memo[n] = min(
+                (found for s in self.strategies for found in self._candidates(n, s)),
+                key=lambda found: found[0].N,
+                default=(None, None),
+            )
+        alg, strategy = self._memo[n]
         if alg is None:
             raise PlanInfeasible(f"no strategy produced an algorithm for n={n}")
         return self.certificate(alg, strategy)
@@ -90,57 +93,35 @@ class Planner:
             "algorithm": alg.to_json(),
         }
 
-    def _best(self, spec, n):
-        key = (spec, n)
-        if key in self._memo:
-            return self._memo[key]
-        best = None
-        best_strategy = None
-        for strategy in self.strategies:
-            for alg, detail in self._candidates(spec, n, strategy):
-                if alg is None:
-                    continue
-                if best is None or alg.N < best.N:
-                    best = alg
-                    best_strategy = detail
-        self._memo[key] = (best, best_strategy)
-        return best, best_strategy
-
-    def _candidates(self, spec, n, strategy):
+    def _candidates(self, n, strategy):
         if strategy == "tower":
             if n == 1:
-                yield self.table(spec).get(1, 1), {"kind": "trivial"}
+                yield self.table.get(1, 1), {"kind": "trivial"}
                 return
             if n == 2:
-                yield karatsuba(extension_target(spec, 2)), {"kind": "karatsuba"}
+                yield karatsuba(extension_target(self.base, 2)), {"kind": "karatsuba"}
                 return
-            # every split is a candidate: _best keeps the first of least rank
-            for a in range(2, n):
-                if n % a:
-                    continue
-                outer, so = self._best_for_compose(spec, a)
-                big = field_extend(spec, a, self.limit)
-                inner, si = self._best_for_compose(big, n // a)
+            # every split is a candidate; synth keeps the first of least rank
+            for a, outer, inner in self.table.tower_splits(n):
                 alg = compose_tower(outer, inner, self.limit)
                 yield alg, {
                     "kind": "tower",
                     "split": [a, n // a],
-                    "outer": so,
-                    "inner": si,
+                    "outer": _table_detail(outer),
+                    "inner": _table_detail(inner),
                 }
         elif strategy == "g0":
             try:
-                tab = self.table(spec)
                 plan = genus0.plan_search(
-                    spec,
+                    self.base,
                     n,
                     1,
-                    tab,
+                    self.table,
                     max_place_degree=self.max_place_degree,
                     max_mult=self.max_mult,
                     limit=self.limit,
                 )
-                alg = genus0.build(plan, tab, self.limit)
+                alg = genus0.build(plan, self.table, self.limit)
                 yield alg, {"kind": "genus0", "plan": plan.describe()}
             except (PlanInfeasible, GuardExceeded):
                 return
@@ -150,18 +131,16 @@ class Planner:
                 if n not in inst.get("targets", []):
                     continue
                 curve = curves_mod.CurveModel.from_json(curve_info)
-                if curve.base != spec:
+                if curve.base != self.base:
                     continue
-                alg = curve_instance_synth(
-                    curve, n, self.table(spec), limit=self.limit
-                )
+                alg = curve_instance_synth(curve, n, self.table, limit=self.limit)
                 yield alg, {"kind": "curve", "instance": inst.get("name", "?")}
 
-    def _best_for_compose(self, spec, m):
-        """Best non-curve algorithm for a tower component (extension target)."""
-        tab = self.table(spec)
-        alg = tab.get(m, 1)
-        return alg, {"kind": "table", "n": m, "q": spec.q, "rank": alg.N}
+
+def _table_detail(entry):
+    """Certificate record of a cost-table entry used as a tower component."""
+    target = entry.target
+    return {"kind": "table", "n": target.n, "q": target.base.q, "rank": entry.N}
 
 
 def curve_instance_synth(curve, n, cost_table, limit=None, assignment_cap=40):
@@ -173,8 +152,11 @@ def curve_instance_synth(curve, n, cost_table, limit=None, assignment_cap=40):
     """
     g = curve.genus
     need = 2 * n + g - 1
-    classes = _curve_classes(curve, need, cost_table, limit)
-    counts = _curve_class_dp(classes, need, cost_table)
+    classes = _curve_classes(curve, need, limit)
+    # exact minimum-cost class counts, shared availability per degree
+    counts, _ = genus0._lazy_plan_dp(classes, need, cost_table)
+    if counts is None:
+        raise PlanInfeasible("curve place classes cannot reach the degree target")
     items_shape = [
         (d, u, c) for (d, u, avail), c in zip(classes, counts) if c
     ]
@@ -211,7 +193,7 @@ def curve_instance_synth(curve, n, cost_table, limit=None, assignment_cap=40):
     )
 
 
-def _curve_classes(curve, need, cost_table, limit):
+def _curve_classes(curve, need, limit):
     """Place classes, enumerating higher degrees only when actually needed."""
     classes = []
     capacity = 0
@@ -229,14 +211,6 @@ def _curve_classes(curve, need, cost_table, limit):
         if capacity >= need:
             break
     return classes
-
-
-def _curve_class_dp(classes, need, cost_table):
-    """Exact minimum-cost class counts, shared availability per degree."""
-    counts, total = genus0._lazy_plan_dp(classes, need, cost_table)
-    if counts is None:
-        raise PlanInfeasible("curve place classes cannot reach the degree target")
-    return counts
 
 
 def _assignments(base_items):
@@ -277,7 +251,7 @@ def _assignments(base_items):
 
 def verify_file_payload(data):
     """Re-verify a stored algorithm or certificate; returns a report dict."""
-    if "algorithm" in data:
+    if isinstance(data, dict) and "algorithm" in data:
         alg = BilinearAlgorithm.from_json(data["algorithm"])
         claimed = data.get("rank")
     else:

@@ -122,6 +122,27 @@ def test_criterion_5_derived_evaluation():
     print("ACCEPTANCE 5 PASS: rank-26 algorithm for F_3^9/F_3 with the 4+2*2+6*3 split")
 
 
+# (q, n) -> (rank, strategy kind, tower split) of the synthesized winner;
+# (2, 5) is the open F_32/F_2 gap: rank 14 against the printed 13
+WINNERS = {
+    (2, 2): (3, "karatsuba", None),
+    (2, 3): (6, "genus0", None),
+    (2, 4): (9, "tower", [2, 2]),
+    (2, 5): (14, "genus0", None),
+    (2, 6): (15, "tower", [2, 3]),
+    (3, 2): (3, "karatsuba", None),
+    (3, 3): (6, "genus0", None),
+    (3, 4): (9, "tower", [2, 2]),
+    (3, 5): (12, "genus0", None),
+    (3, 6): (15, "tower", [2, 3]),
+    (4, 2): (3, "karatsuba", None),
+    (4, 3): (5, "genus0", None),
+    (4, 4): (8, "genus0", None),
+    (4, 5): (11, "genus0", None),
+    (4, 6): (14, "genus0", None),
+}
+
+
 def test_criterion_6_small_field_bounds():
     required = {
         (2, 2), (2, 3), (2, 4), (2, 6),
@@ -134,6 +155,9 @@ def test_criterion_6_small_field_bounds():
         for n in range(2, 7):
             cert, alg = _synth(q, n)
             assert verify(alg)
+            strategy = cert["strategy"]
+            winner = (cert["rank"], strategy["kind"], strategy.get("split"))
+            assert winner == WINNERS[(q, n)], (q, n)
             printed = TABLE2[q][n - 2]
             if cert["rank"] <= printed:
                 achieved.add((q, n))

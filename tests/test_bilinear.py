@@ -190,6 +190,21 @@ def test_cost_table_load_check_fails_on_corruption():
     entry.W[0][0] ^= 1
     with pytest.raises(VerificationError):
         table.load_check()
+    # a corrupted subtable entry is reached from the root table
+    table = CostTable(F2)
+    table.get(4, 1)
+    assert table.load_check()
+    table.subtable(F4)._entries[(2, 1)].W[0][0] ^= 1
+    with pytest.raises(VerificationError):
+        table.load_check()
+
+
+def test_cost_table_subtables_share_one_registry():
+    table = CostTable(F2)
+    F16 = field_extend(F2, 4)
+    assert table.subtable(F2) is table
+    assert table.subtable(F16) is table.subtable(F4).subtable(F16)
+    assert table.subtable(F4).subtable(F2) is table
 
 
 def test_mutated_algorithms_fail_random_pairs():

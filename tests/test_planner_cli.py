@@ -2,7 +2,7 @@
 
 import json
 
-from ccma.bilinear import BilinearAlgorithm, verify
+from ccma.bilinear import BilinearAlgorithm, CostTable, verify
 from ccma.cli import main
 from ccma.planner import Planner, shipped_instances, spec_for_q
 
@@ -153,10 +153,8 @@ def test_cli_bad_guard_env_is_usage_error(monkeypatch, capsys):
         assert captured.err.count("\n") == 1
 
 
-def _entries_built(table):
-    return len(table._entries) + sum(
-        _entries_built(sub) for sub in table._subtables.values()
-    )
+def _entries_built(planner):
+    return sum(len(tab._entries) for tab in planner.table._registry.values())
 
 
 def test_synth_verifies_each_algorithm_once(monkeypatch):
@@ -171,7 +169,46 @@ def test_synth_verifies_each_algorithm_once(monkeypatch):
     monkeypatch.setattr(BilinearAlgorithm, "failing_pair", counted)
     planner = Planner(spec_for_q(2))
     cert = planner.synth(6)
-    built = sum(_entries_built(tab) for tab in planner._tables.values())
+    built = _entries_built(planner)
     assert cert["rank"] == 15
     assert built > 0
     assert len(calls) == built + 1
+
+
+def test_synth_builds_each_cost_table_entry_once(monkeypatch):
+    # tower components and subtables of subtables come from one registry
+    builds = []
+    calls = []
+    build = CostTable._build
+    failing_pair = BilinearAlgorithm.failing_pair
+
+    def counted_build(table, d, u):
+        builds.append((table.base, d, u))
+        return build(table, d, u)
+
+    def counted_pair(alg):
+        calls.append(alg)
+        return failing_pair(alg)
+
+    monkeypatch.setattr(CostTable, "_build", counted_build)
+    monkeypatch.setattr(BilinearAlgorithm, "failing_pair", counted_pair)
+    planner = Planner(spec_for_q(2))
+    assert planner.synth(8)["rank"] == 24
+    assert len(builds) == len(set(builds))
+    assert len(builds) == _entries_built(planner)
+    assert len(calls) == 53
+
+
+def test_cli_malformed_payload_is_named_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    cases = [
+        (["verify", str(path)], {"algorithm": {}}, "'p'"),
+        (["codes", "--from", str(path)], {"algorithm": {}}, "'p'"),
+        (["verify", str(path)], [1, 2], "not a JSON object"),
+    ]
+    for argv, payload, named in cases:
+        path.write_text(json.dumps(payload))
+        assert main(argv) == 2, (argv, payload)
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.err.count("\n") == 1
