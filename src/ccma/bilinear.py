@@ -258,21 +258,26 @@ class BilinearAlgorithm:
     @classmethod
     def from_json(cls, data):
         _require_keys(data, "algorithm", ("p", "k", "target", "A", "B", "W"))
+        p = _payload_int(data["p"], "p", 2)
+        k = _payload_int(data["k"], "k", 1)
         poly = data.get("defining_poly")
-        base = FieldSpec.get(data["p"], data["k"], tuple(poly) if poly else None)
+        if poly is not None:
+            _require_list(poly, "defining_poly")
+            poly = tuple(_payload_int(c, "defining_poly", 0, p) for c in poly) or None
+        base = FieldSpec.get(p, k, poly)
         tinfo = data["target"]
         _require_keys(tinfo, "target", ("kind", "Q"))
-        if tinfo["kind"] == "truncated":
-            _require_keys(tinfo, "target", ("m", "l"))
-        Q = Poly(base, [base.encode(tuple(c)) for c in tinfo["Q"]])
+        Q = Poly(base, _payload_elements(tinfo["Q"], "Q", base, 1))
         if tinfo["kind"] == "extension":
             target = ExtAlgebra(base, Q)
         elif tinfo["kind"] == "truncated":
-            target = TruncAlgebra(base, tinfo["m"], tinfo["l"], Q)
+            _require_keys(tinfo, "target", ("m", "l"))
+            m = _payload_int(tinfo["m"], "m", 1)
+            target = TruncAlgebra(base, m, _payload_int(tinfo["l"], "l", 1), Q)
         else:
             raise CcmaError(f"unknown target kind {tinfo['kind']!r}")
-        decode = lambda rows: [[base.encode(tuple(v)) for v in row] for row in rows]
-        return cls(target, decode(data["A"]), decode(data["B"]), decode(data["W"]))
+        A, B, W = (_payload_elements(data[key], key, base, 2) for key in "ABW")
+        return cls(target, A, B, W)
 
 
 def _require_keys(data, what, keys):
@@ -281,6 +286,39 @@ def _require_keys(data, what, keys):
     for key in keys:
         if key not in data:
             raise MalformedPayload(f"{what} lacks required key {key!r}")
+
+
+def _require_list(value, key):
+    if not isinstance(value, list):
+        raise MalformedPayload(f"{key} holds {type(value).__name__} where a list belongs")
+
+
+def _payload_int(value, key, low, high=None):
+    """`value` if it is an int in [low, high) (no upper end if None)."""
+    if type(value) is not int or value < low or (high is not None and value >= high):
+        span = f"in [{low}, {high})" if high is not None else f">= {low}"
+        raise MalformedPayload(f"{key} holds {value!r}, not an integer {span}")
+    return value
+
+
+def _payload_elements(value, key, base, depth):
+    """Encoded field elements nested `depth` lists deep (1: vector, 2: matrix).
+
+    An element is a list of k digits, each an int in [0, p): digits are
+    never reduced mod p, so every accepted payload is canonical.
+    """
+    _require_list(value, key)
+    if depth > 1:
+        return [_payload_elements(v, key, base, depth - 1) for v in value]
+    out = []
+    for digits in value:
+        _require_list(digits, key)
+        if len(digits) != base.k:
+            raise MalformedPayload(
+                f"{key} holds a field element of {len(digits)} digits, not {base.k}"
+            )
+        out.append(base.encode([_payload_int(c, key, 0, base.p) for c in digits]))
+    return out
 
 
 def verify(alg):

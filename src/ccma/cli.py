@@ -104,17 +104,19 @@ def cmd_verify(args):
     with open(args.file) as fh:
         data = json.load(fh)
     report = verify_file_payload(data)
-    if report["verified"]:
-        sym = "symmetric" if report["symmetric"] else "asymmetric"
-        lower = report["winograd_lower"]
-        extra = f", lower bound {lower}" if lower else ""
-        print(f"VERIFIED rank {report['rank']}, {sym}{extra}")
-        if report.get("rank_matches_claim") is False:
-            print(f"claimed rank {report['claimed_rank']} disagrees")
-            return EXIT_MISMATCH
-        return EXIT_OK
-    print(f"FAILED at basis pair {report['failing_pair']}")
-    return EXIT_MISMATCH
+    if not report["verified"]:
+        print(f"FAILED at basis pair {report['failing_pair']}")
+        return EXIT_MISMATCH
+    if report.get("claims_disagree"):
+        print("MISMATCH: the algorithm verifies, but the certificate claims " + ", ".join(
+            f"{key}={data[key]!r} (algorithm: {report[key]!r})"
+            for key in report["claims_disagree"]))
+        return EXIT_MISMATCH
+    sym = "symmetric" if report["symmetric"] else "asymmetric"
+    lower = report["winograd_lower"]
+    extra = f", lower bound {lower}" if lower else ""
+    print(f"VERIFIED rank {report['rank']}, {sym}{extra}")
+    return EXIT_OK
 
 
 def cmd_bounds(args):

@@ -32,7 +32,7 @@ class DegreeOverflow(CcmaError):
 
 
 class MalformedPayload(CcmaError):
-    """A stored algorithm is not a JSON object or lacks a required key."""
+    """A stored algorithm is not a JSON object, lacks a key or is not canonical."""
 
 
 class VerificationError(CcmaError):

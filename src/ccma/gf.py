@@ -7,7 +7,10 @@ and store trimmed little-endian coefficient tuples of such integers.
 
 The canonical total order on monic polynomials of one degree is ascending
 integer value sum(c_i * q^i); defining irreducibles are always the least
-monic irreducible of their degree in this order.
+monic irreducible of their degree in this order.  Irreducibles are produced
+by one ascending stream per (field, degree), memoized for the process, so
+`iter_irreducibles`, `irreducibles` and `lex_least_irreducible` test each
+candidate at most once.
 """
 
 from .errors import (
@@ -17,6 +20,7 @@ from .errors import (
     NonCoprimeModuli,
     PoleAtPlace,
 )
+from . import linalg
 from .guard import check_guard
 
 _MUL_TABLE_MAX_Q = 512
@@ -333,20 +337,6 @@ class FieldElement:
         return f"FieldElement({self.spec!r}, {self.coeffs})"
 
 
-def _prime_divisors(n):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # -- polynomials over a FieldSpec -------------------------------------------
 
 
@@ -542,7 +532,14 @@ class Poly:
 
 
 def is_irreducible(poly):
-    """Rabin irreducibility test over the polynomial's coefficient field."""
+    """Butler's irreducibility test over the polynomial's coefficient field.
+
+    Over F_q, a polynomial P of degree d >= 2 is irreducible iff it is
+    squarefree (P' != 0 and gcd(P, P') = 1) and rank(Q - I) = d - 1, where
+    Q is the matrix of the F_q-linear map f -> f^q on F_q[x]/(P): the kernel
+    of Q - I (the Berlekamp subalgebra) has one dimension per distinct
+    irreducible factor of a squarefree P.  Row i of Q is x^(iq) mod P.
+    """
     d = poly.degree
     if d <= 0:
         return False
@@ -552,34 +549,19 @@ def is_irreducible(poly):
         return False
     sp = poly.spec
     poly = poly.monic()
-    x = Poly.x(sp)
-    xq = x.pow_mod(sp.q, poly)
-    cur = xq
-    for _ in range(d - 1):
-        cur = _frob_compose(cur, xq, poly)
-    if cur != x % poly:
+    deriv = poly.derivative()
+    if deriv.is_zero() or poly.gcd(deriv).degree > 0:
         return False
-    for r in _prime_divisors(d):
-        steps = d // r
-        cur = x % poly
-        for _ in range(steps):
-            cur = _frob_compose(cur, xq, poly)
-        diff = cur - (x % poly)
-        if diff.is_zero():
-            return False
-        if diff.gcd(poly).degree > 0:
-            return False
-    return True
-
-
-def _frob_compose(f, xq, mod):
-    """f(x)^q mod `mod`, via composition with x^q (q = field size)."""
-    sp = f.spec
-    acc = Poly.zero(sp)
-    for c in reversed(f.coeffs):
-        acc = (acc * xq) % mod
-        acc = acc + Poly.constant(sp, sp.pow(c, sp.q))
-    return acc
+    xq = Poly.x(sp).pow_mod(sp.q, poly)
+    cur = Poly.one(sp)
+    rows = []
+    for i in range(d):
+        if i:
+            cur = (cur * xq) % poly
+        row = [cur[j] for j in range(d)]
+        row[i] = sp.sub(row[i], 1)
+        rows.append(row)
+    return linalg.rank(sp, rows) == d - 1
 
 
 def iter_monic(spec, d):
@@ -594,11 +576,31 @@ def iter_monic(spec, d):
         yield Poly(spec, tuple(coeffs) + (1,))
 
 
+_IRREDUCIBLE_STREAMS = {}
+
+
 def iter_irreducibles(spec, d):
-    """Lazy ascending stream of monic irreducibles of degree d."""
-    for cand in iter_monic(spec, d):
-        if is_irreducible(cand):
-            yield cand
+    """Lazy ascending stream of monic irreducibles of degree d, memoized.
+
+    All streams of one (spec, d) share a process-wide prefix of the
+    irreducibles found so far and one `iter_monic` cursor: each stream
+    replays the prefix, then extends it, so no candidate is tested twice.
+    """
+    key = (spec, d)
+    memo = _IRREDUCIBLE_STREAMS.get(key)
+    if memo is None:
+        memo = _IRREDUCIBLE_STREAMS[key] = ([], iter_monic(spec, d))
+    found, cursor = memo
+    i = 0
+    while True:
+        while i == len(found):
+            cand = next(cursor, None)
+            if cand is None:
+                return
+            if is_irreducible(cand):
+                found.append(cand)
+        yield found[i]
+        i += 1
 
 
 def irreducibles(spec, d, limit=None):

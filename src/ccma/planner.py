@@ -250,13 +250,14 @@ def _assignments(base_items):
 
 
 def verify_file_payload(data):
-    """Re-verify a stored algorithm or certificate; returns a report dict."""
-    if isinstance(data, dict) and "algorithm" in data:
-        alg = BilinearAlgorithm.from_json(data["algorithm"])
-        claimed = data.get("rank")
-    else:
-        alg = BilinearAlgorithm.from_json(data)
-        claimed = None
+    """Re-verify a stored algorithm or certificate; returns a report dict.
+
+    For a certificate, `claims_disagree` names each claim among `q`, `n`,
+    `rank`, `symmetric` and `winograd_lower` that the algorithm it carries
+    does not bear out; a claim the certificate leaves out is not checked.
+    """
+    cert = data if isinstance(data, dict) and "algorithm" in data else None
+    alg = BilinearAlgorithm.from_json(data if cert is None else data["algorithm"])
     pair = alg.failing_pair()
     target = alg.target
     n = target.n if target.kind == "extension" else target.m
@@ -266,10 +267,16 @@ def verify_file_payload(data):
         "symmetric": alg.symmetric,
         "target": target.describe(),
         "q": target.base.q,
+        "n": n,
         "winograd_lower": 2 * n - 1 if target.kind == "extension" else None,
         "failing_pair": pair,
     }
-    if claimed is not None:
-        report["claimed_rank"] = claimed
-        report["rank_matches_claim"] = claimed == alg.N
+    if cert is not None:
+        report["claims_disagree"] = [
+            key for key in ("q", "n", "rank", "symmetric", "winograd_lower")
+            if key in cert and cert[key] != report[key]
+        ]
+        if "rank" in cert:
+            report["claimed_rank"] = cert["rank"]
+            report["rank_matches_claim"] = cert["rank"] == alg.N
     return report

@@ -1,0 +1,136 @@
+"""Differential tests: Butler's irreducibility test against the Rabin test it
+replaced, and the memoized irreducible stream against a direct filter."""
+
+import random
+
+from ccma import gf
+from ccma.gf import (
+    FieldSpec,
+    Poly,
+    count_irreducibles,
+    irreducibles,
+    is_irreducible,
+    iter_irreducibles,
+    iter_monic,
+    lex_least_irreducible,
+)
+
+F2 = FieldSpec.get(2)
+F3 = FieldSpec.get(3)
+F4 = FieldSpec.get(2, 2)
+F5 = FieldSpec.get(5)
+F16 = FieldSpec.get(2, 4)
+
+
+def _prime_divisors(n):
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _frob_compose(f, xq, mod):
+    """f(x)^q mod `mod`, via composition with x^q (q = field size)."""
+    sp = f.spec
+    acc = Poly.zero(sp)
+    for c in reversed(f.coeffs):
+        acc = (acc * xq) % mod
+        acc = acc + Poly.constant(sp, sp.pow(c, sp.q))
+    return acc
+
+
+def rabin_is_irreducible(poly):
+    """Rabin's test: x^(q^d) = x mod P, and gcd(x^(q^(d/r)) - x, P) = 1."""
+    d = poly.degree
+    if d <= 0:
+        return False
+    if d == 1:
+        return True
+    if poly[0] == 0:
+        return False
+    sp = poly.spec
+    poly = poly.monic()
+    x = Poly.x(sp)
+    xq = x.pow_mod(sp.q, poly)
+    cur = xq
+    for _ in range(d - 1):
+        cur = _frob_compose(cur, xq, poly)
+    if cur != x % poly:
+        return False
+    for r in _prime_divisors(d):
+        cur = x % poly
+        for _ in range(d // r):
+            cur = _frob_compose(cur, xq, poly)
+        diff = cur - (x % poly)
+        if diff.is_zero() or diff.gcd(poly).degree > 0:
+            return False
+    return True
+
+
+def test_butler_matches_rabin_on_every_small_polynomial():
+    for spec, dmax in ((F2, 8), (F3, 5), (F4, 4), (F5, 3)):
+        for d in range(0, dmax + 1):
+            for poly in iter_monic(spec, d):
+                assert is_irreducible(poly) == rabin_is_irreducible(poly), poly
+    # non-monic inputs are judged by their monic associate
+    for poly in iter_monic(F5, 3):
+        assert is_irreducible(poly.scale(3)) == is_irreducible(poly)
+
+
+def _random_monic(rng, spec, d):
+    return Poly(spec, [rng.randrange(spec.q) for _ in range(d)] + [1])
+
+
+def test_butler_matches_rabin_on_random_high_degree():
+    rng = random.Random(20190501)
+    cases = []
+    for d in (13, 14, 15):
+        cases += [_random_monic(rng, F16, d) for _ in range(6)]
+        # an irreducible, a product without linear factors, a non-squarefree one
+        cases.append(lex_least_irreducible(F16, d))
+        low = lex_least_irreducible(F16, 5)
+        cases.append(low * lex_least_irreducible(F16, d - 5))
+        cases.append(low * low * _random_monic(rng, F16, d - 10))
+    cases += [_random_monic(rng, F2, 16) for _ in range(10)]
+    verdicts = [is_irreducible(p) for p in cases]
+    assert verdicts == [rabin_is_irreducible(p) for p in cases]
+    assert True in verdicts and False in verdicts
+
+
+def test_interleaved_streams_share_one_ascending_sequence(monkeypatch):
+    monkeypatch.setattr(gf, "_IRREDUCIBLE_STREAMS", {})
+    tested = []
+    real = gf.is_irreducible
+
+    def counting(poly):
+        tested.append(poly.coeffs)
+        return real(poly)
+
+    monkeypatch.setattr(gf, "is_irreducible", counting)
+    expected = [p for p in iter_monic(F4, 3) if real(p)]
+
+    early = iter_irreducibles(F4, 3)
+    head = [next(early) for _ in range(3)]
+    early.close()
+    a = iter_irreducibles(F4, 3)
+    b = iter_irreducibles(F4, 3)
+    got_a = [next(a), next(a)]
+    got_b = [next(b) for _ in range(7)]  # b runs past everything seen so far
+    got_a += [next(a) for _ in range(9)]  # a overtakes b
+    got_b += list(b)
+    got_a += list(a)
+
+    assert head == expected[:3]
+    assert got_a == expected and got_b == expected
+    assert len(expected) == count_irreducibles(4, 3)
+    assert irreducibles(F4, 3) == expected
+    assert lex_least_irreducible(F4, 3) == expected[0]
+    # every monic cubic was tested exactly once across all consumers
+    assert len(tested) == 4 ** 3 and len(set(tested)) == 4 ** 3

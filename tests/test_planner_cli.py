@@ -212,3 +212,59 @@ def test_cli_malformed_payload_is_named_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert named in captured.err
         assert captured.err.count("\n") == 1
+
+
+def test_cli_non_canonical_payload_is_named_error(tmp_path, capsys):
+    # at the parent: a TypeError traceback, and a digit 3 reduced mod 2 to VERIFIED
+    main(["synth", "--q", "2", "--n", "3", "--out", str(tmp_path / "cert.json")])
+    cert = json.loads((tmp_path / "cert.json").read_text())
+    capsys.readouterr()
+
+    def edited(path, value):
+        data = json.loads(json.dumps(cert))
+        node = data["algorithm"]
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        return data
+
+    lifted = cert["algorithm"]["A"][0][0][0] + 2
+    path = tmp_path / "bad.json"
+    cases = [
+        ({"p": 2, "k": 1, "target": {"kind": "extension", "Q": 5},
+          "A": [], "B": [], "W": []}, "Q holds int"),
+        (edited(("A", 0, 0), [lifted]), f"A holds {lifted}"),
+        (edited(("B", 1, 0), [0, 1]), "B holds a field element of 2 digits"),
+        (edited(("W", 0, 0), [True]), "W holds True"),
+        (edited(("W", 0), 7), "W holds int"),
+        (edited(("A",), {"0": 1}), "A holds dict"),
+        (edited(("p",), "2"), "p holds '2'"),
+        (edited(("defining_poly",), [1, 1, 0, 3]), "defining_poly holds 3"),
+        (edited(("target", "Q", 3), [1.0]), "Q holds 1.0"),
+    ]
+    for payload, named in cases:
+        path.write_text(json.dumps(payload))
+        assert main(["verify", str(path)]) == 2, named
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.err.count("\n") == 1 and "VERIFIED" not in captured.out
+
+
+def test_cli_verify_checks_certificate_claims(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    # an F_8/F_2 algorithm; the parent printed VERIFIED for q=4, n=9
+    main(["synth", "--q", "2", "--n", "3", "--out", str(path)])
+    cert = json.loads(path.read_text())
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    cert.update(q=4, n=9)
+    path.write_text(json.dumps(cert))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "q=4 (algorithm: 2)" in out and "n=9 (algorithm: 3)" in out
+    assert "VERIFIED" not in out
+    for key, value in (("rank", 2), ("symmetric", not cert["symmetric"]), ("winograd_lower", 1)):
+        path.write_text(json.dumps(dict(cert, q=2, n=3, **{key: value})))
+        assert main(["verify", str(path)]) == 2, key
+        assert f"{key}={value!r}" in capsys.readouterr().out
