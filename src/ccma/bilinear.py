@@ -147,40 +147,6 @@ class TruncAlgebra:
         return f"TruncAlgebra({self.base!r}, m={self.m}, l={self.ell})"
 
 
-class CustomAlgebra:
-    """Internal algebra given by an explicit structure tensor (not serialized)."""
-
-    kind = "custom"
-
-    def __init__(self, base, tensor):
-        self.base = base
-        self.tensor = tensor
-        self.dim = len(tensor)
-
-    def one_coords(self):
-        out = [0] * self.dim
-        out[0] = 1  # composed bases always start with the unit element
-        return out
-
-    def basis_product(self, i, k):
-        return list(self.tensor[i][k])
-
-    def mul_coords(self, x, y):
-        sp = self.base
-        out = [0] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.tensor[i]
-                for k, yk in enumerate(y):
-                    if yk:
-                        c = sp.mul(xi, yk)
-                        prod = row[k]
-                        for t in range(self.dim):
-                            if prod[t]:
-                                out[t] = sp.add(out[t], sp.mul(c, prod[t]))
-        return out
-
-
 def extension_target(base, n, Q=None):
     if Q is None:
         Q = lex_least_irreducible(base, n)
@@ -508,6 +474,11 @@ class _ExtFieldIso:
         if self._from_p is None:
             raise CcmaError("power basis does not span the canonical field")
 
+    def to_field(self, coords):
+        """Field element with algebra coordinates `coords` (inverse of from_field)."""
+        flat = [c for x in coords for c in self.K.decode(x)]
+        return self.spec2.encode(linalg.mat_vec(self._fp, self._to_p, flat))
+
     def from_field(self, val):
         pvec = list(self.spec2.decode(val))
         flat = linalg.mat_vec(self._fp, self._from_p, pvec)
@@ -523,64 +494,47 @@ class _ExtFieldIso:
         return [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
 
 
-def _minimal_polynomial(algebra, coords):
-    """Monic minimal polynomial of an algebra element over the base field."""
-    sp = algebra.base
-    dim = algebra.dim
-    powers = [algebra.one_coords()]
-    cur = list(coords)
-    powers.append(cur)
-    for _ in range(dim - 1):
-        cur = algebra.mul_coords(cur, coords)
-        powers.append(cur)
-    # first linear dependency among 1, g, g^2, ...
-    for deg in range(1, dim + 1):
-        mat = [[powers[j][i] for j in range(deg)] for i in range(dim)]
-        rhs = [sp.neg(powers[deg][i]) for i in range(dim)]
-        sol = linalg.solve(sp, mat, rhs)
-        if sol is not None:
-            return Poly(sp, sol + [1])
-    raise CcmaError("no minimal polynomial found")
+def _power_basis_form(A, B, W, iso, ring, limit=None):
+    """Rewrite a composed algorithm on the power basis of its first generator.
 
-
-def _conjugate(alg, new_target, theta):
-    """Transport an algorithm through an algebra iso given by matrix theta.
-
-    theta maps new-target coordinates to old-target coordinates.
+    (A, B, W) use tower coordinates: coordinate j*m + t stands for
+    iso.powers[t] * y^j in `ring` = F_{q^m}[y]/(Q), the inner target's
+    ring.  Candidates g are scanned in ascending encoding of their tower
+    coordinates, and the first whose powers 1, g, ..., g^(d-1) are
+    independent wins: with theta = [g^0 ... g^(d-1)], the new modulus is
+    g's minimal polynomial z^d - theta^-1 g^d.
     """
-    sp = alg.target.base
-    theta_inv = linalg.invert(sp, theta)
-    A = linalg.mat_mul(sp, alg.A, theta)
-    B = linalg.mat_mul(sp, alg.B, theta)
-    W = linalg.mat_mul(sp, theta_inv, alg.W)
-    return BilinearAlgorithm(new_target, A, B, W, meta=dict(alg.meta))
-
-
-def _power_basis_form(alg, limit=None):
-    """Rewrite a custom-algebra algorithm on a power basis extension target."""
-    algebra = alg.target
-    sp = algebra.base
-    dim = algebra.dim
-    q = sp.q
+    K = iso.K
+    m = iso.m
+    n = ring.dim
+    dim = m * n
+    q = K.q
     # non-generators lie in proper subfields, so few low encodings are skipped
     check_guard(dim.bit_length() * q ** (dim // 2) + 2, "generator scan", limit)
-    for enc in range(1, q ** dim):
+    # encodings below q^m have only block-0 digits: they lie in F_{q^m}
+    for enc in range(q ** m if dim > m else 1, q ** dim):
         coords = []
         v = enc
         for _ in range(dim):
             coords.append(v % q)
             v //= q
-        minpoly = _minimal_polynomial(algebra, coords)
-        if minpoly.degree == dim:
-            theta_cols = [algebra.one_coords()]
-            cur = list(coords)
-            theta_cols.append(cur)
-            for _ in range(dim - 2):
-                cur = algebra.mul_coords(cur, coords)
-                theta_cols.append(cur)
-            theta = [[theta_cols[j][i] for j in range(dim)] for i in range(dim)]
-            target = ExtAlgebra(sp, minpoly)
-            return _conjugate(alg, target, theta)
+        g = tuple(iso.to_field(coords[j * m : (j + 1) * m]) for j in range(n))
+        powers = [ring.one]
+        for _ in range(dim):
+            powers.append(ring.mul(powers[-1], g))
+        cols = [[c for x in pw for c in iso.from_field(x)] for pw in powers]
+        theta = [[cols[j][i] for j in range(dim)] for i in range(dim)]
+        theta_inv = linalg.invert(K, theta)
+        if theta_inv is None:
+            continue
+        top = linalg.mat_vec(K, theta_inv, cols[dim])
+        target = ExtAlgebra(K, Poly(K, [K.neg(c) for c in top] + [1]))
+        return BilinearAlgorithm(
+            target,
+            linalg.mat_mul(K, A, theta),
+            linalg.mat_mul(K, B, theta),
+            linalg.mat_mul(K, theta_inv, W),
+        )
     raise CcmaError("no generator found for the composed algebra")
 
 
@@ -600,8 +554,8 @@ def compose_tower(outer, inner, limit=None):
         raise FieldMismatch(
             f"inner base {inner.target.base!r} is not {iso.spec2!r}"
         )
-    raw = _compose_blocks(outer, inner, iso, _inner_ext_tensor(inner.target))
-    out = _power_basis_form(raw, limit)
+    A, B, W = _compose_blocks(outer, inner, iso)
+    out = _power_basis_form(A, B, W, iso, inner.target.ring, limit)
     out.meta = {"method": "tower", "outer": outer.meta, "inner": inner.meta}
     return out
 
@@ -620,49 +574,22 @@ def compose_truncated(outer, inner, limit=None):
             f"inner base {inner.target.base!r} is not {iso.spec2!r}"
         )
     u = inner.target.ell
-    raw = _compose_blocks(outer, inner, iso, _inner_trunc_tensor(inner.target))
-    # the raw blocks already use the (j, i) basis order of the target
+    A, B, W = _compose_blocks(outer, inner, iso)
+    # the blocks already use the (j, i) basis order of the target
     if u == 1:
         target = ExtAlgebra(K, outer.target.Q)
     else:
         target = TruncAlgebra(K, d, u, outer.target.Q)
     meta = {"method": "localized", "outer": outer.meta, "inner": inner.meta}
-    return BilinearAlgorithm(target, raw.A, raw.B, raw.W, meta=meta)
+    return BilinearAlgorithm(target, A, B, W, meta=meta)
 
 
-def _inner_ext_tensor(inner_target):
-    ring = inner_target.ring
-    n = inner_target.n
-
-    def products(j1, j2):
-        e1 = tuple(1 if t == j1 else 0 for t in range(n))
-        e2 = tuple(1 if t == j2 else 0 for t in range(n))
-        return ring.mul(e1, e2)
-
-    return products
-
-
-def _inner_trunc_tensor(inner_target):
-    ell = inner_target.ell
-
-    def products(j1, j2):
-        out = [0] * ell
-        if j1 + j2 < ell:
-            out[j1 + j2] = 1
-        return tuple(out)
-
-    return products
-
-
-def _compose_blocks(outer, inner, iso, inner_basis_products):
-    """Shared block-matrix composition of a tower/truncated nesting."""
+def _compose_blocks(outer, inner, iso):
+    """(A, B, W) of a tower/truncated nesting, in tower coordinates."""
     K = outer.target.base
     m = iso.m
-    big = iso.spec2
     n_blocks = inner.target.dim  # blocks over the big field
     dim = m * n_blocks
-    N_in = inner.N
-    N_out = outer.N
 
     mulmat_cache = {}
 
@@ -685,19 +612,13 @@ def _compose_blocks(outer, inner, iso, inner_basis_products):
                         mat[r][j * m + t] = mm[r][t]
         return mat
 
-    A = []
-    B = []
-    w_cols = []
-    for s in range(N_in):
-        MA = form_matrix(inner.A[s])
-        MB = form_matrix(inner.B[s])
-        rows_a = linalg.mat_mul(K, outer.A, MA)
-        rows_b = linalg.mat_mul(K, outer.B, MB)
-        A.extend(rows_a)
-        B.extend(rows_b)
+    A, B, w_cols = [], [], []
+    for s in range(inner.N):
+        A.extend(linalg.mat_mul(K, outer.A, form_matrix(inner.A[s])))
+        B.extend(linalg.mat_mul(K, outer.B, form_matrix(inner.B[s])))
         # W columns: product scaled by inner w coefficients into each block
         w_inner = [inner.W[j][s] for j in range(n_blocks)]
-        for r in range(N_out):
+        for r in range(outer.N):
             w_out_col = [outer.W[t][r] for t in range(m)]
             col = [0] * dim
             for j in range(n_blocks):
@@ -709,27 +630,7 @@ def _compose_blocks(outer, inner, iso, inner_basis_products):
                         col[j * m + t] = vec[t]
             w_cols.append(col)
     W = [[w_cols[s][h] for s in range(len(w_cols))] for h in range(dim)]
-
-    # structure tensor of the raw composed algebra, for verification
-    tensor = []
-    for i1 in range(dim):
-        row = []
-        b1, t1 = divmod(i1, m)
-        for i2 in range(dim):
-            b2, t2 = divmod(i2, m)
-            field_prod = big.mul(iso.powers[t1], iso.powers[t2])
-            blocks = inner_basis_products(b1, b2)
-            col = [0] * dim
-            for j in range(n_blocks):
-                c = blocks[j]
-                if c:
-                    val = iso.from_field(big.mul(c, field_prod)) if c != 1 else iso.from_field(field_prod)
-                    for t in range(m):
-                        col[j * m + t] = val[t]
-            row.append(tuple(col))
-        tensor.append(row)
-    raw_target = CustomAlgebra(K, tensor)
-    return BilinearAlgorithm(raw_target, A, B, W)
+    return A, B, W
 
 
 # -- brute force minimum rank -------------------------------------------------

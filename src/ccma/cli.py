@@ -175,7 +175,7 @@ def main(argv=None):
     if args.command is None:
         parser.print_help()
         return EXIT_USAGE
-    for name in ("n", "max_rank"):
+    for name in ("n", "max_rank", "max_mult", "max_place_degree", "n_max"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             flag = "--" + name.replace("_", "-")
@@ -198,10 +198,10 @@ def main(argv=None):
     except GuardExceeded as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except CcmaError as exc:

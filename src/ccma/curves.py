@@ -799,11 +799,6 @@ def rr_dim(curve, D, limit=None):
 # -- interpolation conditions ----------------------------------------------------
 
 
-def q_evaluation_matrix(curve, funcs, Q, ell):
-    """Rows of the multiplicity-ell evaluation at the degree-n place Q."""
-    return evaluation_rows(curve, funcs, Q, ell)
-
-
 def check_conditions(curve, Q, D1, D2, items, ell=1, limit=None):
     """Explicit rank checks plus the numerical criteria, reported separately."""
     n = Q.degree
@@ -818,8 +813,8 @@ def check_conditions(curve, Q, D1, D2, items, ell=1, limit=None):
     base = curve.base
     L1 = riemann_roch_basis(curve, D1, limit)
     L2 = L1 if D1 == D2 else riemann_roch_basis(curve, D2, limit)
-    m1 = q_evaluation_matrix(curve, L1, Q, ell)
-    m2 = m1 if D1 == D2 else q_evaluation_matrix(curve, L2, Q, ell)
+    m1 = evaluation_rows(curve, L1, Q, ell)
+    m2 = m1 if D1 == D2 else evaluation_rows(curve, L2, Q, ell)
     report["a_onto"] = (
         linalg.rank(base, m1) == n * ell and linalg.rank(base, m2) == n * ell
     )
@@ -966,8 +961,8 @@ def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table, limit=None):
     L2 = L1 if same else riemann_roch_basis(curve, D2, limit)
     L12 = riemann_roch_basis(curve, D1.add(D2), limit)
 
-    EvQ1 = q_evaluation_matrix(curve, L1, Q, ell)
-    EvQ2 = EvQ1 if same else q_evaluation_matrix(curve, L2, Q, ell)
+    EvQ1 = evaluation_rows(curve, L1, Q, ell)
+    EvQ2 = EvQ1 if same else evaluation_rows(curve, L2, Q, ell)
     S1 = _right_inverse(base, EvQ1)
     S2 = S1 if same else _right_inverse(base, EvQ2)
 
@@ -982,7 +977,7 @@ def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table, limit=None):
         if not same:
             X2 = linalg.mat_mul(base, evaluation_rows(curve, L2, place, u, conv), S2)
         blocks.append((entry, X1, X2, evaluation_rows(curve, L12, place, u, conv)))
-    T = q_evaluation_matrix(curve, L12, Q, ell)
+    T = evaluation_rows(curve, L12, Q, ell)
     return interpolation_algorithm(
         target,
         blocks,
@@ -997,14 +992,8 @@ def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table, limit=None):
 
 
 def _right_inverse(spec, mat):
-    # solve mat @ S = I column by column
-    rows = len(mat)
-    cols = len(mat[0])
-    out_cols = []
-    for i in range(rows):
-        e = [1 if r == i else 0 for r in range(rows)]
-        sol = linalg.solve(spec, mat, e)
-        if sol is None:
-            raise ConditionFailure("evaluation at Q is not onto")
-        out_cols.append(sol)
-    return [[out_cols[c][r] for c in range(rows)] for r in range(cols)]
+    """S with mat S = I, for an onto evaluation at Q."""
+    left = linalg.left_inverse(spec, linalg.transpose(mat))
+    if left is None:
+        raise ConditionFailure("evaluation at Q is not onto")
+    return linalg.transpose(left)

@@ -848,11 +848,11 @@ class PrimePowerLocal:
 
     The Hensel lift of the residue field inside the local ring makes the
     coefficient map multiplicative; digits are residue-field elements.
+    The place polynomial must be irreducible; `local_expansion` checks the
+    places it is given, and genus-0 places come from the irreducible stream.
     """
 
     def __init__(self, place_poly, u):
-        if not is_irreducible(place_poly):
-            raise CcmaError("local ring needs an irreducible place polynomial")
         self.spec = place_poly.spec
         self.P = place_poly.monic()
         self.u = u
@@ -981,6 +981,8 @@ def local_expansion(num, den, place, order, normalize=False):
         series = _series_div(spec, rn, rd, max(order - shift, 0))
         out = tuple(([0] * shift + series)[:order])
         return (pole, out) if normalize else out
+    if not is_irreducible(place):
+        raise CcmaError("local ring needs an irreducible place polynomial")
     local = PrimePowerLocal(place, order)
     dmod = den % local.modulus
     if den.gcd(place).degree > 0:

@@ -1,5 +1,7 @@
 """Decomposition model: verify, compose, brute force, cost table."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -278,3 +280,61 @@ def test_every_cost_table_candidate_verifies():
                 assert cands, (spec, d, u)
                 for cand in cands:
                     assert verify(cand), (spec, d, u, cand.meta.get("method"))
+
+
+# Exact compose_tower outputs recorded before the generator scan moved into
+# the tower ring: (q, d, a) -> (target Q, sha256 of the sorted to_json()).
+# Every tower split with q^d <= 4096 over F_2, F_3 and F_4.
+TOWER_PINS = {
+    (2, 4, 2): ([1, 1, 0, 0, 1], "2e9ec8c6a20c36c3496f4a17e80bca9416189f62438967cfd8277bd378e93c51"),
+    (2, 6, 2): ([1, 0, 0, 1, 0, 0, 1], "00781ebbd643d22258852a91a9a0714ea7207499f2d368d7f142d4afac69bd30"),
+    (2, 6, 3): ([1, 0, 1, 1, 0, 1, 1], "a9e484f95d58ee59f5b06e7cd7b2ada060f5923aa33a0b047abfbeb7801d1070"),
+    (2, 8, 2): ([1, 1, 1, 1, 1, 1, 0, 0, 1], "d1a35d7fac32b667da4b75cf4b9502eca92a6306242690d68c0deeb949f112bf"),
+    (2, 8, 4): ([1, 1, 0, 1, 1, 1, 1, 0, 1], "a641a11caa5d82523a92d875263e285f2ce78347c6c9fcaaa165f008f7609696"),
+    (2, 9, 3): ([1, 1, 0, 0, 0, 1, 0, 1, 0, 1], "0b9f9c202468440681877ca186ef802a8f641158b062c1ff55236fc88956b6a9"),
+    (2, 10, 2): ([1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 1], "1f36702315a7a54b910b291954e9b16863038dbe49d1ae13391fa6bac5b22737"),
+    (2, 10, 5): ([1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1], "09c8b11c0c14b1c726d5450823d34bbb53e970226b849af06ff0d7cbac37b2b5"),
+    (2, 12, 2): ([1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1], "eada3c2f2791c2655b52ae2937b884bd9d1654819d38afa67a77f089ddfd4c87"),
+    (2, 12, 3): ([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1], "16e490dc8a75655b9764eb6fb114567e2b143d73eb3550e6be90e6a5000b1413"),
+    (2, 12, 4): ([1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1], "164bfdb6d897be8a4d4548974972f8777c18daf9758200b48281d0d4dea180d1"),
+    (2, 12, 6): ([1, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 0, 1], "044ebdc548758e4cc8d4a8c22def52d83022a476eb8eed1bbed9c09bd62cff3c"),
+    (3, 4, 2): ([2, 0, 2, 0, 1], "bd7b6f84be49cab24eaa0e95715fc7d787c1bef40d7cef4893ab23c5c369d7e3"),
+    (3, 6, 2): ([1, 0, 1, 0, 2, 0, 1], "2dad0e7967f8a3f121eeb17c50a881b173d48a8d13d8e57aa5561cd0237851e9"),
+    (3, 6, 3): ([2, 1, 1, 2, 1, 0, 1], "f301fd97ab86292612ce5e907bb52d39f47d9ddd848d333ac7aae77a67596bca"),
+    (4, 4, 2): ([1, 3, 2, 0, 1], "8e222650c708e7626e01ea19453b60fcb1d623272439d8f42bcd8e958da26f2f"),
+    (4, 6, 2): ([2, 0, 0, 1, 0, 0, 1], "521c77089ed84c2492f1c98c388cebc813c26076022164fb07f1c0407b2bf0fe"),
+    (4, 6, 3): ([2, 3, 1, 1, 3, 1, 1], "ee5151ec6de08e472a58cf0f75532b2439835f56c4eed7b4d49591f5594ae61f"),
+}
+# (q, d) -> the same, for the trivial outer F_q/F_q and the table's inner F_{q^d}
+TRIVIAL_OUTER_PINS = {
+    (2, 2): ([1, 1, 1], "e2aa18650ece967c6644cfdf826e99d016aecf12ce5d1c8679c343c5df93fd92"),
+    (2, 3): ([1, 1, 0, 1], "82a2f4116d2e3734895630c124914e0502b081f41bbf13e9f9a53e813c10a8a3"),
+    (2, 4): ([1, 1, 0, 0, 1], "2e9ec8c6a20c36c3496f4a17e80bca9416189f62438967cfd8277bd378e93c51"),
+    (3, 2): ([1, 0, 1], "1c65e5ac61316d4014ed145d07625a2198ca1efb2729de7108f2c8158c73d74a"),
+    (3, 3): ([1, 2, 0, 1], "50e4709f9dc8ac272bb958681ef4dae5c2f3b148c3fc9b993047524f069c6ee6"),
+    (3, 4): ([2, 0, 2, 0, 1], "bd7b6f84be49cab24eaa0e95715fc7d787c1bef40d7cef4893ab23c5c369d7e3"),
+    (4, 2): ([2, 1, 1], "975caad53eb7d4968b9be26871981a1bfa7f7c2e2b94df8558237baed6e41fde"),
+    (4, 3): ([2, 0, 0, 1], "c00b8c759122953504ee023f5c0f56080b8ea707e61861d09cca8d8f137be993"),
+    (4, 4): ([1, 2, 1, 0, 1], "ddf059aead2ca6c7a23260e05874feecdbe3b4d95121d7f1e6f3389d5635ab3e"),
+}
+
+
+def _pin(alg):
+    text = json.dumps(alg.to_json(), sort_keys=True)
+    return list(alg.target.Q.coeffs), hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_compose_tower_outputs_are_pinned():
+    got, trivial = {}, {}
+    for spec in (F2, F3, F4):
+        table = CostTable(spec)
+        d = 2
+        while spec.q ** d <= 4096:
+            for a, outer, inner in table.tower_splits(d):
+                got[(spec.q, d, a)] = _pin(compose_tower(outer, inner))
+            d += 1
+        for d in (2, 3, 4):
+            alg = compose_tower(table.get(1, 1), table.get(d, 1))
+            trivial[(spec.q, d)] = _pin(alg)
+    assert got == TOWER_PINS
+    assert trivial == TRIVIAL_OUTER_PINS

@@ -217,6 +217,12 @@ def test_local_expansion_first_digit_is_evaluation():
     assert digits[0] == (f.evaluate(2),)
 
 
+def test_local_expansion_rejects_reducible_place():
+    square = Poly(F2, (1, 1)) * Poly(F2, (1, 1))  # (x+1)^2
+    with pytest.raises(CcmaError, match="irreducible place polynomial"):
+        local_expansion(Poly.one(F2), Poly.one(F2), square, 2)
+
+
 def test_local_expansion_multiplicative():
     rng = random.Random(5)
     place = Poly(F3, (1, 0, 1))  # x^2+1 irreducible over F_3

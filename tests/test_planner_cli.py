@@ -117,8 +117,36 @@ def test_cli_nonpositive_counts_are_usage_errors(capsys):
         assert captured.err.count("\n") == 1
 
 
+def test_cli_count_flags_are_checked(capsys):
+    # at the parent: exit 2 "no strategy produced an algorithm", and `[]` with exit 0
+    for argv, flag in (
+        (["synth", "--q", "2", "--n", "3", "--max-mult", "0"], "--max-mult"),
+        (["synth", "--q", "2", "--n", "3", "--max-place-degree", "0"], "--max-place-degree"),
+        (["bounds", "--table", "table2", "--n-max", "0"], "--n-max"),
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} must be at least 1")
+        assert captured.err.count("\n") == 1
+
+
 def test_cli_usage_error_missing_file(capsys):
     assert main(["verify", "/nonexistent/path.json"]) == 1
+
+
+def test_cli_unreadable_file_is_named_error(tmp_path, capsys):
+    # at the parent: IsADirectoryError and UnicodeDecodeError tracebacks
+    for argv in (["verify", str(tmp_path)], ["codes", "--from", str(tmp_path)]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    for argv in (["verify", str(path)], ["codes", "--from", str(path)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_bounds_table2_achieved(capsys):
