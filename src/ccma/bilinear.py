@@ -7,8 +7,8 @@ x, y.  Checking this on all D^2 basis pairs is exact by bilinearity.
 """
 
 from . import linalg
-from .errors import CcmaError, ConditionFailure, FieldMismatch, MalformedPayload
-from .errors import VerificationError
+from .errors import CcmaError, ConditionFailure, FieldMismatch, GuardExceeded
+from .errors import MalformedPayload, VerificationError
 from .gf import (
     ExtensionRing,
     FieldSpec,
@@ -19,7 +19,7 @@ from .gf import (
     least_root,
     lex_least_irreducible,
 )
-from .guard import check_guard
+from .guard import check_guard, guard_limit
 
 
 class ExtAlgebra:
@@ -43,9 +43,6 @@ class ExtAlgebra:
 
     def mul_coords(self, x, y):
         return list(self.ring.mul(tuple(x), tuple(y)))
-
-    def one_coords(self):
-        return list(self.ring.one)
 
     def describe(self):
         return {"kind": "extension", "n": self.n, "Q": [c for c in self.Q.coeffs]}
@@ -117,11 +114,6 @@ class TruncAlgebra:
                             out[a + b], self.field.mul(xd[a], yd[b])
                         )
         return self.join(out)
-
-    def one_coords(self):
-        out = [0] * self.dim
-        out[0] = 1
-        return out
 
     def describe(self):
         return {
@@ -226,15 +218,24 @@ class BilinearAlgorithm:
         _require_keys(data, "algorithm", ("p", "k", "target", "A", "B", "W"))
         p = _payload_int(data["p"], "p", 2)
         k = _payload_int(data["k"], "k", 1)
+        limit = guard_limit()
+        if k >= limit.bit_length():  # then p**k > limit; never compute it
+            raise GuardExceeded(f"field F_{p}^{k}", f"{p}^{k}", limit)
+        check_guard(p ** k, f"field F_{p}^{k}")
         poly = data.get("defining_poly")
         if poly is not None:
             _require_list(poly, "defining_poly")
             poly = tuple(_payload_int(c, "defining_poly", 0, p) for c in poly) or None
         base = FieldSpec.get(p, k, poly)
+        _payload_claim(data, "q", base.q)
         tinfo = data["target"]
         _require_keys(tinfo, "target", ("kind", "Q"))
-        Q = Poly(base, _payload_elements(tinfo["Q"], "Q", base, 1))
+        Q = _payload_elements(tinfo["Q"], "Q", base, 1)
+        if not Q or Q[-1] != base.one:
+            raise MalformedPayload("Q is not monic")
+        Q = Poly(base, Q)
         if tinfo["kind"] == "extension":
+            _payload_claim(tinfo, "n", Q.degree)
             target = ExtAlgebra(base, Q)
         elif tinfo["kind"] == "truncated":
             _require_keys(tinfo, "target", ("m", "l"))
@@ -243,6 +244,7 @@ class BilinearAlgorithm:
         else:
             raise CcmaError(f"unknown target kind {tinfo['kind']!r}")
         A, B, W = (_payload_elements(data[key], key, base, 2) for key in "ABW")
+        _payload_claim(data, "N", len(A))
         return cls(target, A, B, W)
 
 
@@ -257,6 +259,12 @@ def _require_keys(data, what, keys):
 def _require_list(value, key):
     if not isinstance(value, list):
         raise MalformedPayload(f"{key} holds {type(value).__name__} where a list belongs")
+
+
+def _payload_claim(data, key, actual):
+    """MalformedPayload unless data[key], when present, is the int `actual`."""
+    if key in data and (type(data[key]) is not int or data[key] != actual):
+        raise MalformedPayload(f"{key} claims {data[key]!r}, but the payload bears out {actual}")
 
 
 def _payload_int(value, key, low, high=None):

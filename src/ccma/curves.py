@@ -629,11 +629,11 @@ def func_values_at(curve, funcs, place, order):
         return _frame_values(curve, funcs, place, order)
     K = place.residue
     if order == 1:
-        direct_ok = all(K.is_unit(f.den.eval_in(K, place.xi)) for f in funcs)
-        if direct_ok:
+        # the residue ring is a field: every nonzero denominator is a unit
+        dens = [f.den.eval_in(K, place.xi) for f in funcs]
+        if K.zero not in dens:
             out = []
-            for f in funcs:
-                denv = f.den.eval_in(K, place.xi)
+            for f, denv in zip(funcs, dens):
                 num = f.a.eval_in(K, place.xi)
                 if curve.has_y and not f.b.is_zero():
                     num = K.add(num, K.mul(f.b.eval_in(K, place.xi), place.beta))
@@ -800,21 +800,17 @@ def rr_dim(curve, D, limit=None):
 
 
 def check_conditions(curve, Q, D1, D2, items, ell=1, limit=None):
-    """Explicit rank checks plus the numerical criteria, reported separately."""
+    """Diagnostic report of the paper's rank and numerical criteria."""
+    _check_supports(Q, D1, D2, items)
     n = Q.degree
     g = curve.genus
-    report = {"n": n, "genus": g, "l": ell}
-    supp = set(D1.support) | set(D2.support)
-    overlap = Q in supp or any(p in supp for p, _ in items)
-    eval_places = {p for p, _ in items}
-    report["supports_disjoint"] = not overlap and Q not in eval_places
-    if overlap or Q in eval_places:
-        raise ConditionFailure("support overlap between divisors, Q, or places")
+    report = {"n": n, "genus": g, "l": ell, "supports_disjoint": True}
     base = curve.base
+    same = D1 == D2
     L1 = riemann_roch_basis(curve, D1, limit)
-    L2 = L1 if D1 == D2 else riemann_roch_basis(curve, D2, limit)
+    L2 = L1 if same else riemann_roch_basis(curve, D2, limit)
     m1 = evaluation_rows(curve, L1, Q, ell)
-    m2 = m1 if D1 == D2 else evaluation_rows(curve, L2, Q, ell)
+    m2 = m1 if same else evaluation_rows(curve, L2, Q, ell)
     report["a_onto"] = (
         linalg.rank(base, m1) == n * ell and linalg.rank(base, m2) == n * ell
     )
@@ -826,9 +822,9 @@ def check_conditions(curve, Q, D1, D2, items, ell=1, limit=None):
     report["b_injective"] = linalg.rank(base, rows) == len(L12)
     # numerical criteria
     for label, Dk in (("1", D1), ("2", D2)):
-        A = Dk.sub(_scaled_place(curve, Q, ell))
-        dimA = rr_dim(curve, A, limit)
-        index = dimA - (A.degree + 1 - g)
+        if label == "1" or not same:
+            A = Dk.sub(CurveDivisor(curve, {Q: ell}))
+            index = rr_dim(curve, A, limit) - (A.degree + 1 - g)
         report[f"i_D{label}_minus_lQ"] = index
         report[f"a_sufficient_D{label}"] = index == 0
     G = CurveDivisor(curve, {p: u for p, u in items})
@@ -839,8 +835,11 @@ def check_conditions(curve, Q, D1, D2, items, ell=1, limit=None):
     return report
 
 
-def _scaled_place(curve, place, k):
-    return CurveDivisor(curve, {place: k})
+def _check_supports(Q, D1, D2, items):
+    """ConditionFailure unless Q, the places of G and supp D1, D2 are disjoint."""
+    supp = set(D1.support) | set(D2.support)
+    if Q in supp or any(p in supp or p == Q for p, _ in items):
+        raise ConditionFailure("support overlap between divisors, Q, or places")
 
 
 # -- divisor search ----------------------------------------------------------------
@@ -864,7 +863,7 @@ def find_divisor(curve, Q, items, cap=5000, limit=None):
     def ok(D):
         if rr_dim(curve, D, limit) != n:
             return False
-        if rr_dim(curve, D.sub(_scaled_place(curve, Q, 1)), limit) != 0:
+        if rr_dim(curve, D.sub(CurveDivisor(curve, {Q: 1})), limit) != 0:
             return False
         return rr_dim(curve, D.scale(2).sub(G), limit) == 0
 
@@ -943,15 +942,13 @@ def _multisets(pool, total_degree):
 def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table, limit=None):
     """Assemble the interpolation algorithm; not verified here.
 
-    The interpolation conditions are checked first (ConditionFailure if
-    they fail); the caller verifies the algorithm where it enters a
-    certificate.
+    Its own inverses decide the interpolation conditions (ConditionFailure
+    if evaluation at Q is not onto or evaluation at G not injective); the
+    caller verifies the algorithm where it enters a certificate.
     """
+    _check_supports(Q, D1, D2, items)
     base = curve.base
     n = Q.degree
-    report = check_conditions(curve, Q, D1, D2, items, ell, limit)
-    if not (report["a_onto"] and report["b_injective"]):
-        raise ConditionFailure(f"interpolation conditions fail: {report}")
     if ell == 1:
         target = ExtAlgebra(base, Q.x_min)
     else:
@@ -994,6 +991,6 @@ def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table, limit=None):
 def _right_inverse(spec, mat):
     """S with mat S = I, for an onto evaluation at Q."""
     left = linalg.left_inverse(spec, linalg.transpose(mat))
-    if left is None:
+    if left is None or len(left) != len(mat):  # L(D) = 0 gives no columns
         raise ConditionFailure("evaluation at Q is not onto")
     return linalg.transpose(left)

@@ -794,9 +794,6 @@ class ExtensionRing:
             e >>= 1
         return result
 
-    def is_unit(self, a):
-        return Poly(self.spec, a).gcd(self.modulus).degree == 0
-
     def inv(self, a):
         # extended Euclid against the modulus
         sp = self.spec

@@ -19,6 +19,7 @@ from .bilinear import karatsuba, verify_or_raise
 from .bounds import factor_prime_power
 from .errors import CcmaError, GuardExceeded, PlanInfeasible
 from .gf import FieldSpec
+from .guard import check_guard
 
 CERT_FORMAT = "ccma-certificate-v1"
 
@@ -35,6 +36,7 @@ def shipped_instances():
 
 
 def spec_for_q(q):
+    check_guard(q, f"field F_{q}")
     p, k = factor_prime_power(q)
     return FieldSpec.get(p, k)
 
@@ -254,7 +256,8 @@ def verify_file_payload(data):
 
     For a certificate, `claims_disagree` names each claim among `q`, `n`,
     `rank`, `symmetric` and `winograd_lower` that the algorithm it carries
-    does not bear out; a claim the certificate leaves out is not checked.
+    does not bear out, also in type (`1` does not claim `true`); a claim
+    the certificate leaves out is not checked.
     """
     cert = data if isinstance(data, dict) and "algorithm" in data else None
     alg = BilinearAlgorithm.from_json(data if cert is None else data["algorithm"])
@@ -274,9 +277,9 @@ def verify_file_payload(data):
     if cert is not None:
         report["claims_disagree"] = [
             key for key in ("q", "n", "rank", "symmetric", "winograd_lower")
-            if key in cert and cert[key] != report[key]
+            if key in cert and (type(cert[key]), cert[key]) != (type(report[key]), report[key])
         ]
         if "rank" in cert:
             report["claimed_rank"] = cert["rank"]
-            report["rank_matches_claim"] = cert["rank"] == alg.N
+            report["rank_matches_claim"] = "rank" not in report["claims_disagree"]
     return report

@@ -215,6 +215,45 @@ def test_support_overlap_rejected():
         check_conditions(c, Q, D, D, items, 1)
 
 
+def test_build_decides_conditions_once(monkeypatch):
+    # the build's own inverses decide both conditions: L(D) and L(2D) are its
+    # only Riemann-Roch spaces (the parent made 7 calls through check_conditions)
+    import ccma.curves as curves_mod
+
+    c = fermat()
+    Q = find_place_of_degree(c, 4)
+    affine = [p for p in enumerate_curve_places(c, 1) if not p.is_infinity]
+    items = [(p, 1) for p in affine[:8]]
+    D = find_divisor(c, Q, items)
+    table = CostTable(F4)
+    calls = []
+    basis = curves_mod.riemann_roch_basis
+    monkeypatch.setattr(curves_mod, "riemann_roch_basis",
+                        lambda *args: calls.append(args[1]) or basis(*args))
+    monkeypatch.setattr(curves_mod, "check_conditions", None)
+    alg = ccma_build_curve(c, Q, D, D, items, 1, table)
+    assert calls == [D, D.add(D)]
+    assert alg.N == 8 and verify(alg)
+
+
+def test_build_raises_condition_failure():
+    c = fermat()
+    Q = find_place_of_degree(c, 4)
+    affine = [p for p in enumerate_curve_places(c, 1) if not p.is_infinity]
+    O = c.infinity
+    table = CostTable(F4)
+    eight = [(p, 1) for p in affine[:8]]
+    probes = [
+        (CurveDivisor(c, {affine[0]: 4}), eight, "support overlap"),
+        (CurveDivisor(c, {O: 4}), eight[:7], "not injective"),  # deg G = 7 < 8
+        (CurveDivisor(c, {O: 2}), eight, "not onto"),  # l(D) = 2 < 4
+        (CurveDivisor(c, {O: -1}), eight, "not onto"),  # L(D) = 0
+    ]
+    for D, items, reason in probes:
+        with pytest.raises(ConditionFailure, match=reason):
+            ccma_build_curve(c, Q, D, D, items, 1, table)
+
+
 def test_arnaud_cost_split():
     # degrees <= 2 and multiplicities <= 2: rank = N1 + 2 l1 + 3 N2 + 6 l2
     table = CostTable(F3)

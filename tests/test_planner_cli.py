@@ -1,7 +1,11 @@
 """Planner strategy selection, certificates, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 
+import ccma
 from ccma.bilinear import BilinearAlgorithm, CostTable, verify
 from ccma.cli import main
 from ccma.planner import Planner, shipped_instances, spec_for_q
@@ -38,6 +42,14 @@ def test_strategy_monotonicity():
     assert ranks[0] >= ranks[1] >= ranks[2]
 
 
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "bench", "corpus", "certificates.json")
+
+
+def corpus_certificates():
+    with open(CORPUS) as fh:
+        return [entry["certificate"] for entry in json.load(fh)]
+
+
 def test_certificate_roundtrip(tmp_path):
     cert = Planner(spec_for_q(3)).synth(2)
     path = tmp_path / "alg.json"
@@ -46,6 +58,12 @@ def test_certificate_roundtrip(tmp_path):
     alg = BilinearAlgorithm.from_json(data["algorithm"])
     assert verify(alg)
     assert alg.to_json() == cert["algorithm"]
+    stored = corpus_certificates()
+    assert len(stored) == 28
+    for cert in stored:
+        alg = BilinearAlgorithm.from_json(cert["algorithm"])
+        assert verify(alg), (cert["q"], cert["n"])
+        assert alg.to_json() == cert["algorithm"], (cert["q"], cert["n"])
 
 
 def test_shipped_instances_present():
@@ -269,6 +287,12 @@ def test_cli_non_canonical_payload_is_named_error(tmp_path, capsys):
         (edited(("p",), "2"), "p holds '2'"),
         (edited(("defining_poly",), [1, 1, 0, 3]), "defining_poly holds 3"),
         (edited(("target", "Q", 3), [1.0]), "Q holds 1.0"),
+        # claims the algorithm payload makes about itself; the parent printed VERIFIED
+        (edited(("N",), 99), "N claims 99, but the payload bears out 6"),
+        (edited(("q",), 7), "q claims 7, but the payload bears out 2"),
+        (edited(("target", "n"), 9), "n claims 9, but the payload bears out 3"),
+        (edited(("N",), "6"), "N claims '6'"),
+        (edited(("target", "Q"), [[1], [1], [0], [1], [0]]), "Q is not monic"),
     ]
     for payload, named in cases:
         path.write_text(json.dumps(payload))
@@ -292,7 +316,77 @@ def test_cli_verify_checks_certificate_claims(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "q=4 (algorithm: 2)" in out and "n=9 (algorithm: 3)" in out
     assert "VERIFIED" not in out
-    for key, value in (("rank", 2), ("symmetric", not cert["symmetric"]), ("winograd_lower", 1)):
+    for key, value in (("rank", 2), ("symmetric", not cert["symmetric"]), ("winograd_lower", 1),
+                       ("rank", 6.0), ("symmetric", 1), ("winograd_lower", 5.0)):
         path.write_text(json.dumps(dict(cert, q=2, n=3, **{key: value})))
         assert main(["verify", str(path)]) == 2, key
         assert f"{key}={value!r}" in capsys.readouterr().out
+
+
+def _mutations(node):
+    """(label, mutate) pairs: delete each key, or give it a wrong or bad value."""
+    for key, value in node.items():
+        if type(value) is int:
+            bad = [-1, 0, value + 1, 64]
+        elif isinstance(value, list):
+            bad = [[], value[:-1]]
+        elif value is None:
+            bad = [[1, 1]]
+        else:
+            bad = [None]
+        yield key, "deleted", lambda d, key=key: d.pop(key)
+        wrong = 0 if isinstance(value, str) else "x"
+        for new in [wrong] + bad:
+            yield key, new, lambda d, key=key, new=new: d.__setitem__(key, new)
+
+
+def test_certificate_mutations_verify_or_exit_cleanly(tmp_path, capsys):
+    # every deleted, mistyped or out-of-range key either leaves the same
+    # algorithm or is refused with exit 2 or 3 and a single line
+    stored = corpus_certificates()
+    picked = [min((c for c in stored if c["q"] == q), key=lambda c: c["n"]) for q in (2, 4, 16)]
+    path = tmp_path / "mutant.json"
+    seen = set()
+    for cert in picked:
+        for where in ((), ("algorithm",), ("algorithm", "target")):
+            node = cert
+            for step in where:
+                node = node[step]
+            for key, new, mutate in _mutations(node):
+                mutant = json.loads(json.dumps(cert))
+                target = mutant
+                for step in where:
+                    target = target[step]
+                mutate(target)
+                path.write_text(json.dumps(mutant))
+                code = main(["verify", str(path)])
+                captured = capsys.readouterr()
+                label = (cert["q"], cert["n"], where, key, new)
+                seen.add(code)
+                if code == 0:
+                    alg = BilinearAlgorithm.from_json(mutant["algorithm"])
+                    assert alg.to_json() == cert["algorithm"], label
+                else:
+                    assert code in (2, 3), label
+                    lines = (captured.out + captured.err).splitlines()
+                    assert len(lines) == 1 and "Traceback" not in lines[0], label
+    assert seen == {0, 2, 3}
+
+
+def _cli(*args):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ccma.__file__)))
+    return subprocess.run([sys.executable, "-m", "ccma.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=20)
+
+
+def test_cli_field_size_guard(tmp_path):
+    # at the parent each of these ran for minutes; the guard refuses them at once
+    cert = Planner(spec_for_q(2)).synth(3)
+    path = tmp_path / "cert.json"
+    for key, value in (("k", 100000), ("k", 10**9), ("p", 1000000000000000003)):
+        path.write_text(json.dumps(dict(cert, algorithm=dict(cert["algorithm"], **{key: value}))))
+        done = _cli("verify", str(path))
+        assert done.returncode == 3, (key, done.stderr)
+        assert done.stderr.startswith("resource guard:") and done.stderr.count("\n") == 1
+    done = _cli("synth", "--q", "1000000007", "--n", "2")
+    assert done.returncode == 3 and "field F_1000000007" in done.stderr
