@@ -222,10 +222,15 @@ class BilinearAlgorithm:
         if k >= limit.bit_length():  # then p**k > limit; never compute it
             raise GuardExceeded(f"field F_{p}^{k}", f"{p}^{k}", limit)
         check_guard(p ** k, f"field F_{p}^{k}")
-        poly = data.get("defining_poly")
+        raw = poly = data.get("defining_poly")
         if poly is not None:
             _require_list(poly, "defining_poly")
-            poly = tuple(_payload_int(c, "defining_poly", 0, p) for c in poly) or None
+            poly = tuple(_payload_int(c, "defining_poly", 0, p) for c in poly)
+        # canonical as to_json writes it: null for a prime field, else monic of degree k
+        if k == 1 and poly is not None:
+            raise MalformedPayload(f"defining_poly holds {raw!r}, not null (k = 1)")
+        if k > 1 and (poly is None or len(poly) != k + 1 or poly[-1] != 1):
+            raise MalformedPayload(f"defining_poly holds {raw!r}, not a monic degree-{k} list")
         base = FieldSpec.get(p, k, poly)
         _payload_claim(data, "q", base.q)
         tinfo = data["target"]

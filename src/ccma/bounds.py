@@ -9,7 +9,7 @@ that produced them, with any recipe/print mismatch surfaced explicitly.
 import math
 from fractions import Fraction
 
-from .errors import CcmaError
+from .errors import CcmaError, InvalidRequest
 from .gf import is_prime
 
 
@@ -78,16 +78,16 @@ def factor_prime_power(q):
     for p in range(2, q + 1):
         if q % p == 0:
             if not is_prime(p):
-                raise CcmaError(f"{q} is not a prime power")
+                raise InvalidRequest(f"{q} is not a prime power")
             k = 0
             v = q
             while v % p == 0:
                 v //= p
                 k += 1
             if v != 1:
-                raise CcmaError(f"{q} is not a prime power")
+                raise InvalidRequest(f"{q} is not a prime power")
             return p, k
-    raise CcmaError(f"{q} is not a prime power")
+    raise InvalidRequest(f"{q} is not a prime power")
 
 
 # -- classical predicates ------------------------------------------------------

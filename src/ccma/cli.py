@@ -13,7 +13,7 @@ import sys
 from .bilinear import BilinearAlgorithm, brute_force_min_rank, extension_target
 from .bounds import table_report
 from .codes import code_from_decomposition, supercode_from_symmetric
-from .errors import CcmaError, GuardExceeded
+from .errors import CcmaError, GuardExceeded, InvalidRequest
 from .guard import guard_limit
 from .planner import Planner, spec_for_q, verify_file_payload
 
@@ -23,8 +23,15 @@ EXIT_MISMATCH = 2
 EXIT_GUARD = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises InvalidRequest where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise InvalidRequest(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ccma",
         description="Synthesize and verify bilinear multiplication algorithms "
         "for finite-field extensions.",
@@ -53,7 +60,6 @@ def build_parser():
         choices=("table1", "table2", "table3", "csym", "msym", "m"),
     )
     p_bounds.add_argument("--csv", action="store_true")
-    p_bounds.add_argument("--json", action="store_true")
     p_bounds.add_argument("--achieved", action="store_true",
                           help="table2: compare against synthesized ranks")
     p_bounds.add_argument("--n-max", type=int, default=6)
@@ -171,36 +177,31 @@ def cmd_search(args):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return EXIT_USAGE
-    for name in ("n", "max_rank", "max_mult", "max_place_degree", "n_max"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            flag = "--" + name.replace("_", "-")
-            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
-            return EXIT_USAGE
     try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return EXIT_USAGE
+        for name in ("n", "max_rank", "max_mult", "max_place_degree", "n_max"):
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                flag = "--" + name.replace("_", "-")
+                raise InvalidRequest(f"{flag} must be at least 1, got {value}")
         guard_limit()
-    except ValueError as exc:
+        handler = {
+            "synth": cmd_synth,
+            "verify": cmd_verify,
+            "bounds": cmd_bounds,
+            "codes": cmd_codes,
+            "search": cmd_search,
+        }[args.command]
+        return handler(args)
+    except (InvalidRequest, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    handler = {
-        "synth": cmd_synth,
-        "verify": cmd_verify,
-        "bounds": cmd_bounds,
-        "codes": cmd_codes,
-        "search": cmd_search,
-    }[args.command]
-    try:
-        return handler(args)
     except GuardExceeded as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

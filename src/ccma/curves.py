@@ -20,6 +20,11 @@ WEIERSTRASS = "weierstrass"
 HYPER5 = "y2+y=x5"
 RATIONAL = "rational"
 
+# Degree-d places are enumerated only while q^d is at most this many x-values.
+PLACE_SCAN_LIMIT = 4096
+# Divisor candidates tried before the search gives up.
+DIVISOR_CANDIDATES = 5000
+
 
 class CurveModel:
     """A fixed plane model with its genus and infinite-place pole weights."""
@@ -486,11 +491,11 @@ def enumerate_curve_places(curve, d, limit=None):
     return out
 
 
-def find_place_of_degree(curve, n, max_tries=None):
+def find_place_of_degree(curve, n):
     """Deterministic degree-n place: least liftable x_min, least beta."""
     base = curve.base
     tries = 0
-    cap = max_tries if max_tries is not None else 64 * n * base.q
+    cap = 64 * n * base.q
     for m in iter_irreducibles(base, n):
         tries += 1
         if tries > cap:
@@ -845,37 +850,32 @@ def _check_supports(Q, D1, D2, items):
 # -- divisor search ----------------------------------------------------------------
 
 
-def find_divisor(curve, Q, items, cap=5000, limit=None):
-    """A divisor D of degree n+g-1 with L(D-Q) = 0 and L(2D-G) = 0.
+def find_divisor(curve, Q, items, cost_table, limit=None):
+    """(D, algorithm) for the first divisor D of degree n+g-1 that builds.
 
-    Deterministic bounded search; raises DivisorSearchFailed when the
-    candidate budget is exhausted (never silently degrades).
+    The build decides both conditions (evaluation at Q onto L(D), evaluation
+    at G injective on L(2D)); a ConditionFailure moves on to the next
+    candidate.  For n >= g every candidate is non-special, l(D) = n, and the
+    conditions are L(D-Q) = 0 and L(2D-G) = 0.  Deterministic bounded
+    search; raises DivisorSearchFailed when the candidate budget is
+    exhausted (never silently degrades).
     """
-    base = curve.base
     n = Q.degree
     g = curve.genus
-    G = CurveDivisor(curve, {p: u for p, u in items})
-    if G.degree < 2 * n + g - 1:
+    if sum(p.degree * u for p, u in items) < 2 * n + g - 1:
         raise CcmaError("deg G must be at least 2n+g-1")
-    eval_places = {p for p, _ in items}
     target_deg = n + g - 1
-
-    def ok(D):
-        if rr_dim(curve, D, limit) != n:
-            return False
-        if rr_dim(curve, D.sub(CurveDivisor(curve, {Q: 1})), limit) != 0:
-            return False
-        return rr_dim(curve, D.scale(2).sub(G), limit) == 0
-
     tried = 0
-    for D in _divisor_candidates(curve, Q, eval_places, target_deg, limit):
-        tried += 1
-        if tried > cap:
+    for D in _divisor_candidates(curve, Q, {p for p, _ in items}, target_deg, limit):
+        if tried == DIVISOR_CANDIDATES:
             break
-        if ok(D):
-            return D
+        tried += 1
+        try:
+            return D, ccma_build_curve(curve, Q, D, D, items, 1, cost_table, limit)
+        except ConditionFailure:
+            continue
     raise DivisorSearchFailed(
-        f"no divisor of degree {target_deg} found within {min(tried, cap)} candidates"
+        f"no divisor of degree {target_deg} found within {tried} candidates"
     )
 
 
@@ -902,7 +902,7 @@ def _divisor_candidates(curve, Q, eval_places, target_deg, limit=None):
 def _support_pool(curve, Q, eval_places, target_deg, limit=None):
     pool = []
     for d in range(1, target_deg + 1):
-        if curve.base.q ** d > 4096:
+        if curve.base.q ** d > PLACE_SCAN_LIMIT:
             break
         try:
             places = enumerate_curve_places(curve, d, limit)

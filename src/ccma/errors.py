@@ -15,6 +15,10 @@ class GuardExceeded(CcmaError):
         self.limit = limit
 
 
+class InvalidRequest(CcmaError):
+    """A request names what does not exist: a strategy, a field size, a flag."""
+
+
 class FieldMismatch(CcmaError):
     """Two operands live over incompatible fields or algebras."""
 

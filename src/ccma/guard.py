@@ -2,7 +2,7 @@
 
 import os
 
-from .errors import GuardExceeded
+from .errors import GuardExceeded, InvalidRequest
 
 DEFAULT_LIMIT = 1 << 20
 ENV_VAR = "CCMA_GUARD_LIMIT"
@@ -11,7 +11,7 @@ ENV_VAR = "CCMA_GUARD_LIMIT"
 def guard_limit(override=None):
     """Active guard limit: explicit override > env var > default.
 
-    Raises ValueError when the env var is set to anything but an integer
+    Raises InvalidRequest when the env var is set to anything but an integer
     >= 1.
     """
     if override is not None:
@@ -20,7 +20,7 @@ def guard_limit(override=None):
     if env:
         value = int(env) if env.strip().isdecimal() else 0
         if value < 1:
-            raise ValueError(f"{ENV_VAR} must be an integer >= 1, got {env!r}")
+            raise InvalidRequest(f"{ENV_VAR} must be an integer >= 1, got {env!r}")
         return value
     return DEFAULT_LIMIT
 

@@ -17,11 +17,14 @@ from . import genus0
 from .bilinear import BilinearAlgorithm, CostTable, compose_tower, extension_target
 from .bilinear import karatsuba, verify_or_raise
 from .bounds import factor_prime_power
-from .errors import CcmaError, GuardExceeded, PlanInfeasible
+from .errors import CcmaError, GuardExceeded, InvalidRequest, PlanInfeasible
 from .gf import FieldSpec
 from .guard import check_guard
 
 CERT_FORMAT = "ccma-certificate-v1"
+
+# Place assignments a curve instance tries before it gives up.
+ASSIGNMENT_CAP = 40
 
 _INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "instances")
 
@@ -56,9 +59,12 @@ class Planner:
         instances=None,
     ):
         self.base = base
+        for s in strategies:
+            if s not in self.STRATEGY_ORDER:
+                raise InvalidRequest(f"unknown strategy {s!r}, not one of {self.STRATEGY_ORDER}")
         self.strategies = tuple(s for s in self.STRATEGY_ORDER if s in strategies)
         if not self.strategies:
-            raise CcmaError("no strategies enabled")
+            raise InvalidRequest("no strategies enabled")
         self.max_place_degree = max_place_degree
         self.max_mult = max_mult
         self.limit = limit
@@ -145,16 +151,16 @@ def _table_detail(entry):
     return {"kind": "table", "n": target.n, "q": target.base.q, "rank": entry.N}
 
 
-def curve_instance_synth(curve, n, cost_table, limit=None, assignment_cap=40):
+def curve_instance_synth(curve, n, cost_table, limit=None):
     """Deterministic driver: plan the place multiset, pick the divisor, build.
 
-    An assignment whose divisor search or interpolation conditions fail is
-    skipped for the next one.  The built algorithm is not verified here;
-    that happens when it enters a certificate.
+    The divisor search builds the algorithm; an assignment on which it
+    fails is skipped for the next one, for at most ASSIGNMENT_CAP
+    assignments.  The built algorithm is not verified here; that happens
+    when it enters a certificate.
     """
-    g = curve.genus
-    need = 2 * n + g - 1
-    classes = _curve_classes(curve, need, limit)
+    need = 2 * n + curve.genus - 1
+    classes, places = _curve_classes(curve, need, limit)
     # exact minimum-cost class counts, shared availability per degree
     counts, _ = genus0._lazy_plan_dp(classes, need, cost_table)
     if counts is None:
@@ -163,47 +169,42 @@ def curve_instance_synth(curve, n, cost_table, limit=None, assignment_cap=40):
         (d, u, c) for (d, u, avail), c in zip(classes, counts) if c
     ]
     # materialize the places and search derived-evaluation assignments
-    degree_pools = {
-        d: curves_mod.enumerate_curve_places(curve, d, limit)
-        for d in {d for d, _, _ in items_shape}
-    }
     Q = curves_mod.find_place_of_degree(curve, n)
     base_items = []
     for d in sorted({d for d, _, _ in items_shape}):
         shapes = [(u, c) for dd, u, c in items_shape if dd == d]
         total = sum(c for _, c in shapes)
-        pool = [p for p in degree_pools[d] if p != Q][:total]
+        pool = [p for p in places[d] if p != Q][:total]
         if len(pool) < total:
             raise PlanInfeasible(f"not enough degree-{d} places on the curve")
-        base_items.append((d, shapes, pool))
+        base_items.append((shapes, pool))
     tried = 0
     last_error = None
-    for items in _assignments(base_items):
+    for items in itertools.islice(_assignments(base_items), ASSIGNMENT_CAP):
         tried += 1
-        if tried > assignment_cap:
-            break
         try:
-            D = curves_mod.find_divisor(curve, Q, items, limit=limit)
-            return curves_mod.ccma_build_curve(
-                curve, Q, D, D, items, 1, cost_table, limit
-            )
+            _, alg = curves_mod.find_divisor(curve, Q, items, cost_table, limit)
+            return alg
         except CcmaError as exc:
             last_error = exc
-            continue
     raise PlanInfeasible(
-        f"curve instance failed after {min(tried, assignment_cap)} assignments: {last_error}"
+        f"curve instance failed after {tried} assignments: {last_error}"
     )
 
 
 def _curve_classes(curve, need, limit):
-    """Place classes, enumerating higher degrees only when actually needed."""
+    """Place classes and the places of each enumerated degree.
+
+    Higher degrees are enumerated only when actually needed.
+    """
     classes = []
+    places = {}
     capacity = 0
     for d in (1, 2, 3):
-        if curve.base.q ** d > 4096:
+        if curve.base.q ** d > curves_mod.PLACE_SCAN_LIMIT:
             break
-        places = curves_mod.enumerate_curve_places(curve, d, limit)
-        avail = len(places)
+        places[d] = curves_mod.enumerate_curve_places(curve, d, limit)
+        avail = len(places[d])
         if avail <= 0:
             continue
         for u in (1, 2):
@@ -212,43 +213,29 @@ def _curve_classes(curve, need, limit):
         capacity += avail * 2 * d
         if capacity >= need:
             break
-    return classes
+    return classes, places
 
 
 def _assignments(base_items):
-    """Deterministic stream of concrete (place, u) lists across degrees."""
+    """Deterministic stream of concrete (place, u) lists across degrees.
+
+    Each degree's slots with u > 1 range over the index combinations of its
+    pool, larger u first; the listed highs come before the u = 1 places.
+    """
     per_degree = []
-    for d, shapes, pool in base_items:
+    for shapes, pool in base_items:
+        ulist = []
+        for u, c in sorted(shapes, reverse=True):
+            if u > 1:
+                ulist.extend([u] * c)
         options = []
-        high = [(u, c) for u, c in shapes if u > 1]
-        total_high = sum(c for _, c in high)
-        idxs = range(len(pool))
-        if total_high == 0:
-            options.append([(p, 1) for p in pool])
-        else:
-            for combo in itertools.combinations(idxs, total_high):
-                items = []
-                hi = list(combo)
-                # distribute the high multiplicities over the chosen slots
-                ulist = []
-                for u, c in sorted(high, reverse=True):
-                    ulist.extend([u] * c)
-                for pos, p in enumerate(pool):
-                    if pos in combo:
-                        items.append((p, ulist[hi.index(pos)]))
-                    else:
-                        items.append((p, 1))
-                # drop extras: the u = 1 count may be smaller than the pool rest
-                low = sum(c for u, c in shapes if u == 1)
-                ones = [it for it in items if it[1] == 1][:low]
-                highs = [it for it in items if it[1] > 1]
-                options.append(highs + ones)
+        for combo in itertools.combinations(range(len(pool)), len(ulist)):
+            highs = [(pool[pos], u) for pos, u in zip(combo, ulist)]
+            ones = [(p, 1) for pos, p in enumerate(pool) if pos not in combo]
+            options.append(highs + ones)
         per_degree.append(options)
     for chosen in itertools.product(*per_degree):
-        merged = []
-        for part in chosen:
-            merged.extend(part)
-        yield merged
+        yield [item for part in chosen for item in part]
 
 
 def verify_file_payload(data):

@@ -142,9 +142,9 @@ def test_rational_shape_matches_genus0():
     Q = find_place_of_degree(c, 2)
     finite = [p for p in enumerate_curve_places(c, 1) if not p.is_infinity]
     items = [(finite[0], 2), (finite[1], 1)]  # degree 3 >= 2n + g - 1
-    D = find_divisor(c, Q, items)
-    assert D.degree == 1 and D.get(c.infinity) == 1  # (n-1) * infinity
     table = CostTable(F2)
+    D, _ = find_divisor(c, Q, items, table)
+    assert D.degree == 1 and D.get(c.infinity) == 1  # (n-1) * infinity
     alg = ccma_build_curve(c, Q, D, D, items, 1, table)
     assert alg.N == 4 and verify(alg)
     # cross-module agreement: same products as the rational-interpolation build
@@ -165,7 +165,7 @@ def test_check_conditions_baum_shokrollahi():
     Q = find_place_of_degree(c, 4)
     affine = [p for p in enumerate_curve_places(c, 1) if not p.is_infinity]
     items = [(p, 1) for p in affine[:8]]
-    D = find_divisor(c, Q, items)
+    D, _ = find_divisor(c, Q, items, CostTable(F4))
     rep = check_conditions(c, Q, D, D, items, 1)
     assert rep["a_onto"] and rep["b_injective"]
     assert rep["b_necessary_sufficient"]
@@ -190,7 +190,7 @@ def test_find_divisor_reports_failure():
     affine = [p for p in enumerate_curve_places(c, 1) if not p.is_infinity]
     items = [(p, 1) for p in affine[:7]]
     with pytest.raises(CcmaError):
-        find_divisor(c, Q, items)
+        find_divisor(c, Q, items, CostTable(F4))
 
 
 def test_build_baum_shokrollahi_rank8():
@@ -198,7 +198,7 @@ def test_build_baum_shokrollahi_rank8():
     Q = find_place_of_degree(c, 4)
     affine = [p for p in enumerate_curve_places(c, 1) if not p.is_infinity]
     items = [(p, 1) for p in affine[:8]]
-    D = find_divisor(c, Q, items)
+    D, _ = find_divisor(c, Q, items, CostTable(F4))
     alg = ccma_build_curve(c, Q, D, D, items, 1, CostTable(F4))
     assert alg.N == 8
     assert alg.symmetric
@@ -224,8 +224,8 @@ def test_build_decides_conditions_once(monkeypatch):
     Q = find_place_of_degree(c, 4)
     affine = [p for p in enumerate_curve_places(c, 1) if not p.is_infinity]
     items = [(p, 1) for p in affine[:8]]
-    D = find_divisor(c, Q, items)
     table = CostTable(F4)
+    D, _ = find_divisor(c, Q, items, table)
     calls = []
     basis = curves_mod.riemann_roch_basis
     monkeypatch.setattr(curves_mod, "riemann_roch_basis",
@@ -233,6 +233,47 @@ def test_build_decides_conditions_once(monkeypatch):
     monkeypatch.setattr(curves_mod, "check_conditions", None)
     alg = ccma_build_curve(c, Q, D, D, items, 1, table)
     assert calls == [D, D.add(D)]
+    assert alg.N == 8 and verify(alg)
+
+
+def test_find_divisor_passes_riemann_roch_predicate():
+    # the first candidate that builds is non-special of degree n+g-1 and
+    # passes the rr_dim predicate find_divisor once tested itself
+    fc = fermat()
+    fQ = find_place_of_degree(fc, 4)
+    affine = [p for p in enumerate_curve_places(fc, 1) if not p.is_infinity]
+    rc = CurveModel(F2, RATIONAL)
+    rQ = find_place_of_degree(rc, 2)
+    finite = [p for p in enumerate_curve_places(rc, 1) if not p.is_infinity]
+    cases = [
+        (fc, fQ, [(p, 1) for p in affine[:8]], CostTable(F4), 8),
+        (rc, rQ, [(finite[0], 2), (finite[1], 1)], CostTable(F2), 4),
+    ]
+    for c, Q, items, table, rank in cases:
+        n = Q.degree
+        D, alg = find_divisor(c, Q, items, table)
+        G = CurveDivisor(c, {p: u for p, u in items})
+        assert D.degree == n + c.genus - 1
+        assert rr_dim(c, D) == n
+        assert rr_dim(c, D.sub(CurveDivisor(c, {Q: 1}))) == 0
+        assert rr_dim(c, D.scale(2).sub(G)) == 0
+        assert alg.N == rank and verify(alg)
+
+
+def test_curve_instance_synth_tests_divisors_by_building(monkeypatch):
+    # 4*O fails injectivity at G, O + S builds: two builds of two spaces each
+    # (the parent made 8 calls, three rr_dim tests per candidate before the build)
+    import ccma.curves as curves_mod
+    from ccma.planner import curve_instance_synth
+
+    calls = []
+    basis = curves_mod.riemann_roch_basis
+    monkeypatch.setattr(curves_mod, "riemann_roch_basis",
+                        lambda *args: calls.append(args[1]) or basis(*args))
+    monkeypatch.setattr(curves_mod, "rr_dim", None)
+    monkeypatch.setattr(curves_mod, "check_conditions", None)
+    alg = curve_instance_synth(fermat(), 4, CostTable(F4))
+    assert [D.degree for D in calls] == [4, 8, 4, 8]
     assert alg.N == 8 and verify(alg)
 
 
@@ -306,7 +347,7 @@ def test_rational_shape_differential_against_genus0():
             items.append((finite[idx], u))
         degG = sum(p.degree * u for p, u in items)
         assert degG >= 2 * n - 1
-        D = find_divisor(c, Q, items)
+        D, _ = find_divisor(c, Q, items, table)
         alg = ccma_build_curve(c, Q, D, D, items, 1, table)
         plan = plan_search(base, n, 1, table)
         ref = g0_build(plan, table)
@@ -325,7 +366,7 @@ def test_asymmetric_divisor_pair_build():
     Q = find_place_of_degree(c, 4)
     affine = [p for p in enumerate_curve_places(c, 1) if not p.is_infinity]
     items = [(p, 1) for p in affine[:8]]
-    D1 = find_divisor(c, Q, items)
+    D1, _ = find_divisor(c, Q, items, CostTable(F4))
     D2 = None
     for S in enumerate_curve_places(c, 3)[:6]:
         cand = CurveDivisor(c, {c.infinity: 1, S: 1})

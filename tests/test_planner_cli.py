@@ -5,9 +5,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import ccma
 from ccma.bilinear import BilinearAlgorithm, CostTable, verify
 from ccma.cli import main
+from ccma.errors import CcmaError
 from ccma.planner import Planner, shipped_instances, spec_for_q
 
 
@@ -149,6 +152,50 @@ def test_cli_count_flags_are_checked(capsys):
         assert captured.err.count("\n") == 1
 
 
+def test_cli_bad_request_is_usage_error(capsys):
+    # at the parent: "curv" was dropped (exit 0, rank 27 via genus 0), the
+    # rest exited 2, and `bounds --json` was taken and ignored
+    for argv, named in (
+        (["synth", "--q", "3", "--n", "9", "--strategies", "tower,g0,curv"], "'curv'"),
+        (["synth", "--q", "2", "--n", "3", "--strategies", "foo"], "'foo'"),
+        (["synth", "--q", "6", "--n", "2"], "6 is not a prime power"),
+        (["search", "--q", "6", "--n", "2", "--max-rank", "3"], "6 is not a prime power"),
+        (["synth", "--n", "2"], "--q"),
+        (["synth", "--q", "x", "--n", "2"], "'x'"),
+        (["frobnicate"], "'frobnicate'"),
+        (["bounds", "--table", "msym", "--json"], "--json"),
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err, argv
+        assert captured.err.count("\n") == 1, argv
+    for argv in (["--help"], ["synth", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+def test_planner_refuses_unknown_strategy():
+    with pytest.raises(CcmaError, match="'curv'"):
+        Planner(spec_for_q(3), strategies=("tower", "g0", "curv"))
+    with pytest.raises(CcmaError, match="no strategies"):
+        Planner(spec_for_q(3), strategies=())
+
+
+def test_curve_assignments_order():
+    # one u = 2 slot walks the pool; the high slot is listed first
+    from ccma.planner import _assignments
+
+    base_items = [([(2, 1), (1, 2)], ["a", "b", "c"]), ([(1, 1)], ["d"])]
+    assert list(_assignments(base_items)) == [
+        [("a", 2), ("b", 1), ("c", 1), ("d", 1)],
+        [("b", 2), ("a", 1), ("c", 1), ("d", 1)],
+        [("c", 2), ("a", 1), ("b", 1), ("d", 1)],
+    ]
+
+
 def test_cli_usage_error_missing_file(capsys):
     assert main(["verify", "/nonexistent/path.json"]) == 1
 
@@ -286,6 +333,9 @@ def test_cli_non_canonical_payload_is_named_error(tmp_path, capsys):
         (edited(("A",), {"0": 1}), "A holds dict"),
         (edited(("p",), "2"), "p holds '2'"),
         (edited(("defining_poly",), [1, 1, 0, 3]), "defining_poly holds 3"),
+        # a prime field's polynomial is null; the parent took [] for null
+        (edited(("defining_poly",), []), "defining_poly holds [], not null"),
+        (edited(("defining_poly",), [1, 1]), "defining_poly holds [1, 1], not null"),
         (edited(("target", "Q", 3), [1.0]), "Q holds 1.0"),
         # claims the algorithm payload makes about itself; the parent printed VERIFIED
         (edited(("N",), 99), "N claims 99, but the payload bears out 6"),
@@ -294,6 +344,15 @@ def test_cli_non_canonical_payload_is_named_error(tmp_path, capsys):
         (edited(("N",), "6"), "N claims '6'"),
         (edited(("target", "Q"), [[1], [1], [0], [1], [0]]), "Q is not monic"),
     ]
+    # an F_64/F_4 algorithm needs its polynomial; the parent took null for the default
+    main(["synth", "--q", "4", "--n", "3", "--out", str(tmp_path / "cert4.json")])
+    alg4 = json.loads((tmp_path / "cert4.json").read_text())["algorithm"]
+    capsys.readouterr()
+    for poly, named in ((None, "holds None, not a monic degree-2 list"),
+                        ([1, 1], "holds [1, 1], not a monic degree-2 list"),
+                        ([1, 1, 1, 0], "holds [1, 1, 1, 0], not a monic"),
+                        ([1, 1, 2], "defining_poly holds 2")):
+        cases.append((dict(alg4, defining_poly=poly), named))
     for payload, named in cases:
         path.write_text(json.dumps(payload))
         assert main(["verify", str(path)]) == 2, named
