@@ -185,13 +185,12 @@ class BilinearAlgorithm:
         """First basis pair where the algorithm is wrong, or None."""
         dim = self.target.dim
         sp = self.target.base
+        # A e_i and B e_k are the columns of A and B
+        a_cols = [[row[i] for row in self.A] for i in range(dim)]
+        b_cols = [[row[k] for row in self.B] for k in range(dim)]
         for i in range(dim):
-            e_i = [1 if t == i else 0 for t in range(dim)]
-            ax = linalg.mat_vec(sp, self.A, e_i)
             for k in range(dim):
-                e_k = [1 if t == k else 0 for t in range(dim)]
-                by = linalg.mat_vec(sp, self.B, e_k)
-                prods = [sp.mul(a, b) for a, b in zip(ax, by)]
+                prods = [sp.mul(a, b) for a, b in zip(a_cols[i], b_cols[k])]
                 got = linalg.mat_vec(sp, self.W, prods)
                 if got != self.target.basis_product(i, k):
                     return (i, k)
@@ -679,19 +678,14 @@ def _monic_vectors(spec, dim):
 def _pivot_row(spec, v):
     """(pivot, row) for a nonzero vector: row is v scaled to a 1 at the pivot."""
     piv = next(i for i, c in enumerate(v) if c)
-    inv = spec.inv(v[piv])
-    return piv, [spec.mul(inv, c) for c in v]
+    return piv, spec.scaled(spec.inv(v[piv]), v)
 
 
 def _eliminate(spec, v, pivot_row):
     """v minus the multiple of a pivot row that clears v at that pivot."""
     piv, row = pivot_row
     c = v[piv]
-    if not c:
-        return v
-    add, mul = spec.add, spec.mul
-    neg_c = spec.neg(c)
-    return [add(x, mul(neg_c, y)) if y else x for x, y in zip(v, row)]
+    return spec.sub_scaled(v, c, row) if c else v
 
 
 def _reduce(spec, basis, v):
@@ -759,12 +753,14 @@ def brute_force_min_rank(target, max_rank, symmetric_only=False, limit=None):
     """
     sp = target.base
     dim = target.dim
+    projective = (sp.q ** dim - 1) // (sp.q - 1)
+    layers_count = projective if symmetric_only else projective * projective
+    check_guard(layers_count ** max_rank, "brute-force search space", limit)
     phis = _monic_vectors(sp, dim)
     if symmetric_only:
         pairs = [(v, v) for v in phis]
     else:
         pairs = [(a, b) for a in phis for b in phis]
-    check_guard(len(pairs) ** max_rank, "brute-force search space", limit)
     # flattened target tensor columns per output coordinate
     T = [[0] * dim for _ in range(dim * dim)]
     for i in range(dim):

@@ -530,6 +530,9 @@ def table_report(name, planner=None, n_max=6):
             rows.append(row)
         rows.append(m2_corollary().row())
     elif name == "table2":
+        n_top = len(TABLE2[2]) + 1
+        if n_max > n_top:
+            raise InvalidRequest(f"--n-max {n_max}: table2 has rows n = 2..{n_top}")
         for q in (2, 3, 4):
             for n in range(2, n_max + 1):
                 printed = TABLE2[q][n - 2]

@@ -39,10 +39,8 @@ class LinearCode:
         spec = self.spec
         q = spec.q
         check_guard(q ** self.n, f"codeword enumeration [{self.N},{self.n}]_{q}", limit)
-        add = spec.add
-        scaled = [
-            [[spec.mul(c, x) for x in row] for c in range(1, q)] for row in self.G
-        ]
+        minus_one = spec.p - 1  # word - (-1)*row is word + row
+        scaled = [[spec.scaled(c, row) for c in range(1, q)] for row in self.G]
         best = self.N + 1
 
         def walk(word, start):
@@ -52,7 +50,7 @@ class LinearCode:
                 best = w
             for j in range(start, self.n):
                 for row in scaled[j]:
-                    walk([add(x, y) for x, y in zip(word, row)], j + 1)
+                    walk(spec.sub_scaled(word, minus_one, row), j + 1)
 
         for lead in range(self.n):
             walk(self.G[lead], lead + 1)

@@ -850,7 +850,7 @@ def _check_supports(Q, D1, D2, items):
 # -- divisor search ----------------------------------------------------------------
 
 
-def find_divisor(curve, Q, items, cost_table, limit=None):
+def find_divisor(curve, Q, items, cost_table, limit=None, places=None):
     """(D, algorithm) for the first divisor D of degree n+g-1 that builds.
 
     The build decides both conditions (evaluation at Q onto L(D), evaluation
@@ -858,15 +858,19 @@ def find_divisor(curve, Q, items, cost_table, limit=None):
     candidate.  For n >= g every candidate is non-special, l(D) = n, and the
     conditions are L(D-Q) = 0 and L(2D-G) = 0.  Deterministic bounded
     search; raises DivisorSearchFailed when the candidate budget is
-    exhausted (never silently degrades).
+    exhausted (never silently degrades).  `places` maps a degree to its
+    enumerated places; the support pool reads it and adds the degrees it
+    enumerates, so a caller that passes one dict enumerates each degree once.
     """
     n = Q.degree
     g = curve.genus
     if sum(p.degree * u for p, u in items) < 2 * n + g - 1:
         raise CcmaError("deg G must be at least 2n+g-1")
     target_deg = n + g - 1
+    eval_places = {p for p, _ in items}
+    pool = _support_pool(curve, Q, eval_places, target_deg, limit, places)
     tried = 0
-    for D in _divisor_candidates(curve, Q, {p for p, _ in items}, target_deg, limit):
+    for D in _divisor_candidates(curve, eval_places, target_deg, pool):
         if tried == DIVISOR_CANDIDATES:
             break
         tried += 1
@@ -879,9 +883,8 @@ def find_divisor(curve, Q, items, cost_table, limit=None):
     )
 
 
-def _divisor_candidates(curve, Q, eval_places, target_deg, limit=None):
+def _divisor_candidates(curve, eval_places, target_deg, pool):
     O = curve.infinity
-    pool = _support_pool(curve, Q, eval_places, target_deg, limit)
     if O not in eval_places:
         yield CurveDivisor(curve, {O: target_deg})
         top = min(2 * curve.genus + 2, target_deg)
@@ -899,16 +902,18 @@ def _divisor_candidates(curve, Q, eval_places, target_deg, limit=None):
             yield CurveDivisor(curve, support)
 
 
-def _support_pool(curve, Q, eval_places, target_deg, limit=None):
+def _support_pool(curve, Q, eval_places, target_deg, limit, places):
+    places = {} if places is None else places
     pool = []
     for d in range(1, target_deg + 1):
         if curve.base.q ** d > PLACE_SCAN_LIMIT:
             break
-        try:
-            places = enumerate_curve_places(curve, d, limit)
-        except CcmaError:
-            break
-        for p in places:
+        if d not in places:
+            try:
+                places[d] = enumerate_curve_places(curve, d, limit)
+            except CcmaError:
+                break
+        for p in places[d]:
             if p.is_infinity or p in eval_places or p == Q:
                 continue
             if p.ramified or p.x_deg != p.degree:

@@ -116,7 +116,8 @@ def plan_search(
     """
     q = base.q
     budget = 2 * n * ell - 1
-    d_cap = max_place_degree if max_place_degree is not None else 2 * n
+    # no class of degree above the budget fits: every item has d * u <= budget
+    d_cap = min(max_place_degree if max_place_degree is not None else 2 * n, budget)
     dim_cap = max_item_dim if max_item_dim is not None else budget
     Q = lex_least_irreducible(base, n)
     classes = []

@@ -5,6 +5,12 @@ tuple (c_0, ..., c_{k-1}) in the power basis of the defining polynomial is
 packed little-endian in base p.  Polynomials carry their coefficient field
 and store trimmed little-endian coefficient tuples of such integers.
 
+Every field with q <= 2^16 multiplies through log/antilog tables over a
+fixed primitive element, built in O(q); for odd p with k > 1 it also adds
+through a Zech table.  Only larger fields multiply schoolbook and add digit
+by digit.  Row kernels on `FieldSpec` (`scaled`, `sub_scaled`, `dot`) carry
+the inner loops of `linalg` and of polynomial and quotient-ring products.
+
 The canonical total order on monic polynomials of one degree is ascending
 integer value sum(c_i * q^i); defining irreducibles are always the least
 monic irreducible of their degree in this order.  Irreducibles are produced
@@ -12,6 +18,8 @@ by one ascending stream per (field, degree), memoized for the process, so
 `iter_irreducibles`, `irreducibles` and `lex_least_irreducible` test each
 candidate at most once.
 """
+
+import operator
 
 from .errors import (
     CcmaError,
@@ -23,7 +31,7 @@ from .errors import (
 from . import linalg
 from .guard import check_guard
 
-_MUL_TABLE_MAX_Q = 512
+_LOG_TABLE_MAX_Q = 1 << 16
 
 
 def is_prime(n):
@@ -68,8 +76,15 @@ def count_irreducibles(q, d):
 class FieldSpec:
     """The field F_{p^k} with a fixed monic irreducible defining polynomial.
 
-    Element arithmetic works on the integer encoding; small fields use a
-    precomputed multiplication table, larger ones reduce on the fly.
+    Element arithmetic works on the integer encoding.  A field with at most
+    2^16 elements keeps log/antilog tables over its least primitive element
+    g, built in O(q): products, inverses and quotients are read as
+    exp[log a + log b], and for odd p with k > 1 sums and negatives go
+    through the Zech table Z(n) = log(1 + g^n) and g^((q-1)/2) = -1.
+    Larger fields multiply schoolbook with reduction and add digit by digit.
+    The row kernels `scaled`, `sub_scaled` and `dot` do whole rows on the
+    field's fastest path: XOR for p = 2, plain `% p` for prime fields and
+    direct table indexing otherwise.
     """
 
     _cache = {}
@@ -99,9 +114,10 @@ class FieldSpec:
                 raise CcmaError("defining polynomial is reducible")
             self.poly = poly
         self._red = self._reduction_rows() if k > 1 else None
-        self._mul = None
-        self._inv = None
-        if self.q <= _MUL_TABLE_MAX_Q:
+        # exp[n] = g^n for 0 <= n < 2(q-1), log[a] for a != 0, and for odd
+        # p with k > 1 zech[n] = log(1 + g^n) (None where 1 + g^n = 0)
+        self._exp = self._log = self._zech = None
+        if self.q <= _LOG_TABLE_MAX_Q:
             self._build_tables()
 
     @classmethod
@@ -132,6 +148,11 @@ class FieldSpec:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.k})"
 
+    @property
+    def _mul(self):
+        """The antilog table when products are read from tables, else None."""
+        return self._exp
+
     # -- encoding ----------------------------------------------------------
 
     def encode(self, coeffs):
@@ -159,37 +180,34 @@ class FieldSpec:
             return a ^ b
         if self.k == 1:
             return (a + b) % self.p
-        p = self.p
-        out = 0
-        mul = 1
-        while a or b:
-            out += ((a + b) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return out
+        if self._zech is None:
+            return self._add_digits(a, b)
+        return self._add_power(a, self._log[b]) if b else a
 
     def neg(self, a):
-        if self.p == 2:
+        if self.p == 2 or not a:
             return a
         if self.k == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        mul = 1
-        while a:
-            out += ((p - a % p) % p) * mul
-            a //= p
-            mul *= p
-        return out
+            return self.p - a
+        if self._zech is None:
+            return self._neg_digits(a)
+        return self._exp[self._log[a] + (self.q - 1) // 2]
 
     def sub(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        if self.k == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._mul_generic(a, b)
+        exp = self._exp
+        if exp is None:
+            return self._mul_generic(a, b)
+        if a and b:
+            log = self._log
+            return exp[log[a] + log[b]]
+        return 0
 
     def _mul_generic(self, a, b):
         if self.k == 1:
@@ -215,8 +233,8 @@ class FieldSpec:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self._inv is not None:
-            return self._inv[a]
+        if self._exp is not None:
+            return self._exp[self.q - 1 - self._log[a]]
         return self.pow(a, self.q - 2)
 
     def div(self, a, b):
@@ -242,6 +260,109 @@ class FieldSpec:
     def embed_base(self, c):
         return c
 
+    # -- row kernels -------------------------------------------------------
+
+    def scaled(self, f, ys):
+        """The row f*ys."""
+        if not f:
+            return [0] * len(ys)
+        if self.k == 1:
+            p = self.p
+            return [f * y % p for y in ys]
+        exp = self._exp
+        if exp is None:
+            mul = self._mul_generic
+            return [mul(f, y) if y else 0 for y in ys]
+        log = self._log
+        lf = log[f]
+        return [exp[lf + log[y]] if y else 0 for y in ys]
+
+    def sub_scaled(self, xs, f, ys):
+        """The row xs - f*ys."""
+        p = self.p
+        if p == 2 and f == 1:
+            return list(map(operator.xor, xs, ys))
+        if not f:
+            return list(xs)
+        if self.k == 1:
+            return [(x - f * y) % p for x, y in zip(xs, ys)]
+        exp = self._exp
+        if exp is None:
+            sub, mul = self.sub, self._mul_generic
+            return [sub(x, mul(f, y)) if y else x for x, y in zip(xs, ys)]
+        log = self._log
+        if p == 2:
+            lf = log[f]
+            return [x ^ exp[lf + log[y]] if y else x for x, y in zip(xs, ys)]
+        # x - f*y = x + g^(log(-f) + log y)
+        q1 = self.q - 1
+        lf = (log[f] + q1 // 2) % q1
+        add_power = self._add_power
+        out = []
+        for x, y in zip(xs, ys):
+            if y:
+                m = lf + log[y]
+                x = add_power(x, m - q1 if m >= q1 else m)
+            out.append(x)
+        return out
+
+    def dot(self, xs, ys):
+        """The sum of xs[i]*ys[i]."""
+        if self.k == 1:
+            return sum(map(operator.mul, xs, ys)) % self.p
+        exp = self._exp
+        acc = 0
+        if exp is None:
+            add, mul = self.add, self._mul_generic
+            for x, y in zip(xs, ys):
+                if x and y:
+                    acc = add(acc, mul(x, y))
+            return acc
+        log = self._log
+        if self.p == 2:
+            for x, y in zip(xs, ys):
+                if x and y:
+                    acc ^= exp[log[x] + log[y]]
+            return acc
+        q1 = self.q - 1
+        add_power = self._add_power
+        for x, y in zip(xs, ys):
+            if x and y:
+                m = log[x] + log[y]
+                acc = add_power(acc, m - q1 if m >= q1 else m)
+        return acc
+
+    # -- table-free arithmetic and the table build ---------------------------
+
+    def _add_power(self, a, m):
+        """a + g^m through the Zech table, for 0 <= m < q - 1."""
+        if not a:
+            return self._exp[m]
+        la = self._log[a]
+        z = self._zech[m - la]  # a negative index wraps mod q - 1
+        return 0 if z is None else self._exp[la + z]
+
+    def _add_digits(self, a, b):
+        p = self.p
+        out = 0
+        mul = 1
+        while a or b:
+            out += ((a + b) % p) * mul
+            a //= p
+            b //= p
+            mul *= p
+        return out
+
+    def _neg_digits(self, a):
+        p = self.p
+        out = 0
+        mul = 1
+        while a:
+            out += ((p - a % p) % p) * mul
+            a //= p
+            mul *= p
+        return out
+
     def _reduction_rows(self):
         # x^(k+j) mod poly for j = 0..k-2, as coefficient rows of length k
         p, k = self.p, self.k
@@ -258,24 +379,49 @@ class FieldSpec:
             rows.append(tuple(cur))
         return rows
 
+    def _primitive_element(self):
+        """The least encoding of multiplicative order q - 1."""
+        q1 = self.q - 1
+        primes = [r for r in range(2, q1 + 1) if q1 % r == 0 and is_prime(r)]
+        # for k > 1 the constants have order dividing p - 1 < q - 1
+        for g in range(1 if self.k == 1 else self.p, self.q):
+            if all(self.pow(g, q1 // r) != 1 for r in primes):
+                return g
+
     def _build_tables(self):
-        q = self.q
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            row = mul[a]
-            for b in range(a, q):
-                v = self._mul_generic(a, b)
-                row[b] = v
-                mul[b][a] = v
-        self._mul = mul
-        inv = [0] * q
-        for a in range(1, q):
-            if inv[a]:
-                continue
-            b = self.pow(a, q - 2)
-            inv[a] = b
-            inv[b] = a
-        self._inv = inv
+        """exp, log (and zech) over the least primitive element g, in O(q).
+
+        Multiplication by g is F_p-linear: each step reads the images of the
+        low and the high half of the digits from two tables of about sqrt(q)
+        entries and adds them.
+        """
+        p, q = self.p, self.q
+        q1 = q - 1
+        g = self._primitive_element()
+        unit = p ** (self.k // 2)
+        mul, add = self._mul_generic, self.add  # digit-wise until the tables exist
+        low = [mul(a, g) for a in range(unit)]
+        high = [mul(a * unit, g) for a in range(q // unit)]
+        exp = [1] * (2 * q1)
+        log = [0] * q
+        a = 1
+        for n in range(1, q1):
+            hi, lo = divmod(a, unit)
+            a = add(high[hi], low[lo])
+            exp[n] = a
+            log[a] = n
+        exp[q1:] = exp[:q1]
+        if p > 2 and self.k > 1:
+            # 1 + g^n differs from g^n in the constant digit only
+            zech = [None] * q1
+            for n in range(q1):
+                e = exp[n]
+                s = e + 1 if e % p != p - 1 else e + 1 - p
+                if s:
+                    zech[n] = log[s]
+            self._zech = zech
+        self._exp = exp
+        self._log = log
 
 
 class FieldElement:
@@ -416,17 +562,16 @@ class Poly:
         sp = self.spec
         if self.is_zero() or other.is_zero():
             return Poly.zero(sp)
-        prod = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        ys = other.coeffs
+        m = len(ys)
+        prod = [0] * (len(self.coeffs) + m - 1)
         for i, x in enumerate(self.coeffs):
             if x:
-                for j, y in enumerate(other.coeffs):
-                    if y:
-                        prod[i + j] = sp.add(prod[i + j], sp.mul(x, y))
+                prod[i : i + m] = sp.sub_scaled(prod[i : i + m], sp.neg(x), ys)
         return Poly(sp, prod)
 
     def scale(self, c):
-        sp = self.spec
-        return Poly(sp, [sp.mul(c, v) for v in self.coeffs])
+        return Poly(self.spec, self.spec.scaled(c, self.coeffs))
 
     def shift(self, m):
         """Multiply by x^m."""
@@ -449,9 +594,9 @@ class Poly:
         for i in range(len(rem) - 1, db - 1, -1):
             c = sp.mul(rem[i], inv_lead)
             if c:
-                quot[i - db] = c
-                for j, y in enumerate(other.coeffs):
-                    rem[i - db + j] = sp.sub(rem[i - db + j], sp.mul(c, y))
+                lo = i - db
+                quot[lo] = c
+                rem[lo : i + 1] = sp.sub_scaled(rem[lo : i + 1], c, other.coeffs)
         return Poly(sp, quot), Poly(sp, rem)
 
     def __mod__(self, other):
@@ -750,38 +895,34 @@ class ExtensionRing:
         # dim 1: x == -f0
         return self.spec.neg(self.modulus[0])
 
+    # most rings in use have dimension 1 or 2, where mapping the scalar
+    # operation beats a row kernel call
     def add(self, a, b):
-        sp = self.spec
-        return tuple(sp.add(x, y) for x, y in zip(a, b))
+        return tuple(map(self.spec.add, a, b))
 
     def sub(self, a, b):
-        sp = self.spec
-        return tuple(sp.sub(x, y) for x, y in zip(a, b))
+        return tuple(map(self.spec.sub, a, b))
 
     def neg(self, a):
-        sp = self.spec
-        return tuple(sp.neg(x) for x in a)
+        return tuple(map(self.spec.neg, a))
 
     def scale(self, c, a):
-        sp = self.spec
-        return tuple(sp.mul(c, x) for x in a)
+        return tuple(self.spec.scaled(c, a))
 
     def mul(self, a, b):
         sp = self.spec
         d = self.dim
+        if d == 1:
+            return (sp.mul(a[0], b[0]),)
         prod = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] = sp.add(prod[i + j], sp.mul(x, y))
+                prod[i : i + d] = sp.sub_scaled(prod[i : i + d], sp.neg(x), b)
         out = prod[:d]
         for j in range(d, 2 * d - 1):
             c = prod[j]
             if c:
-                row = self._red[j - d]
-                for i in range(d):
-                    out[i] = sp.add(out[i], sp.mul(c, row[i]))
+                out = sp.sub_scaled(out, sp.neg(c), self._red[j - d])
         return tuple(out)
 
     def pow(self, a, e):

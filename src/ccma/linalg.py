@@ -1,38 +1,21 @@
 """Dense linear algebra over a FieldSpec; matrices are lists of int rows."""
 
 
-def zeros(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
-
 def mat_mul(spec, a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            x = ai[k]
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, bk in zip(row, b):
             if x:
-                bk = b[k]
-                for j in range(cols):
-                    y = bk[j]
-                    if y:
-                        oi[j] = spec.add(oi[j], spec.mul(x, y))
+                acc = spec.sub_scaled(acc, spec.neg(x), bk)
+        out.append(acc)
     return out
 
 
 def mat_vec(spec, a, v):
-    out = []
-    for row in a:
-        acc = 0
-        for x, y in zip(row, v):
-            if x and y:
-                acc = spec.add(acc, spec.mul(x, y))
-        out.append(acc)
-    return out
+    dot = spec.dot
+    return [dot(row, v) for row in a]
 
 
 def transpose(a):
@@ -55,12 +38,10 @@ def rref(spec, mat):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = spec.inv(m[r][c])
-        m[r] = [spec.mul(inv, x) for x in m[r]]
+        pivot = m[r] = spec.scaled(spec.inv(m[r][c]), m[r])
         for i in range(rows):
             if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [spec.sub(x, spec.mul(f, y)) for x, y in zip(m[i], m[r])]
+                m[i] = spec.sub_scaled(m[i], m[i][c], pivot)
         pivots.append(c)
         r += 1
         if r == rows:

@@ -183,7 +183,7 @@ def curve_instance_synth(curve, n, cost_table, limit=None):
     for items in itertools.islice(_assignments(base_items), ASSIGNMENT_CAP):
         tried += 1
         try:
-            _, alg = curves_mod.find_divisor(curve, Q, items, cost_table, limit)
+            _, alg = curves_mod.find_divisor(curve, Q, items, cost_table, limit, places)
             return alg
         except CcmaError as exc:
             last_error = exc

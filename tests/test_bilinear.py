@@ -338,3 +338,9 @@ def test_compose_tower_outputs_are_pinned():
             trivial[(spec.q, d)] = _pin(alg)
     assert got == TOWER_PINS
     assert trivial == TRIVIAL_OUTER_PINS
+
+
+def test_empty_algorithm_fails_verification():
+    target = extension_target(FieldSpec.get(2), 2)
+    alg = BilinearAlgorithm(target, [], [], [[], []])
+    assert alg.failing_pair() == (0, 0)

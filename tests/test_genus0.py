@@ -147,3 +147,16 @@ def test_build_verify_wide_sweep():
             plan = plan_search(spec, n, 1, tab)
             alg = build(plan, tab)
             assert verify(alg) and alg.N == plan.cost >= 2 * n - 1, (spec.q, n)
+
+
+def test_place_degree_cap_is_the_budget():
+    # at the parent --max-place-degree 100000 counted irreducibles of every
+    # degree up to 100000 and did not finish
+    from ccma.planner import Planner
+
+    plain = Planner(F2).synth(3)
+    capped = Planner(F2, max_place_degree=100000).synth(3)
+    assert capped == plain
+    assert plan_search(F2, 3, 1, table(F2), max_place_degree=100000).items == (
+        plan_search(F2, 3, 1, table(F2)).items
+    )

@@ -278,3 +278,66 @@ def test_poly_derivative_characteristic():
     f = Poly(F3, (1, 2, 0, 1, 0, 0, 2))  # 2x^6 + x^3 + 2x + 1 over F_3
     df = f.derivative()
     assert df == Poly(F3, (2,))  # x^3 and x^6 terms vanish in char 3
+
+
+def _reference_ops(spec, a, b):
+    """mul, add, sub by schoolbook products and the digit loop."""
+    return (
+        spec._mul_generic(a, b),
+        spec._add_digits(a, b),
+        spec._add_digits(a, spec._neg_digits(b)),
+    )
+
+
+def _table_ops(spec, a, b):
+    return spec.mul(a, b), spec.add(a, b), spec.sub(a, b)
+
+
+def _check_unary(spec, a):
+    assert spec.neg(a) == spec._neg_digits(a)
+    if a:
+        assert spec._mul_generic(a, spec.inv(a)) == 1
+
+
+def test_table_arithmetic_matches_generic_on_every_pair():
+    for p, k_max in ((2, 8), (3, 5), (5, 3)):  # every field with q <= 256
+        for k in range(1, k_max + 1):
+            spec = FieldSpec.get(p, k)
+            assert len(spec._exp) == 2 * (spec.q - 1) and len(spec._log) == spec.q
+            for a in range(spec.q):
+                _check_unary(spec, a)
+                for b in range(spec.q):
+                    assert _table_ops(spec, a, b) == _reference_ops(spec, a, b), (spec, a, b)
+
+
+def test_table_arithmetic_matches_generic_on_large_fields():
+    rng = random.Random(16)
+    for p, k in ((2, 16), (3, 10), (5, 6)):
+        spec = FieldSpec.get(p, k)
+        assert spec._mul is not None  # the table path, up to 2^16 elements
+        for _ in range(3000):
+            a = rng.randrange(spec.q)
+            b = rng.randrange(spec.q)
+            _check_unary(spec, a)
+            assert _table_ops(spec, a, b) == _reference_ops(spec, a, b), (spec, a, b)
+    assert FieldSpec.get(2, 17)._mul is None
+
+
+def test_row_kernels_match_scalar_loops():
+    rng = random.Random(3)
+    specs = [F2, F3, F4, F9, F13, F16, FieldSpec.get(3, 3), FieldSpec.get(2, 17),
+             FieldSpec.get(3, 11)]  # the last two are above 2^16: no tables
+    for spec in specs:
+        for length in (0, 1, 2, 5, 9):
+            for _ in range(20):
+                xs = [rng.choice((0, rng.randrange(spec.q))) for _ in range(length)]
+                ys = [rng.choice((0, rng.randrange(spec.q))) for _ in range(length)]
+                for f in (0, 1, spec.p - 1, rng.randrange(spec.q)):
+                    assert spec.scaled(f, ys) == [spec.mul(f, y) for y in ys]
+                    assert spec.sub_scaled(xs, f, ys) == [
+                        spec.sub(x, spec.mul(f, y)) for x, y in zip(xs, ys)
+                    ]
+                acc = 0
+                for x, y in zip(xs, ys):
+                    acc = spec.add(acc, spec.mul(x, y))
+                assert spec.dot(xs, ys) == acc, (spec, xs, ys)

@@ -449,3 +449,35 @@ def test_cli_field_size_guard(tmp_path):
         assert done.stderr.startswith("resource guard:") and done.stderr.count("\n") == 1
     done = _cli("synth", "--q", "1000000007", "--n", "2")
     assert done.returncode == 3 and "field F_1000000007" in done.stderr
+
+
+def test_cli_bounds_n_max_beyond_table2(capsys):
+    # at the parent --n-max 19 ended in an IndexError traceback
+    assert main(["bounds", "--table", "table2", "--n-max", "19"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --n-max 19: table2 has rows n = 2..18\n"
+
+
+def test_cli_search_guard_before_enumeration():
+    # at the parent all 2^100 vectors were listed before the guard: it never returned
+    done = _cli("search", "--q", "2", "--n", "100", "--max-rank", "3")
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("resource guard: brute-force search space")
+
+
+def test_curve_request_enumerates_each_degree_once(monkeypatch):
+    # at the parent the divisor search enumerated the planned degrees again
+    # on every call: (4,4) [1, 1, 2, 3] and (3,9) [1, 2, 1, 2, 3, 4, 5]
+    import ccma.curves as curves_mod
+
+    calls = []
+    enumerate_places = curves_mod.enumerate_curve_places
+    monkeypatch.setattr(curves_mod, "enumerate_curve_places",
+                        lambda curve, d, limit=None: calls.append(d)
+                        or enumerate_places(curve, d, limit))
+    for q, n, degrees in ((4, 4, [1, 2, 3]), (3, 9, [1, 2, 3, 4, 5])):
+        calls.clear()
+        cert = Planner(spec_for_q(q), strategies=("curve",)).synth(n)
+        assert calls == degrees, (q, n, calls)
+        assert cert["rank"] == {4: 8, 3: 26}[q]
