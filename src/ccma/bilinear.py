@@ -18,6 +18,7 @@ from .gf import (
     is_irreducible,
     least_root,
     lex_least_irreducible,
+    local_columns,
 )
 from .guard import check_guard, guard_limit
 
@@ -327,20 +328,27 @@ def entry_conversion(base, modulus, entry, limit=None):
     """Matrix rebasing residue coordinates mod `modulus` into the entry's field.
 
     The residue field F_q[x]/(modulus) is sent to the power basis of the
-    cost-table entry's modulus through the least root of `modulus` there;
-    None for a rational place, where both bases are F_q itself.
+    cost-table entry's modulus through the least root of `modulus` there
+    (`place_columns` with u = 1 on x^0..x^(d-1)); None for a rational
+    place, where both bases are F_q itself.
     """
     d = modulus.degree
     if d == 1:
         return None
+    return place_columns(base, modulus, entry, 1, d - 1, limit)
+
+
+def place_columns(base, P, entry, u, bound, limit=None):
+    """Local evaluation at the place P on x^0..x^bound, in the entry's basis.
+
+    The cost-table entry multiplies in F_{q^d}[t]/(t^u) over the field of
+    its modulus; the place is read there through the least root of P.
+    """
     field = ExtensionRing(base, entry.target.Q)
-    root = least_root(field, modulus, limit)
+    root = least_root(field, P, limit)
     if root is None:
         raise CcmaError("place modulus has no root in the entry field")
-    powers = [field.one]
-    for _ in range(d - 1):
-        powers.append(field.mul(powers[-1], root))
-    return [[powers[j][i] for j in range(d)] for i in range(d)]
+    return local_columns(field, P, root, u, bound)
 
 
 def interpolation_algorithm(target, blocks, T, meta=None):
@@ -742,6 +750,23 @@ def _first_spanning_combination(spec, layers, t_basis, r):
     return chosen if walk(0, layers, ts_res, 0) else None
 
 
+def check_search_space(spec, dim, max_rank, symmetric_only=False, limit=None):
+    """Guard the supports `brute_force_min_rank` would walk, before any work.
+
+    There are L^max_rank of them, L the number of rank-one layers: the
+    P = (q^dim - 1)/(q - 1) projective vectors, or their P^2 pairs.
+    """
+    q = spec.q
+    power = max_rank if symmetric_only else 2 * max_rank
+    lim = guard_limit(limit)
+    # P >= q^(dim-1): when that bound already exceeds the limit, never compute P
+    if (q.bit_length() - 1) * (dim - 1) * power >= lim.bit_length():
+        raise GuardExceeded(
+            "brute-force search space", f"(({q}^{dim}-1)/{q - 1})^{power}", lim
+        )
+    check_guard(((q**dim - 1) // (q - 1)) ** power, "brute-force search space", lim)
+
+
 def brute_force_min_rank(target, max_rank, symmetric_only=False, limit=None):
     """Exact minimum decomposition length within max_rank, with a witness.
 
@@ -753,9 +778,7 @@ def brute_force_min_rank(target, max_rank, symmetric_only=False, limit=None):
     """
     sp = target.base
     dim = target.dim
-    projective = (sp.q ** dim - 1) // (sp.q - 1)
-    layers_count = projective if symmetric_only else projective * projective
-    check_guard(layers_count ** max_rank, "brute-force search space", limit)
+    check_search_space(sp, dim, max_rank, symmetric_only, limit)
     phis = _monic_vectors(sp, dim)
     if symmetric_only:
         pairs = [(v, v) for v in phis]

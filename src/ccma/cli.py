@@ -10,7 +10,12 @@ import io
 import json
 import sys
 
-from .bilinear import BilinearAlgorithm, brute_force_min_rank, extension_target
+from .bilinear import (
+    BilinearAlgorithm,
+    brute_force_min_rank,
+    check_search_space,
+    extension_target,
+)
 from .bounds import table_report
 from .codes import code_from_decomposition, supercode_from_symmetric
 from .errors import CcmaError, GuardExceeded, InvalidRequest
@@ -165,6 +170,8 @@ def cmd_codes(args):
 
 def cmd_search(args):
     spec = spec_for_q(args.q)
+    # before the target: finding its modulus alone takes long for a large n
+    check_search_space(spec, args.n, args.max_rank, args.symmetric)
     target = extension_target(spec, args.n)
     outcome = brute_force_min_rank(target, args.max_rank, symmetric_only=args.symmetric)
     if outcome.exceeded:

@@ -7,16 +7,16 @@ with cost-table algorithms, and reconstructs by linear inversion.
 """
 
 from . import linalg
-from .bilinear import ExtAlgebra, TruncAlgebra, entry_conversion, interpolation_algorithm
+from .bilinear import ExtAlgebra, TruncAlgebra, interpolation_algorithm, place_columns
 from .errors import CcmaError, PlanInfeasible, VerificationError
 from .gf import (
     INFINITY,
-    Poly,
-    PrimePowerLocal,
+    ExtensionRing,
     count_irreducibles,
     is_irreducible,
     iter_irreducibles,
     lex_least_irreducible,
+    local_columns,
 )
 from .guard import check_guard
 
@@ -256,41 +256,31 @@ def _place_stream(base, d, Q):
         yield G0Place(INFINITY)
 
 
-def _local_columns(base, bound, place, u, conv):
-    """Matrix of the local evaluation on the monomial basis x^0..x^bound.
-
-    Rows are coordinates in the cost-table entry's own basis of the
-    truncated local algebra: residue digits rebased by `conv` (see
-    `entry_conversion`) into the entry's power basis.
-    """
-    d = place.degree
-    cols = bound + 1
-    if place.is_infinity:
-        rows = [[0] * cols for _ in range(u)]
-        for j in range(u):
-            if bound - j >= 0:
-                rows[j][bound - j] = 1
-        return rows
-    local = PrimePowerLocal(place.poly, u)
-    rows = [[0] * cols for _ in range(d * u)]
-    xt = Poly.one(base)
-    x = Poly.x(base)
-    for t in range(cols):
-        digits = local.to_coords(xt)
-        for j, z in enumerate(digits):
-            vec = list(z) if conv is None else linalg.mat_vec(base, conv, list(z))
-            for i in range(d):
-                rows[j * d + i][t] = vec[i]
-        xt = xt * x
+def _infinity_rows(u, bound):
+    """Local evaluation at infinity: the top u coefficients below `bound`."""
+    rows = [[0] * (bound + 1) for _ in range(u)]
+    for j in range(min(u, bound + 1)):
+        rows[j][bound - j] = 1
     return rows
 
 
-def _place_entry(base, place, u, cost_table, limit=None):
-    """The cost-table entry multiplying at a place and its residue rebasing."""
-    if place.is_infinity:
-        return cost_table.get(1, u), None
-    entry = cost_table.get(place.degree, u)
-    return entry, entry_conversion(base, place.poly, entry, limit)
+def _place_rows(plan, cost_table, limit=None):
+    """(entry, factor rows, product rows) per plan item, in the entry's basis.
+
+    Factor rows act on x^0..x^(nl-1), product rows on x^0..x^(2nl-2); a
+    finite place's factor rows are the first columns of its product rows.
+    """
+    m1 = plan.n * plan.ell - 1  # degree bound of the lifted factors
+    m2 = 2 * m1  # degree bound of products
+    out = []
+    for place, u in plan.items:
+        entry = cost_table.get(place.degree, u)
+        if place.is_infinity:
+            out.append((entry, _infinity_rows(u, m1), _infinity_rows(u, m2)))
+        else:
+            rows = place_columns(plan.base, place.poly, entry, u, m2, limit)
+            out.append((entry, [row[: m1 + 1] for row in rows], rows))
+    return out
 
 
 def build(plan, cost_table, limit=None):
@@ -300,46 +290,18 @@ def build(plan, cost_table, limit=None):
     Raises VerificationError if its rank disagrees with the plan cost.
     """
     base = plan.base
-    n, ell = plan.n, plan.ell
+    n, ell, Q = plan.n, plan.ell, plan.Q
     dim = n * ell
-    m1 = dim - 1  # degree bound of the lifted factors
-    m2 = 2 * dim - 2  # degree bound of products
-    if ell == 1:
-        target = ExtAlgebra(base, plan.Q)
-        lift = None  # the monomial basis is already the target's basis
-        reduce = lambda f: (f % plan.Q).coeffs
-    else:
-        target = TruncAlgebra(base, n, ell, plan.Q)
-        local_q = PrimePowerLocal(plan.Q, ell)
-        cols = []
-        for j in range(ell):
-            for i in range(n):
-                digit = tuple(1 if t == i else 0 for t in range(n))
-                digits = [digit if t == j else (0,) * n for t in range(ell)]
-                f = local_q.from_coords(digits)
-                col = [0] * dim
-                for t, c in enumerate(f.coeffs):
-                    col[t] = c
-                cols.append(col)
-        lift = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-        reduce = lambda f: [c for z in local_q.to_coords(f) for c in z]
-
-    # reduction of the product space into the target algebra
-    tq = [[0] * (2 * dim - 1) for _ in range(dim)]
-    xt = Poly.one(base)
-    x = Poly.x(base)
-    for t in range(2 * dim - 1):
-        for i, c in enumerate(reduce(xt)):
-            tq[i][t] = c
-        xt = xt * x
-
+    target = ExtAlgebra(base, Q) if ell == 1 else TruncAlgebra(base, n, ell, Q)
+    # reduction of the product space into the target: x -> the local
+    # parameter at Q in F_q[x]/(Q); its first dim columns invert to the lift
+    field = ExtensionRing(base, Q)
+    tq = local_columns(field, Q, field.gen(), ell, 2 * dim - 2)
+    lift = linalg.invert(base, [row[:dim] for row in tq])
     blocks = []
-    for place, u in plan.items:
-        entry, conv = _place_entry(base, place, u, cost_table, limit)
-        phi1 = _local_columns(base, m1, place, u, conv)
-        if lift is not None:
-            phi1 = linalg.mat_mul(base, phi1, lift)
-        blocks.append((entry, phi1, phi1, _local_columns(base, m2, place, u, conv)))
+    for entry, rows1, rows2 in _place_rows(plan, cost_table, limit):
+        phi1 = linalg.mat_mul(base, rows1, lift)
+        blocks.append((entry, phi1, phi1, rows2))
     alg = interpolation_algorithm(
         target, blocks, tq, meta={"method": "genus0", "plan": plan.describe()}
     )
@@ -350,10 +312,7 @@ def build(plan, cost_table, limit=None):
 
 def interpolation_matrix_rank(plan, cost_table, limit=None):
     """Column rank of the product-space evaluation matrix (should be 2nl-1)."""
-    base = plan.base
-    m2 = 2 * plan.n * plan.ell - 2
     rows = []
-    for place, u in plan.items:
-        _, conv = _place_entry(base, place, u, cost_table, limit)
-        rows.extend(_local_columns(base, m2, place, u, conv))
-    return linalg.rank(base, rows)
+    for _, _, rows2 in _place_rows(plan, cost_table, limit):
+        rows.extend(rows2)
+    return linalg.rank(plan.base, rows)

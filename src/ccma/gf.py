@@ -17,6 +17,12 @@ monic irreducible of their degree in this order.  Irreducibles are produced
 by one ascending stream per (field, degree), memoized for the process, so
 `iter_irreducibles`, `irreducibles` and `lex_least_irreducible` test each
 candidate at most once.
+
+A local ring F_q[x]/(P^u) is read as F[t]/(t^u) through its local
+parameter: `local_columns` sends x to the unique xi = rho + c_1 t + ...
+with P(xi) = t, for a root rho of P in a field F.  Genus-0 places (F the
+field of their cost-table entry), genus-0 targets and `local_expansion`
+(F = F_q[x]/(P), rho the class of x) all evaluate through it.
 """
 
 import operator
@@ -978,73 +984,51 @@ class ExtensionRing:
         return val
 
 
-# -- local rings F_q[x]/(P^u) and their truncated-algebra coordinates -------
+# -- local parameters: F_q[x]/(P^u) as F[t]/(t^u) --------------------------
 
 
-class PrimePowerLocal:
-    """Coordinates of F_q[x]/(P^u) as a truncated algebra over F_q[x]/(P).
+def local_columns(field, P, root, u, bound):
+    """Matrix of f -> f(xi) mod t^u on the monomials x^0..x^bound.
 
-    The Hensel lift of the residue field inside the local ring makes the
-    coefficient map multiplicative; digits are residue-field elements.
-    The place polynomial must be irreducible; `local_expansion` checks the
-    places it is given, and genus-0 places come from the irreducible stream.
+    `field` is an ExtensionRing over P's coefficient field holding a root
+    `root` (rho) of the irreducible P, and xi = rho + c_1 t + ... +
+    c_{u-1} t^{u-1} is the local parameter: the unique element with
+    P(xi) = t mod t^u.  x -> xi is the isomorphism F_q[x]/(P^u) ->
+    field[t]/(t^u) sending P to t.  Row j * field.dim + i holds coordinate
+    i of the t^j digit; column k holds xi^k.
     """
+    xi = [root] + [field.zero] * (u - 1)
+    if u > 1:
+        inv_slope = field.inv(P.derivative().eval_in(field, root))
+        for j in range(1, u):
+            # P(xi + c_j t^j) = P(xi) + P'(rho) c_j t^j mod t^(j+1)
+            acc = [field.zero] * u
+            for c in reversed(P.coeffs):
+                acc = _trunc_mul(field, acc, xi)
+                acc[0] = field.add(acc[0], field.embed_base(c))
+            want = field.one if j == 1 else field.zero
+            xi[j] = field.mul(field.sub(want, acc[j]), inv_slope)
+    d = field.dim
+    rows = [[0] * (bound + 1) for _ in range(d * u)]
+    power = [field.one] + [field.zero] * (u - 1)
+    for k in range(bound + 1):
+        for j, z in enumerate(power):
+            for i, c in enumerate(z):
+                rows[j * d + i][k] = c
+        power = _trunc_mul(field, power, xi)
+    return rows
 
-    def __init__(self, place_poly, u):
-        self.spec = place_poly.spec
-        self.P = place_poly.monic()
-        self.u = u
-        self.d = self.P.degree
-        self.modulus = _poly_power(self.P, u)
-        self.ring = ExtensionRing(self.spec, self.modulus)
-        self.residue = ExtensionRing(self.spec, self.P)
-        self._lift_root = self._hensel_root() if u > 1 else None
 
-    def _hensel_root(self):
-        ring = self.ring
-        deriv = self.P.derivative()
-        xi = ring.from_poly(Poly.x(self.spec))
-        steps = 0
-        prec = 1
-        while prec < self.u:
-            prec *= 2
-            steps += 1
-        for _ in range(steps):
-            val = self.P.eval_in(ring, xi)
-            dval = deriv.eval_in(ring, xi)
-            xi = ring.sub(xi, ring.mul(val, ring.inv(dval)))
-        assert self.P.eval_in(ring, xi) == ring.zero
-        return xi
-
-    def lift(self, z):
-        """Hensel lift of a residue-field element into F_q[x]/(P^u)."""
-        if self.u == 1:
-            return Poly(self.spec, z)
-        zp = Poly(self.spec, z)
-        acc = self.ring.zero
-        for c in reversed(zp.coeffs):
-            acc = self.ring.add(
-                self.ring.mul(acc, self._lift_root), self.ring.embed_base(c)
-            )
-        return self.ring.to_poly(acc)
-
-    def to_coords(self, f):
-        """Digits (z_0, ..., z_{u-1}) of f mod P^u, each in the residue field."""
-        f = f % self.modulus
-        digits = []
-        for _ in range(self.u):
-            z = self.residue.from_poly(f % self.P)
-            digits.append(z)
-            f = (f - self.lift(z)).divmod(self.P)[0]
-        return digits
-
-    def from_coords(self, digits):
-        out = Poly.zero(self.spec)
-        power = Poly.one(self.spec)
-        for z in digits:
-            out = out + self.lift(z) * power
-            power = power * self.P
-        return out % self.modulus
+def _trunc_mul(field, a, b):
+    """Product of two digit lists in field[t]/(t^len(a))."""
+    u = len(a)
+    out = [field.zero] * u
+    for i, x in enumerate(a):
+        if any(x):
+            for j in range(u - i):
+                if any(b[j]):
+                    out[i + j] = field.add(out[i + j], field.mul(x, b[j]))
+    return out
 
 
 def _poly_power(poly, e):
@@ -1121,8 +1105,7 @@ def local_expansion(num, den, place, order, normalize=False):
         return (pole, out) if normalize else out
     if not is_irreducible(place):
         raise CcmaError("local ring needs an irreducible place polynomial")
-    local = PrimePowerLocal(place, order)
-    dmod = den % local.modulus
+    pole = 0
     if den.gcd(place).degree > 0:
         # valuation bookkeeping: strip common P factors from num and den
         v = 0
@@ -1144,15 +1127,16 @@ def local_expansion(num, den, place, order, normalize=False):
             if not normalize:
                 raise PoleAtPlace(f"pole of order {v - nv} at {place!r}")
             pole = v - nv
-            ring = ExtensionRing(spec, local.modulus)
-            val = ring.mul(ring.from_poly(nn), ring.inv(ring.from_poly(dd)))
-            return (pole, tuple(local.to_coords(ring.to_poly(val))))
         num, den = nn, dd
-        dmod = den % local.modulus
-    ring = ExtensionRing(spec, local.modulus)
-    val = ring.mul(ring.from_poly(num), ring.inv(ring.from_poly(dmod)))
-    coeffs = tuple(local.to_coords(ring.to_poly(val)))
-    return (0, coeffs) if normalize else coeffs
+    P = place.monic()
+    ring = ExtensionRing(spec, _poly_power(P, order))
+    val = ring.mul(ring.from_poly(num), ring.inv(ring.from_poly(den)))
+    residue = ExtensionRing(spec, P)
+    mat = local_columns(residue, P, residue.gen(), order, ring.dim - 1)
+    flat = linalg.mat_vec(spec, mat, list(val))
+    d = P.degree
+    coeffs = tuple(tuple(flat[j * d : (j + 1) * d]) for j in range(order))
+    return (pole, coeffs) if normalize else coeffs
 
 
 def _series_div(spec, num, den, prec):

@@ -1,10 +1,13 @@
 """Plan search and algorithm assembly on the projective line."""
 
+import hashlib
+import json
+
 import pytest
 
 from ccma.bilinear import CostTable, verify
 from ccma.errors import PlanInfeasible
-from ccma.gf import FieldSpec, Poly
+from ccma.gf import FieldSpec, Poly, lex_least_irreducible
 from ccma.genus0 import (
     EvalPlan,
     G0Place,
@@ -160,3 +163,60 @@ def test_place_degree_cap_is_the_budget():
     assert plan_search(F2, 3, 1, table(F2), max_place_degree=100000).items == (
         plan_search(F2, 3, 1, table(F2)).items
     )
+
+
+def _pin(alg):
+    text = json.dumps(alg.to_json(), sort_keys=True)
+    return alg.N, hashlib.sha256(text.encode()).hexdigest()
+
+
+# Exact genus-0 outputs recorded before places and targets moved to the local
+# parameter: (q, n, l, plan) -> (rank, sha256 of the sorted to_json()).  The
+# hand-made plans cover l = 1, 2, 3, finite places of degree 1..3 with every
+# u = 1..3, and infinity with u = 1..3; the searched ones are default plans.
+HAND_PLANS = {
+    (2, 2, 1): [((1, 1, 0, 1), 1)],
+    (2, 2, 2): [((0, 1), 3), ((1, 1), 2), ("inf", 2)],
+    (2, 3, 1): [((1, 1, 1), 2), ("inf", 1)],
+    (2, 2, 3): [((0, 1), 3), ((1, 1), 3), ("inf", 3), ((1, 0, 1, 1), 1)],
+    (3, 2, 1): [((2, 1, 1), 2)],
+    (3, 3, 2): [((1, 0, 1), 3), ((0, 1), 2), ("inf", 3)],
+    (3, 2, 3): [((1, 2, 0, 1), 2), ((0, 1), 3), ("inf", 2)],
+    (4, 2, 1): [((2, 0, 0, 1), 3)],
+    (4, 3, 1): [((0, 1), 1), ((1, 1), 1), ((2, 1, 1), 1), ("inf", 1)],
+    (4, 3, 2): [((0, 1), 3), ((1, 1), 2), ("inf", 2), ((2, 1, 1), 2)],
+}
+GENUS0_PINS = {
+    (2, 2, 1, "hand"): (6, "3f347bbdd10059533ade505e55449ba50eeb5730e38d7cba2082aa64a3b2c7f3"),
+    (2, 2, 2, "hand"): (11, "abf68a708d16d1f7b0686830e579d4e2f930da118f5d1f848d0b942f5005ea8b"),
+    (2, 3, 1, "hand"): (10, "b8acdf30943f708c3bf94d9b579a98ff94b6397cd7228ed4dac5998bfa57357d"),
+    (2, 2, 3, "hand"): (21, "b1a87c3299a19ca5d9b40acfa1a9e2ad460e66157234caaad6be1e37f6fd4cd5"),
+    (3, 2, 1, "hand"): (9, "207bce8024245fedb9ef490b2cfd0544c2e0f729e34e7ff677443b837b42431d"),
+    (3, 3, 2, "hand"): (23, "26cdcad5f37755d67c3fd76aa889a21c661f67492a7adc04fec6a5ef4f417c9f"),
+    (3, 2, 3, "hand"): (23, "4d3158fbd7898d2cf57480041c145231e86df9da0934d2bb4d781b294e7f0dd5"),
+    (4, 2, 1, "hand"): (23, "68a605fee9d936f02be101aff93b0d638769c21036f97bd5b52c470f1c050be9"),
+    (4, 3, 1, "hand"): (6, "4578747d0a5aa61e2ba82dc0738532de0dbab9a598ee5314d0ed3fd2a126af52"),
+    (4, 3, 2, "hand"): (19, "aaa94a671af3d2795b2d3e57737421e669352c92439f3abea71264b1b5b01bd2"),
+    (2, 4, 1, "search"): (10, "b5f2097bccc7bcaaf1f04ef25dd1a6405f615b6e389592736cb267f908aa5669"),
+    (2, 5, 1, "search"): (14, "38f0472597c96a2dc633372396de53c237d29c347cda7ae1986460474465d1d8"),
+    (3, 3, 2, "search"): (15, "7fcc939ecccb7589da4a894d45f0d41b1e8f346511bf336c667ffef83c4bcbdf"),
+    (4, 4, 1, "search"): (8, "ddf059aead2ca6c7a23260e05874feecdbe3b4d95121d7f1e6f3389d5635ab3e"),
+}
+
+
+def test_genus0_outputs_are_pinned():
+    specs = {2: F2, 3: F3, 4: F4}
+    tables = {q: table(spec) for q, spec in specs.items()}
+    got = {}
+    for (q, n, ell), items in HAND_PLANS.items():
+        spec, tab = specs[q], tables[q]
+        places = [(G0Place("infinity" if c == "inf" else Poly(spec, c)), u) for c, u in items]
+        cost = sum(tab.cost(p.degree, u) for p, u in places)
+        plan = EvalPlan(spec, n, ell, lex_least_irreducible(spec, n), places, cost)
+        alg = build(plan, tab)
+        assert verify(alg), (q, n, ell)
+        got[(q, n, ell, "hand")] = _pin(alg)
+    for q, n, ell in ((2, 4, 1), (2, 5, 1), (3, 3, 2), (4, 4, 1)):
+        alg = build(plan_search(specs[q], n, ell, tables[q]), tables[q])
+        got[(q, n, ell, "search")] = _pin(alg)
+    assert got == GENUS0_PINS

@@ -11,7 +11,6 @@ from ccma.gf import (
     FieldElement,
     FieldSpec,
     Poly,
-    PrimePowerLocal,
     count_irreducibles,
     crt_reconstruct,
     embed_element,
@@ -227,20 +226,21 @@ def test_local_expansion_multiplicative():
     rng = random.Random(5)
     place = Poly(F3, (1, 0, 1))  # x^2+1 irreducible over F_3
     assert is_irreducible(place)
-    local = PrimePowerLocal(place, 3)
-    res = local.residue
+    res = ExtensionRing(F3, place)
+    cube = place * place * place
     for _ in range(40):
         f = Poly(F3, [rng.randrange(3) for _ in range(6)])
         g = Poly(F3, [rng.randrange(3) for _ in range(6)])
-        cf = local.to_coords(f)
-        cg = local.to_coords(g)
+        cf = local_expansion(f, Poly.one(F3), place, 3)
+        cg = local_expansion(g, Poly.one(F3), place, 3)
         # truncated product of digit vectors
         prod = [res.zero] * 3
         for i in range(3):
             for j in range(3 - i):
                 prod[i + j] = res.add(prod[i + j], res.mul(cf[i], cg[j]))
-        assert prod == local.to_coords(f * g)
-        assert local.from_coords(cf) == f % local.modulus
+        assert tuple(prod) == local_expansion(f * g, Poly.one(F3), place, 3)
+        # the digits only see f mod P^3
+        assert cf == local_expansion(f + cube * g, Poly.one(F3), place, 3)
 
 
 def test_extension_ring_inverse():

@@ -460,10 +460,14 @@ def test_cli_bounds_n_max_beyond_table2(capsys):
 
 
 def test_cli_search_guard_before_enumeration():
-    # at the parent all 2^100 vectors were listed before the guard: it never returned
-    done = _cli("search", "--q", "2", "--n", "100", "--max-rank", "3")
-    assert done.returncode == 3, done.stderr
-    assert done.stderr.startswith("resource guard: brute-force search space")
+    # n = 100: all 2^100 vectors were once listed before the guard, and it never
+    # returned; n = 500: finding the degree-500 modulus took longer than the timeout;
+    # the last size has more digits than int -> str converts, and is never computed
+    for n, rank in (("100", "3"), ("500", "3"), ("5000", "1000000000")):
+        done = _cli("search", "--q", "2", "--n", n, "--max-rank", rank)
+        assert done.returncode == 3, (n, done.stderr)
+        assert done.stderr.startswith("resource guard: brute-force search space")
+        assert done.stderr.count("\n") == 1
 
 
 def test_curve_request_enumerates_each_degree_once(monkeypatch):
