@@ -12,7 +12,7 @@ valuation constraints, computed with truncated series expansions.
 from . import linalg
 from .bilinear import ExtAlgebra, TruncAlgebra, entry_conversion, interpolation_algorithm
 from .errors import CcmaError, ConditionFailure, DivisorSearchFailed
-from .gf import ExtensionRing, FieldSpec, Poly, is_irreducible, iter_irreducibles
+from .gf import ExtensionRing, FieldSpec, Poly, iter_irreducibles
 from .guard import check_guard
 from .series import Laurent, eval_poly, newton_root
 
@@ -300,13 +300,17 @@ def solve_y_quadratic(K, c, v):
             # Frobenius is bijective: unique (ramified) square root
             return [K.pow(v, 1 << (nbits - 1))], True
         f2 = FieldSpec.get(2)
+        # z -> z^2 + z on the F_2-basis 2^b x^i (bit b of coefficient i):
+        # (2^b x^i)^2 = (2^b)^2 x^2i, so one square per power of x
         cols = []
-        for i in range(nbits):
-            bits = [0] * nbits
-            bits[i] = 1
-            z = _unflatten_f2(K, bits)
-            img = K.add(K.mul(z, z), z)
-            cols.append(_flatten_f2(K, img))
+        for i in range(K.dim):
+            unit = [0] * K.dim
+            unit[i] = 1
+            square = K.mul(tuple(unit), tuple(unit))
+            for b in range(sp.k):
+                unit[i] = 1 << b
+                img = K.add(K.scale(sp.mul(unit[i], unit[i]), square), tuple(unit))
+                cols.append(_flatten_f2(K, img))
         mat = [[cols[j][i] for j in range(nbits)] for i in range(nbits)]
         w = K.mul(v, K.inv(K.mul(c, c)))
         sol = linalg.solve(f2, mat, _flatten_f2(K, w))
@@ -408,66 +412,47 @@ def fiber_places(curve, x_min):
                 for beta in sols
             ]
         else:
-            inert = _inert_place(curve, x_min, K, xi, c, v)
-            places = [inert] if inert is not None else []
+            places = [_inert_place(curve, x_min, K, xi, c, v)]
     curve._fibers[x_min] = places
     return places
 
 
 def _inert_place(curve, x_min, K_e, xi, c, v):
-    """The degree-2e place above x_min when the quadratic stays irreducible."""
+    """The degree-2e place above x_min when the quadratic stays irreducible.
+
+    The compositum K_e[y]/(y^2 + cy - v) = F_{q^2e} is written in the basis
+    (1, y) over K_e, flattened over F_q.  Its residue field is F_q[T]/(N),
+    N the minimal polynomial of the first generator z = y + a, a in K_e in
+    ascending encoding: the first whose powers z^0..z^(2e-1) are
+    independent (a = 0 unless y lies in a proper subfield).  The same
+    inverse gives N from z^2e and the coordinates of x in powers of z.
+    """
     base = curve.base
-    e = x_min.degree
-    # norm of T^2 + cT - v over the conjugates of xi
-    conj_c, conj_v = c, v
-    prod = [(K_e.neg(v), c, K_e.one)]  # quadratic as (const, lin, quad) over K_e
-    for _ in range(e - 1):
-        conj_c = K_e.pow(conj_c, base.q)
-        conj_v = K_e.pow(conj_v, base.q)
-        prod.append((K_e.neg(conj_v), conj_c, K_e.one))
-    poly = [K_e.one]
-    for quad in prod:
-        out = [K_e.zero] * (len(poly) + 2)
-        for i, pc in enumerate(poly):
-            if pc == K_e.zero:
-                continue
-            for j, qc in enumerate(quad):
-                out[i + j] = K_e.add(out[i + j], K_e.mul(pc, qc))
-        poly = out
-    coeffs = []
-    for pc in poly:
-        as_poly = K_e.to_poly(pc)
-        if as_poly.degree > 0:
-            raise CcmaError("norm polynomial is not rational")
-        coeffs.append(as_poly[0])
-    N = Poly(base, coeffs)
-    if not is_irreducible(N):
-        return None
-    K_P = ExtensionRing(base, N.monic())
-    beta = K_P.gen()
-    # express the x-coordinate in the power basis of beta: the compositum
-    # K_e[y]/(y^2 + cy - v) has basis x^i y^j, and powers of y span it
-    dim = 2 * e
+    dim = 2 * x_min.degree
 
     def flat(pair):
         return list(pair[0]) + list(pair[1])
 
-    def mul_y(pair):
-        a, b = pair
-        # (a + b y) y = b v + (a - b c) y
-        return (K_e.mul(b, v), K_e.sub(a, K_e.mul(b, c)))
-
-    power = (K_e.one, K_e.zero)
-    cols = [flat(power)]
-    for _ in range(dim - 1):
-        power = mul_y(power)
-        cols.append(flat(power))
-    mat = [[cols[t][i] for t in range(dim)] for i in range(dim)]
     target = flat((K_e.gen(), K_e.zero))
-    sol = linalg.solve(base, mat, target)
-    if sol is None:
-        raise CcmaError("inert place construction failed to locate x")
-    xroot = tuple(sol)
+    for a in K_e.elements():
+        # (p0 + p1 y)(a + y) = (p0 a + p1 v) + (p0 + p1 (a - c)) y
+        a_minus_c = K_e.sub(a, c)
+        power = (K_e.one, K_e.zero)
+        cols = [flat(power)]
+        for _ in range(dim):
+            p0, p1 = power
+            power = (K_e.add(K_e.mul(p0, a), K_e.mul(p1, v)),
+                     K_e.add(p0, K_e.mul(p1, a_minus_c)))
+            cols.append(flat(power))
+        inv = linalg.invert(base, [list(row) for row in zip(*cols[:dim])])
+        if inv is not None:
+            break
+    else:
+        raise CcmaError("inert place construction found no generator")
+    relation = linalg.mat_vec(base, inv, cols[dim])
+    K_P = ExtensionRing(base, Poly(base, [base.neg(r) for r in relation] + [1]))
+    xroot = tuple(linalg.mat_vec(base, inv, target))
+    beta = K_P.sub(K_P.gen(), K_e.to_poly(a).eval_in(K_P, xroot))
     lhs = K_P.add(K_P.mul(beta, beta), K_P.mul(curve.h1.eval_in(K_P, xroot), beta))
     assert lhs == curve.f.eval_in(K_P, xroot)
     return CurvePlace(curve, x_min, K_P, xroot, beta, ramified=False)
@@ -514,68 +499,109 @@ def find_place_of_degree(curve, n):
 
 
 class Frame:
-    """Series of x and y in a uniformizer at one place, to a set precision."""
+    """Series of x and y in a uniformizer at one place, to a set precision.
 
-    def __init__(self, place, prec):
+    The frame also holds the powers sx^0..sx^top, taken once on the window
+    `eval_poly` would use for a degree-top polynomial.  A base-field
+    polynomial of degree at most top is a linear combination of that table:
+    one `dot` per (exponent, residue coordinate) and no series product of
+    its own, known to the least precision among the powers it uses.
+    """
+
+    def __init__(self, place, prec, top):
         self.place = place
         self.prec = prec
-        curve = place.curve
-        base = curve.base
-        if place.is_infinity:
-            self.ring = base
-            self.sx, self.sy = _infinity_series(curve, prec)
-            return
-        K = place.residue
-        self.ring = K
-        if place.curve.has_y and place.ramified and place.degree == 1:
-            # uniformizer y - y0; solve for the x series
-            y0 = place.beta
-            t = Laurent.uniformizer(K, prec + 1)
-            sy = t.add(Laurent.from_constant(K, y0, prec + 1))
-            coeffs = []
-            top = curve.f.degree
-            ysq = sy.mul(sy)
-            h = curve.h1
-            for i in range(top + 1):
-                term = Laurent.from_constant(K, K.embed_base(curve.base.neg(curve.f[i])), prec + 1)
-                if i <= h.degree and h[i]:
-                    term = term.add(sy.scale(K.embed_base(h[i])))
-                if i == 0:
-                    term = term.add(ysq)
-                coeffs.append(term.truncate(prec + 1))
-            self.sx = newton_root(coeffs, place.xi, K, prec)
-            self.sy = sy.truncate(prec)
-            return
-        if place.x_deg != place.degree:
-            raise CcmaError("series frames unsupported at inert places")
-        if place.ramified:
-            raise CcmaError("series frames unsupported at this ramified place")
-        # uniformizer x_min(x); x series from x_min(x(t)) = t, then y by Newton
-        t = Laurent.uniformizer(K, prec + 1)
-        coeffs = []
-        for i in range(place.x_min.degree + 1):
-            term = Laurent.from_constant(K, K.embed_base(place.x_min[i]), prec + 1)
-            if i == 0:
-                term = term.sub(t)
-            coeffs.append(term)
-        sx = newton_root(coeffs, place.xi, K, prec)
-        self.sx = sx
-        if not curve.has_y:
-            self.sy = Laurent.from_constant(K, K.zero, prec)
-            return
-        fx = eval_poly(curve.f, sx, K, prec)
-        hx = eval_poly(curve.h1, sx, K, prec)
-        ycoeffs = [fx.neg(), hx, Laurent.from_constant(K, K.one, prec)]
-        self.sy = newton_root(ycoeffs, place.beta, K, prec)
+        self.ring, self.sx, self.sy = _local_series(place, prec)
+        window = prec + max(0, -self.sx.val) * max(top, 1) + 1
+        power = Laurent.from_constant(self.ring, self.ring.one, window)
+        powers = [power]
+        for _ in range(top):
+            power = power.mul(self.sx)
+            powers.append(power)
+        self._powers = powers
+        self._lo = min(s.val for s in powers)
+        # _columns[e - lo] holds the t^e coefficients of sx^0..sx^top, one
+        # tuple per residue coordinate (0 where a power is not known at e;
+        # poly_at stops below the precision of every power it uses)
+        self._columns = []
+        for e in range(self._lo, prec):
+            column = [s.coeffs[e - s.val] if s.val <= e < s.prec else self.ring.zero
+                      for s in powers]
+            self._columns.append(column if place.is_infinity else list(zip(*column)))
 
-    def eval_func(self, fe):
-        ring = self.ring
+    def poly_at(self, poly):
+        """poly(sx) for a base-field polynomial of degree at most top."""
+        if poly.is_zero():
+            return Laurent.from_constant(self.ring, self.ring.zero, self.prec)
+        used = self._powers[: poly.degree + 1]
+        val = min(s.val for s in used)
+        prec = min(min(s.prec for s in used), self.prec)
+        dot = self.place.curve.base.dot
+        columns = self._columns[val - self._lo : prec - self._lo]
+        if self.place.is_infinity:
+            coeffs = [dot(poly.coeffs, column) for column in columns]
+        else:
+            coeffs = [tuple(dot(poly.coeffs, c) for c in column) for column in columns]
+        return Laurent(self.ring, val, coeffs, prec)
+
+    def eval_funcs(self, funcs):
+        """Series of each function, inverting each distinct denominator once."""
         prec = self.prec
-        num = eval_poly(fe.a, self.sx, ring, prec)
-        if not fe.b.is_zero():
-            num = num.add(eval_poly(fe.b, self.sx, ring, prec).mul(self.sy).truncate(prec))
-        den = eval_poly(fe.den, self.sx, ring, prec)
-        return num.mul(den.inv()).truncate(prec)
+        inverses = {}
+        out = []
+        for fe in funcs:
+            num = self.poly_at(fe.a)
+            if not fe.b.is_zero():
+                num = num.add(self.poly_at(fe.b).mul(self.sy).truncate(prec))
+            inv = inverses.get(fe.den)
+            if inv is None:
+                inv = inverses[fe.den] = self.poly_at(fe.den).inv()
+            out.append(num.mul(inv).truncate(prec))
+        return out
+
+
+def _local_series(place, prec):
+    """(ring, sx, sy): x and y as series in a uniformizer at the place."""
+    curve = place.curve
+    if place.is_infinity:
+        return (curve.base,) + _infinity_series(curve, prec)
+    K = place.residue
+    if curve.has_y and place.ramified and place.degree == 1:
+        # uniformizer y - y0; solve for the x series
+        y0 = place.beta
+        t = Laurent.uniformizer(K, prec + 1)
+        sy = t.add(Laurent.from_constant(K, y0, prec + 1))
+        coeffs = []
+        top = curve.f.degree
+        ysq = sy.mul(sy)
+        h = curve.h1
+        for i in range(top + 1):
+            term = Laurent.from_constant(K, K.embed_base(curve.base.neg(curve.f[i])), prec + 1)
+            if i <= h.degree and h[i]:
+                term = term.add(sy.scale(K.embed_base(h[i])))
+            if i == 0:
+                term = term.add(ysq)
+            coeffs.append(term.truncate(prec + 1))
+        return K, newton_root(coeffs, place.xi, K, prec), sy.truncate(prec)
+    if place.x_deg != place.degree:
+        raise CcmaError("series frames unsupported at inert places")
+    if place.ramified:
+        raise CcmaError("series frames unsupported at this ramified place")
+    # uniformizer x_min(x); x series from x_min(x(t)) = t, then y by Newton
+    t = Laurent.uniformizer(K, prec + 1)
+    coeffs = []
+    for i in range(place.x_min.degree + 1):
+        term = Laurent.from_constant(K, K.embed_base(place.x_min[i]), prec + 1)
+        if i == 0:
+            term = term.sub(t)
+        coeffs.append(term)
+    sx = newton_root(coeffs, place.xi, K, prec)
+    if not curve.has_y:
+        return K, sx, Laurent.from_constant(K, K.zero, prec)
+    fx = eval_poly(curve.f, sx, K, prec)
+    hx = eval_poly(curve.h1, sx, K, prec)
+    ycoeffs = [fx.neg(), hx, Laurent.from_constant(K, K.one, prec)]
+    return K, sx, newton_root(ycoeffs, place.beta, K, prec)
 
 
 def _infinity_series(curve, prec):
@@ -627,34 +653,60 @@ def residue_coords(place, value):
 def func_values_at(curve, funcs, place, order):
     """Expansion coefficients to the given order for each function.
 
-    Returns a list (per function) of `order` residue-field values; uses
-    plain evaluation when possible and series frames otherwise.
+    Returns a list (per function) of `order` residue-field values.  At a
+    finite place with order 1 the residue ring is a field: the powers
+    xi^0..xi^top of the place's x-coordinate are taken once, each of a, b
+    and den is `dot` of its coefficients with the table's coordinate
+    columns, and each distinct denominator is inverted once (a Riemann-Roch
+    basis shares u(x), so usually one inverse per call).  Infinity, higher
+    orders and a denominator that vanishes at the place go through series
+    frames, which evaluate the same way over a table of powers of sx.
     """
-    if place.is_infinity:
+    if not funcs:
+        return []
+    if place.is_infinity or order != 1:
         return _frame_values(curve, funcs, place, order)
     K = place.residue
-    if order == 1:
-        # the residue ring is a field: every nonzero denominator is a unit
-        dens = [f.den.eval_in(K, place.xi) for f in funcs]
-        if K.zero not in dens:
-            out = []
-            for f, denv in zip(funcs, dens):
-                num = f.a.eval_in(K, place.xi)
-                if curve.has_y and not f.b.is_zero():
-                    num = K.add(num, K.mul(f.b.eval_in(K, place.xi), place.beta))
-                out.append([K.mul(num, K.inv(denv))])
-            return out
-    return _frame_values(curve, funcs, place, order)
+    dot = curve.base.dot
+    power = K.one
+    powers = [power]
+    for _ in range(_top_degree(funcs)):
+        power = K.mul(power, place.xi)
+        powers.append(power)
+    columns = list(zip(*powers))
+
+    def value(poly):
+        return tuple(dot(poly.coeffs, col) for col in columns)
+
+    inverses = {}
+    for f in funcs:
+        if f.den not in inverses:
+            denv = value(f.den)
+            if denv == K.zero:
+                return _frame_values(curve, funcs, place, order)
+            inverses[f.den] = K.inv(denv)
+    out = []
+    for f in funcs:
+        num = value(f.a)
+        if curve.has_y and not f.b.is_zero():
+            num = K.add(num, K.mul(value(f.b), place.beta))
+        out.append([K.mul(num, inverses[f.den])])
+    return out
+
+
+def _top_degree(funcs):
+    return max(max(f.a.degree, f.b.degree, f.den.degree) for f in funcs)
 
 
 def _frame_values(curve, funcs, place, order):
-    den_deg = max((f.den.degree for f in funcs), default=0)
+    den_deg = max(f.den.degree for f in funcs)
     extra = 2 * max(den_deg, 1) + 2
     prec = order + extra
+    top = _top_degree(funcs)
     while True:
-        frame = Frame(place, prec)
+        frame = Frame(place, prec, top)
         try:
-            series = [frame.eval_func(f) for f in funcs]
+            series = frame.eval_funcs(funcs)
         except CcmaError:
             prec *= 2
             if prec > 16 * (order + extra):

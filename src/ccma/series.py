@@ -134,7 +134,15 @@ class Laurent:
 
 
 def eval_poly(poly, series, ring, prec):
-    """Evaluate a base-field polynomial at a Laurent series (Horner)."""
+    """Evaluate a base-field polynomial at a Laurent series (Horner).
+
+    The accumulator starts on a window of prec + max(0, -val) * deg + 1
+    terms, which leaves room for the poles of the powers of a series with
+    negative valuation; the result keeps the precision the products track.
+    Curve frames use it for f(x) and h(x) of the model and evaluate
+    function bases through one table of powers at the same window
+    (`curves.Frame`).
+    """
     window = prec + max(0, -series.val) * max(poly.degree, 1) + 1
     acc = Laurent.from_constant(ring, ring.zero, window)
     for c in reversed(poly.coeffs):

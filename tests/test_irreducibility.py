@@ -99,6 +99,9 @@ def test_butler_matches_rabin_on_random_high_degree():
         cases.append(low * lex_least_irreducible(F16, d - 5))
         cases.append(low * low * _random_monic(rng, F16, d - 10))
     cases += [_random_monic(rng, F2, 16) for _ in range(10)]
+    # low degrees on either side of gf.ROOT_SCAN_MAX_Q (root scan, then Butler)
+    for spec in (F16, FieldSpec.get(2, 6)):
+        cases += [_random_monic(rng, spec, d) for d in (2, 3, 4) for _ in range(4)]
     verdicts = [is_irreducible(p) for p in cases]
     assert verdicts == [rabin_is_irreducible(p) for p in cases]
     assert True in verdicts and False in verdicts
