@@ -522,17 +522,19 @@ def _power_basis_form(A, B, W, iso, ring, limit=None):
     ring.  Candidates g are scanned in ascending encoding of their tower
     coordinates, and the first whose powers 1, g, ..., g^(d-1) are
     independent wins: with theta = [g^0 ... g^(d-1)], the new modulus is
-    g's minimal polynomial z^d - theta^-1 g^d.
+    g's minimal polynomial z^d - theta^-1 g^d.  The guard counts the
+    candidates tried; non-generators lie in proper subfields, so few are.
     """
     K = iso.K
     m = iso.m
     n = ring.dim
     dim = m * n
     q = K.q
-    # non-generators lie in proper subfields, so few low encodings are skipped
-    check_guard(dim.bit_length() * q ** (dim // 2) + 2, "generator scan", limit)
+    lim = guard_limit(limit)
     # encodings below q^m have only block-0 digits: they lie in F_{q^m}
-    for enc in range(q ** m if dim > m else 1, q ** dim):
+    first = q ** m if dim > m else 1
+    for enc in range(first, q ** dim):
+        check_guard(enc - first + 1, "generator scan", lim)
         coords = []
         v = enc
         for _ in range(dim):

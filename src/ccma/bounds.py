@@ -9,7 +9,7 @@ that produced them, with any recipe/print mismatch surfaced explicitly.
 import math
 from fractions import Fraction
 
-from .errors import CcmaError, InvalidRequest
+from .errors import CcmaError, GuardExceeded, InvalidRequest, PlanInfeasible
 from .gf import is_prime
 
 
@@ -544,11 +544,17 @@ def table_report(name, planner=None, n_max=6):
                     "applicable": True,
                 }
                 if planner is not None:
-                    cert = planner(q, n)
-                    row["achieved"] = cert["rank"]
-                    row["status"] = (
-                        "achieved" if cert["rank"] <= printed else "not reproduced"
-                    )
+                    try:
+                        cert = planner(q, n)
+                    except (PlanInfeasible, GuardExceeded) as exc:
+                        # one failing cell does not stop the rest of the table
+                        row["status"] = "infeasible"
+                        row["message"] = str(exc)
+                    else:
+                        row["achieved"] = cert["rank"]
+                        row["status"] = (
+                            "achieved" if cert["rank"] <= printed else "not reproduced"
+                        )
                 rows.append(row)
     else:
         raise CcmaError(f"unknown table {name!r}")

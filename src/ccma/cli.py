@@ -147,7 +147,10 @@ def cmd_bounds(args):
         _emit(buf.getvalue(), args.out)
     else:
         _emit(json.dumps(rows, indent=2, default=str) + "\n", args.out)
-    bad = [r for r in rows if r.get("matches_paper") is False or r.get("status") == "not reproduced"]
+    bad = [
+        r for r in rows
+        if r.get("matches_paper") is False or r.get("status") in ("not reproduced", "infeasible")
+    ]
     return EXIT_MISMATCH if bad else EXIT_OK
 
 

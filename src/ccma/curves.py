@@ -9,6 +9,8 @@ are cut out of the pole-order filtration at the infinite place by local
 valuation constraints, computed with truncated series expansions.
 """
 
+import itertools
+
 from . import linalg
 from .bilinear import ExtAlgebra, TruncAlgebra, entry_conversion, interpolation_algorithm
 from .errors import CcmaError, ConditionFailure, DivisorSearchFailed
@@ -353,12 +355,11 @@ def _tonelli_shanks(K, a, size):
     while q % 2 == 0:
         q //= 2
         s += 1
-    nonres = None
-    for enc in range(2, size):
-        cand = _decode_elem(K, enc)
-        if K.pow(cand, (size - 1) // 2) != K.one and cand != K.zero:
-            nonres = cand
-            break
+    # the least non-residue in ascending encoding, from 2 (0 and 1 are squares)
+    nonres = next(
+        cand for cand in itertools.islice(K.elements(), 2, None)
+        if K.pow(cand, (size - 1) // 2) != K.one
+    )
     z = K.pow(nonres, q)
     m = s
     c = z
@@ -378,15 +379,6 @@ def _tonelli_shanks(K, a, size):
         t = K.mul(t, c)
         r = K.mul(r, b)
     return r
-
-
-def _decode_elem(K, enc):
-    q = K.spec.q
-    out = []
-    for _ in range(K.dim):
-        out.append(enc % q)
-        enc //= q
-    return tuple(out)
 
 
 # -- place enumeration ---------------------------------------------------------

@@ -133,14 +133,7 @@ def plan_search(
     if not classes:
         raise PlanInfeasible(f"no admissible items for n={n}, l={ell} over {base!r}")
 
-    rational_avail = classes[0][2] if classes[0][:2] == (1, 1) else 0
-    if rational_avail >= budget:
-        # every item costs at least 2 d u - 1, so a plan of budget rational
-        # places (cost 1 each) is exactly optimal
-        counts = [budget if cls[:2] == (1, 1) else 0 for cls in classes]
-        total = budget
-    else:
-        counts, total = _lazy_plan_dp(classes, budget, cost_table)
+    counts, total = _lazy_plan_dp(classes, budget, cost_table)
     if counts is None:
         raise PlanInfeasible(f"no feasible plan for n={n}, l={ell} within caps")
 
@@ -166,79 +159,61 @@ def _lazy_plan_dp(classes, budget, cost_table):
     Entries are priced optimistically at the local lower bound 2du-1 until
     a candidate-optimal plan actually uses them; iterating to a fixpoint
     yields the true optimum while never building irrelevant table entries.
+
+    `best(i, remaining, used)` is the least cost of classes i.. that covers
+    `remaining` degree when `used` places of class i's degree are taken.
+    Its memo keeps that cost and the largest count of class i reaching it,
+    so following the stored counts from (0, budget, 0) reads the
+    lexicographically greatest least plan.  A state depends only on the
+    prices of its own suffix: pricing classes up to index k clears memo[0..k].
     """
     INF = float("inf")
-    estimates = {}
-    exact = set()
+    last = len(classes)
+    price = [2 * d * u - 1 for d, u, _ in classes]
+    exact = [False] * last
+    memo = [{} for _ in classes]
+    # class i + 1 draws on the places of class i's degree
+    shares = [i + 1 < last and classes[i + 1][0] == d for i, (d, _, _) in enumerate(classes)]
 
-    def est(d, u):
-        v = estimates.get((d, u))
-        if v is None:
-            v = 2 * d * u - 1
-            estimates[(d, u)] = v
-        return v
+    def best(i, remaining, used):
+        if remaining <= 0:
+            return 0
+        if i == last:
+            return INF
+        hit = memo[i].get((remaining, used))
+        if hit is not None:
+            return hit[0]
+        d, u, avail = classes[i]
+        du = d * u
+        least, pick = INF, 0
+        # from high to low: the strict < keeps the larger count on a tie
+        for c in range(min(avail - used, -(-remaining // du)), -1, -1):
+            total = c * price[i] + best(i + 1, remaining - c * du, used + c if shares[i] else 0)
+            if total < least:
+                least, pick = total, c
+        memo[i][(remaining, used)] = (least, pick)
+        return least
 
-    def next_used(idx, used, c):
-        if idx + 1 < len(classes) and classes[idx + 1][0] == classes[idx][0]:
-            return used + c
-        return 0
-
-    for _ in range(len(classes) * 4 + 4):
-        memo = {}
-
-        def best_from(idx, remaining, used):
-            if remaining <= 0:
-                return 0
-            if idx == len(classes):
-                return INF
-            key = (idx, remaining, used)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            d, u, avail = classes[idx]
-            best = INF
-            top = min(avail - used, -(-remaining // (d * u)))
-            for c in range(top + 1):
-                rest = best_from(idx + 1, remaining - c * d * u, next_used(idx, used, c))
-                if rest < INF:
-                    total = c * est(d, u) + rest
-                    if total < best:
-                        best = total
-            memo[key] = best
-            return best
-
-        total = best_from(0, budget, 0)
+    while True:
+        total = best(0, budget, 0)
         if total == INF:
             return None, None
-        # reconstruct lexicographically least multiset: prefer more copies
-        # of earlier (smaller) classes among equal-cost solutions
         counts = []
-        remaining = budget
-        target_cost = total
-        used = 0
-        for idx, (d, u, avail) in enumerate(classes):
-            top = min(avail - used, max(0, -(-remaining // (d * u))))
-            chosen = 0
-            for c in range(top, -1, -1):
-                rest = best_from(idx + 1, remaining - c * d * u, next_used(idx, used, c))
-                if rest < INF and c * est(d, u) + rest == target_cost:
-                    chosen = c
-                    break
-            counts.append(chosen)
-            remaining -= chosen * d * u
-            target_cost -= chosen * est(d, u)
-            used = next_used(idx, used, chosen)
-        pending = [
-            cls[:2]
-            for cls, c in zip(classes, counts)
-            if c and cls[:2] not in exact
-        ]
+        remaining, used = budget, 0
+        for i, (d, u, _) in enumerate(classes):
+            c = memo[i][(remaining, used)][1] if remaining > 0 else 0
+            counts.append(c)
+            remaining -= c * d * u
+            used = used + c if shares[i] else 0
+        pending = [i for i, c in enumerate(counts) if c and not exact[i]]
         if not pending:
             return counts, int(total)
-        for d, u in pending:
-            estimates[(d, u)] = cost_table.cost(d, u)
-            exact.add((d, u))
-    raise PlanInfeasible("plan pricing did not converge")
+        for i in pending:
+            d, u, _ = classes[i]
+            price[i] = cost_table.cost(d, u)
+            exact[i] = True
+        for i in range(pending[-1] + 1):
+            memo[i].clear()
 
 
 def _item_key(item):

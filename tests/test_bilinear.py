@@ -344,3 +344,29 @@ def test_empty_algorithm_fails_verification():
     target = extension_target(FieldSpec.get(2), 2)
     alg = BilinearAlgorithm(target, [], [], [[], []])
     assert alg.failing_pair() == (0, 0)
+
+
+def test_generator_scan_guard_counts_candidates_tried():
+    # F_2^8 as F_4 over F_2 under F_{4^4} over F_4: the first candidate is a
+    # generator, so a limit of 4 (the root search in F_4) is enough
+    table = CostTable(F2)
+    outer, inner = table.get(2, 1), table.subtable(F4).get(4, 1)
+    alg = compose_tower(outer, inner, limit=4)
+    assert verify(alg)
+    assert alg.to_json() == compose_tower(outer, inner).to_json()
+
+
+def test_generator_scan_guard_refuses_a_longer_scan():
+    from ccma.bilinear import _ExtFieldIso, _compose_blocks, _power_basis_form
+    from ccma.errors import GuardExceeded
+
+    # F_2^6 as F_8 over F_2 under F_{8^2} over F_8: the third candidate wins
+    table = CostTable(F2)
+    outer = table.get(3, 1)
+    inner = table.subtable(field_extend(F2, 3)).get(2, 1)
+    iso = _ExtFieldIso(outer.target)
+    A, B, W = _compose_blocks(outer, inner, iso)
+    with pytest.raises(GuardExceeded, match="generator scan"):
+        _power_basis_form(A, B, W, iso, inner.target.ring, limit=2)
+    alg = _power_basis_form(A, B, W, iso, inner.target.ring, limit=3)
+    assert alg.to_json() == compose_tower(outer, inner).to_json()

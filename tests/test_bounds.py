@@ -190,3 +190,25 @@ def test_uniform_sym_prime_gap_reports_inapplicable():
     assert float(forced.value) / 10 ** 6 < 3 * (1 + (4 / 3) / 4) * 1.01
     eleven = uniform_sym_prime_gap(11, 10 ** 6, x_alpha=10.0)
     assert eleven.applicable and eleven.value > 0
+
+
+def test_table2_report_keeps_going_past_a_failing_cell():
+    from ccma.errors import GuardExceeded, PlanInfeasible
+
+    def planner(q, n):
+        if (q, n) == (3, 3):
+            raise PlanInfeasible("no plan here")
+        if (q, n) == (4, 2):
+            raise GuardExceeded("generator scan", 9, 8)
+        return {"rank": TABLE2[q][n - 2]}
+
+    rows = table_report("table2", planner=planner, n_max=3)
+    by_cell = {(r["q"], r["n"]): r for r in rows}
+    assert sorted(by_cell) == [(q, n) for q in (2, 3, 4) for n in (2, 3)]
+    assert by_cell[(3, 3)]["status"] == "infeasible"
+    assert by_cell[(3, 3)]["message"] == "no plan here"
+    assert "achieved" not in by_cell[(3, 3)]
+    assert by_cell[(4, 2)]["status"] == "infeasible"
+    assert "generator scan" in by_cell[(4, 2)]["message"]
+    assert by_cell[(4, 3)]["status"] == "achieved"
+    assert by_cell[(4, 3)]["achieved"] == TABLE2[4][1]

@@ -485,3 +485,22 @@ def test_curve_request_enumerates_each_degree_once(monkeypatch):
         cert = Planner(spec_for_q(q), strategies=("curve",)).synth(n)
         assert calls == degrees, (q, n, calls)
         assert cert["rank"] == {4: 8, 3: 26}[q]
+
+
+def test_cli_bounds_table2_achieved_writes_every_row_past_a_failure(monkeypatch, capsys):
+    from ccma.bounds import TABLE2
+    from ccma.errors import PlanInfeasible
+
+    def synth(self, n):
+        if (self.base.q, n) == (3, 2):
+            raise PlanInfeasible("no strategy produced an algorithm for n=2")
+        return {"rank": TABLE2[self.base.q][n - 2]}
+
+    monkeypatch.setattr(Planner, "synth", synth)
+    code = main(["bounds", "--table", "table2", "--achieved", "--n-max", "3"])
+    rows = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert [(r["q"], r["n"]) for r in rows] == [(q, n) for q in (2, 3, 4) for n in (2, 3)]
+    failed = [r for r in rows if r["status"] != "achieved"]
+    assert [(r["q"], r["n"], r["status"]) for r in failed] == [(3, 2, "infeasible")]
+    assert "n=2" in failed[0]["message"]
