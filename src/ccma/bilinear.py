@@ -324,7 +324,7 @@ def winograd_floor(alg):
 # -- interpolation assembly ----------------------------------------------------
 
 
-def entry_conversion(base, modulus, entry, limit=None):
+def entry_conversion(base, modulus, entry):
     """Matrix rebasing residue coordinates mod `modulus` into the entry's field.
 
     The residue field F_q[x]/(modulus) is sent to the power basis of the
@@ -335,17 +335,17 @@ def entry_conversion(base, modulus, entry, limit=None):
     d = modulus.degree
     if d == 1:
         return None
-    return place_columns(base, modulus, entry, 1, d - 1, limit)
+    return place_columns(base, modulus, entry, 1, d - 1)
 
 
-def place_columns(base, P, entry, u, bound, limit=None):
+def place_columns(base, P, entry, u, bound):
     """Local evaluation at the place P on x^0..x^bound, in the entry's basis.
 
     The cost-table entry multiplies in F_{q^d}[t]/(t^u) over the field of
     its modulus; the place is read there through the least root of P.
     """
     field = ExtensionRing(base, entry.target.Q)
-    root = least_root(field, P, limit)
+    root = least_root(field, P)
     if root is None:
         raise CcmaError("place modulus has no root in the entry field")
     return local_columns(field, P, root, u, bound)
@@ -463,13 +463,13 @@ def trivial_rank1(target):
 class _ExtFieldIso:
     """Iso between F_q[x]/(Q) (over base K) and the canonical FieldSpec."""
 
-    def __init__(self, algebra, limit=None):
+    def __init__(self, algebra):
         K = algebra.base
         m = algebra.n
         self.spec2 = field_extend(K, m)
         big = self.spec2
         Q_big = Poly(big, [embed_element(K, big, c) for c in algebra.Q.coeffs])
-        root = least_root(big, Q_big, limit)
+        root = least_root(big, Q_big)
         if root is None:
             raise CcmaError("modulus has no root in the canonical field")
         self.K = K
@@ -514,7 +514,7 @@ class _ExtFieldIso:
         return [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
 
 
-def _power_basis_form(A, B, W, iso, ring, limit=None):
+def _power_basis_form(A, B, W, iso, ring):
     """Rewrite a composed algorithm on the power basis of its first generator.
 
     (A, B, W) use tower coordinates: coordinate j*m + t stands for
@@ -530,7 +530,7 @@ def _power_basis_form(A, B, W, iso, ring, limit=None):
     n = ring.dim
     dim = m * n
     q = K.q
-    lim = guard_limit(limit)
+    lim = guard_limit()
     # encodings below q^m have only block-0 digits: they lie in F_{q^m}
     first = q ** m if dim > m else 1
     for enc in range(first, q ** dim):
@@ -563,7 +563,7 @@ def _power_basis_form(A, B, W, iso, ring, limit=None):
 # -- composition --------------------------------------------------------------
 
 
-def compose_tower(outer, inner, limit=None):
+def compose_tower(outer, inner):
     """Nest an algorithm over F_{q^m} inside one for F_{q^m}/F_q.
 
     outer multiplies in F_{q^m}/F_q, inner in F_{(q^m)^n}/F_{q^m}; the
@@ -571,18 +571,18 @@ def compose_tower(outer, inner, limit=None):
     """
     if outer.target.kind != "extension" or inner.target.kind != "extension":
         raise FieldMismatch("tower composition needs extension-field targets")
-    iso = _ExtFieldIso(outer.target, limit)
+    iso = _ExtFieldIso(outer.target)
     if inner.target.base != iso.spec2:
         raise FieldMismatch(
             f"inner base {inner.target.base!r} is not {iso.spec2!r}"
         )
     A, B, W = _compose_blocks(outer, inner, iso)
-    out = _power_basis_form(A, B, W, iso, inner.target.ring, limit)
+    out = _power_basis_form(A, B, W, iso, inner.target.ring)
     out.meta = {"method": "tower", "outer": outer.meta, "inner": inner.meta}
     return out
 
 
-def compose_truncated(outer, inner, limit=None):
+def compose_truncated(outer, inner):
     """Localize: outer for F_{q^d}/F_q, inner for F_{q^d}[t]/(t^u) over F_{q^d}."""
     if outer.target.kind != "extension":
         raise FieldMismatch("outer algorithm must target an extension field")
@@ -590,7 +590,7 @@ def compose_truncated(outer, inner, limit=None):
         raise FieldMismatch("inner algorithm must target F[t]/(t^u) over the big field")
     K = outer.target.base
     d = outer.target.n
-    iso = _ExtFieldIso(outer.target, limit)
+    iso = _ExtFieldIso(outer.target)
     if inner.target.base != iso.spec2:
         raise FieldMismatch(
             f"inner base {inner.target.base!r} is not {iso.spec2!r}"
@@ -844,9 +844,8 @@ class CostTable:
     field: one table per field, and each entry is built once.
     """
 
-    def __init__(self, base, limit=None):
+    def __init__(self, base):
         self.base = base
-        self.limit = limit
         self._entries = {}
         self._registry = {base: self}
 
@@ -854,7 +853,7 @@ class CostTable:
         """The table over `spec` in this table's registry."""
         tab = self._registry.get(spec)
         if tab is None:
-            tab = CostTable(spec, self.limit)
+            tab = CostTable(spec)
             tab._registry = self._registry
             self._registry[spec] = tab
         return tab
@@ -891,7 +890,7 @@ class CostTable:
             if d == 2:
                 yield karatsuba(self._target(d, 1))
             for _, outer, inner in self.tower_splits(d):
-                yield compose_tower(outer, inner, self.limit)
+                yield compose_tower(outer, inner)
         else:
             target = self._target(d, u)
             if d == 1 and u == 2:
@@ -899,9 +898,9 @@ class CostTable:
             if d == 1 and u == 3:
                 yield truncated_order3(target)
             if d > 1:
-                big = field_extend(self.base, d, self.limit)
+                big = field_extend(self.base, d)
                 inner = self.subtable(big).get(1, u)
-                yield compose_truncated(self.get(d, 1), inner, self.limit)
+                yield compose_truncated(self.get(d, 1), inner)
         g0 = self._genus0_candidate(d, u)
         if g0 is not None:
             yield g0
@@ -918,7 +917,7 @@ class CostTable:
         """
         for a in range(2, d):
             if d % a == 0:
-                big = field_extend(self.base, a, self.limit)
+                big = field_extend(self.base, a)
                 yield a, self.get(a, 1), self.subtable(big).get(d // a, 1)
 
     def _genus0_candidate(self, d, u):
@@ -926,12 +925,10 @@ class CostTable:
         from .errors import GuardExceeded, PlanInfeasible
 
         try:
-            plan = genus0.plan_search(
-                self.base, d, u, self, max_item_dim=d * u - 1, limit=self.limit
-            )
+            plan = genus0.plan_search(self.base, d, u, self, max_item_dim=d * u - 1)
         except (PlanInfeasible, GuardExceeded):
             return None
-        return genus0.build(plan, self, limit=self.limit)
+        return genus0.build(plan, self)
 
     def load_check(self):
         """Re-verify every cached entry of every table in the registry."""

@@ -13,7 +13,7 @@ import itertools
 
 from . import linalg
 from .bilinear import ExtAlgebra, TruncAlgebra, entry_conversion, interpolation_algorithm
-from .errors import CcmaError, ConditionFailure, DivisorSearchFailed
+from .errors import CcmaError, ConditionFailure, DivisorSearchFailed, PlanInfeasible
 from .gf import ExtensionRing, FieldSpec, Poly, iter_irreducibles
 from .guard import check_guard
 from .series import Laurent, eval_poly, newton_root
@@ -404,12 +404,12 @@ def fiber_places(curve, x_min):
                 for beta in sols
             ]
         else:
-            places = [_inert_place(curve, x_min, K, xi, c, v)]
+            places = [_inert_place(curve, x_min, K, c, v)]
     curve._fibers[x_min] = places
     return places
 
 
-def _inert_place(curve, x_min, K_e, xi, c, v):
+def _inert_place(curve, x_min, K_e, c, v):
     """The degree-2e place above x_min when the quadratic stays irreducible.
 
     The compositum K_e[y]/(y^2 + cy - v) = F_{q^2e} is written in the basis
@@ -450,12 +450,12 @@ def _inert_place(curve, x_min, K_e, xi, c, v):
     return CurvePlace(curve, x_min, K_P, xroot, beta, ramified=False)
 
 
-def enumerate_curve_places(curve, d, limit=None):
+def enumerate_curve_places(curve, d):
     """Complete sorted list of degree-d places (guarded enumeration)."""
     if d < 1:
         raise CcmaError("degree must be >= 1")
     base = curve.base
-    check_guard(base.q ** d, f"place enumeration degree {d} on {curve!r}", limit)
+    check_guard(base.q ** d, f"place enumeration degree {d} on {curve!r}")
     out = []
     for m in iter_irreducibles(base, d):
         out.extend(p for p in fiber_places(curve, m) if p.degree == d)
@@ -469,7 +469,11 @@ def enumerate_curve_places(curve, d, limit=None):
 
 
 def find_place_of_degree(curve, n):
-    """Deterministic degree-n place: least liftable x_min, least beta."""
+    """Deterministic degree-n place: least liftable x_min, least beta.
+
+    Raises PlanInfeasible when none lies above the first 64*n*q degree-n
+    x-values: the curve instance cannot serve this n.
+    """
     base = curve.base
     tries = 0
     cap = 64 * n * base.q
@@ -484,7 +488,7 @@ def find_place_of_degree(curve, n):
         for p in places:
             if p.degree == n:
                 return p
-    raise CcmaError(f"no degree-{n} place found within {cap} candidates")
+    raise PlanInfeasible(f"no degree-{n} place found within {cap} candidates")
 
 
 # -- local frames (series expansions) -----------------------------------------
@@ -657,7 +661,7 @@ def func_values_at(curve, funcs, place, order):
     if not funcs:
         return []
     if place.is_infinity or order != 1:
-        return _frame_values(curve, funcs, place, order)
+        return _frame_values(funcs, place, order)
     K = place.residue
     dot = curve.base.dot
     power = K.one
@@ -675,7 +679,7 @@ def func_values_at(curve, funcs, place, order):
         if f.den not in inverses:
             denv = value(f.den)
             if denv == K.zero:
-                return _frame_values(curve, funcs, place, order)
+                return _frame_values(funcs, place, order)
             inverses[f.den] = K.inv(denv)
     out = []
     for f in funcs:
@@ -690,7 +694,7 @@ def _top_degree(funcs):
     return max(max(f.a.degree, f.b.degree, f.den.degree) for f in funcs)
 
 
-def _frame_values(curve, funcs, place, order):
+def _frame_values(funcs, place, order):
     den_deg = max(f.den.degree for f in funcs)
     extra = 2 * max(den_deg, 1) + 2
     prec = order + extra
@@ -780,7 +784,7 @@ class CurveDivisor:
         return [[p.describe(), c] for p, c in self.items_sorted()]
 
 
-def riemann_roch_basis(curve, D, limit=None):
+def riemann_roch_basis(curve, D):
     """Basis of L(D) = {f : div(f) + D >= 0}, as FuncElem values.
 
     Functions are written h/u with u(x) collecting the positive affine part
@@ -841,14 +845,14 @@ def riemann_roch_basis(curve, D, limit=None):
     return out
 
 
-def rr_dim(curve, D, limit=None):
-    return len(riemann_roch_basis(curve, D, limit))
+def rr_dim(curve, D):
+    return len(riemann_roch_basis(curve, D))
 
 
 # -- interpolation conditions ----------------------------------------------------
 
 
-def check_conditions(curve, Q, D1, D2, items, ell=1, limit=None):
+def check_conditions(curve, Q, D1, D2, items, ell=1):
     """Diagnostic report of the paper's rank and numerical criteria."""
     _check_supports(Q, D1, D2, items)
     n = Q.degree
@@ -856,15 +860,15 @@ def check_conditions(curve, Q, D1, D2, items, ell=1, limit=None):
     report = {"n": n, "genus": g, "l": ell, "supports_disjoint": True}
     base = curve.base
     same = D1 == D2
-    L1 = riemann_roch_basis(curve, D1, limit)
-    L2 = L1 if same else riemann_roch_basis(curve, D2, limit)
+    L1 = riemann_roch_basis(curve, D1)
+    L2 = L1 if same else riemann_roch_basis(curve, D2)
     m1 = evaluation_rows(curve, L1, Q, ell)
     m2 = m1 if same else evaluation_rows(curve, L2, Q, ell)
     report["a_onto"] = (
         linalg.rank(base, m1) == n * ell and linalg.rank(base, m2) == n * ell
     )
     D12 = D1.add(D2)
-    L12 = riemann_roch_basis(curve, D12, limit)
+    L12 = riemann_roch_basis(curve, D12)
     rows = []
     for place, u in items:
         rows.extend(evaluation_rows(curve, L12, place, u))
@@ -873,11 +877,11 @@ def check_conditions(curve, Q, D1, D2, items, ell=1, limit=None):
     for label, Dk in (("1", D1), ("2", D2)):
         if label == "1" or not same:
             A = Dk.sub(CurveDivisor(curve, {Q: ell}))
-            index = rr_dim(curve, A, limit) - (A.degree + 1 - g)
+            index = rr_dim(curve, A) - (A.degree + 1 - g)
         report[f"i_D{label}_minus_lQ"] = index
         report[f"a_sufficient_D{label}"] = index == 0
     G = CurveDivisor(curve, {p: u for p, u in items})
-    report["dim_D1_D2_minus_G"] = rr_dim(curve, D12.sub(G), limit)
+    report["dim_D1_D2_minus_G"] = rr_dim(curve, D12.sub(G))
     report["b_necessary_sufficient"] = report["dim_D1_D2_minus_G"] == 0
     q = base.q
     report["q_existence_bound"] = (2 * g + 1) <= q ** ((n - 1) / 2) * (q ** 0.5 - 1)
@@ -894,7 +898,7 @@ def _check_supports(Q, D1, D2, items):
 # -- divisor search ----------------------------------------------------------------
 
 
-def find_divisor(curve, Q, items, cost_table, limit=None, places=None):
+def find_divisor(curve, Q, items, cost_table, places=None):
     """(D, algorithm) for the first divisor D of degree n+g-1 that builds.
 
     The build decides both conditions (evaluation at Q onto L(D), evaluation
@@ -912,14 +916,14 @@ def find_divisor(curve, Q, items, cost_table, limit=None, places=None):
         raise CcmaError("deg G must be at least 2n+g-1")
     target_deg = n + g - 1
     eval_places = {p for p, _ in items}
-    pool = _support_pool(curve, Q, eval_places, target_deg, limit, places)
+    pool = _support_pool(curve, Q, eval_places, target_deg, places)
     tried = 0
     for D in _divisor_candidates(curve, eval_places, target_deg, pool):
         if tried == DIVISOR_CANDIDATES:
             break
         tried += 1
         try:
-            return D, ccma_build_curve(curve, Q, D, D, items, 1, cost_table, limit)
+            return D, ccma_build_curve(curve, Q, D, D, items, 1, cost_table)
         except ConditionFailure:
             continue
     raise DivisorSearchFailed(
@@ -946,7 +950,7 @@ def _divisor_candidates(curve, eval_places, target_deg, pool):
             yield CurveDivisor(curve, support)
 
 
-def _support_pool(curve, Q, eval_places, target_deg, limit, places):
+def _support_pool(curve, Q, eval_places, target_deg, places):
     places = {} if places is None else places
     pool = []
     for d in range(1, target_deg + 1):
@@ -954,7 +958,7 @@ def _support_pool(curve, Q, eval_places, target_deg, limit, places):
             break
         if d not in places:
             try:
-                places[d] = enumerate_curve_places(curve, d, limit)
+                places[d] = enumerate_curve_places(curve, d)
             except CcmaError:
                 break
         for p in places[d]:
@@ -988,7 +992,7 @@ def _multisets(pool, total_degree):
 # -- algorithm assembly ---------------------------------------------------------
 
 
-def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table, limit=None):
+def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table):
     """Assemble the interpolation algorithm; not verified here.
 
     Its own inverses decide the interpolation conditions (ConditionFailure
@@ -1002,10 +1006,10 @@ def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table, limit=None):
         target = ExtAlgebra(base, Q.x_min)
     else:
         target = TruncAlgebra(base, n, ell, Q.x_min)
-    L1 = riemann_roch_basis(curve, D1, limit)
+    L1 = riemann_roch_basis(curve, D1)
     same = D1 == D2
-    L2 = L1 if same else riemann_roch_basis(curve, D2, limit)
-    L12 = riemann_roch_basis(curve, D1.add(D2), limit)
+    L2 = L1 if same else riemann_roch_basis(curve, D2)
+    L12 = riemann_roch_basis(curve, D1.add(D2))
 
     EvQ1 = evaluation_rows(curve, L1, Q, ell)
     EvQ2 = EvQ1 if same else evaluation_rows(curve, L2, Q, ell)
@@ -1017,7 +1021,7 @@ def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table, limit=None):
         entry = cost_table.get(place.degree, u)
         conv = None
         if not place.is_infinity:
-            conv = entry_conversion(base, place.residue.modulus, entry, limit)
+            conv = entry_conversion(base, place.residue.modulus, entry)
         X1 = linalg.mat_mul(base, evaluation_rows(curve, L1, place, u, conv), S1)
         X2 = X1
         if not same:

@@ -53,11 +53,11 @@ class G0Place:
         return "inf" if self.is_infinity else list(self.poly.coeffs)
 
 
-def enumerate_g0_places(spec, d, limit=None):
+def enumerate_g0_places(spec, d):
     """Degree-d places: monic irreducibles, plus infinity when d = 1."""
     if d < 1:
         raise CcmaError("degree must be >= 1")
-    check_guard(spec.q ** d, f"place enumeration over {spec!r} degree {d}", limit)
+    check_guard(spec.q ** d, f"place enumeration over {spec!r} degree {d}")
     out = [G0Place(p) for p in iter_irreducibles(spec, d)]
     if d == 1:
         out.append(G0Place(INFINITY))
@@ -99,16 +99,8 @@ class EvalPlan:
         }
 
 
-def plan_search(
-    base,
-    n,
-    ell,
-    cost_table,
-    max_place_degree=None,
-    max_mult=4,
-    max_item_dim=None,
-    limit=None,
-):
+def plan_search(base, n, ell, cost_table, max_place_degree=None, max_mult=4,
+                max_item_dim=None):
     """Minimal-cost feasible plan for F_{q^n} (ell = 1) or F_{q^n}[t]/(t^ell).
 
     Exact optimization over (degree, multiplicity) class counts subject to
@@ -239,7 +231,7 @@ def _infinity_rows(u, bound):
     return rows
 
 
-def _place_rows(plan, cost_table, limit=None):
+def _place_rows(plan, cost_table):
     """(entry, factor rows, product rows) per plan item, in the entry's basis.
 
     Factor rows act on x^0..x^(nl-1), product rows on x^0..x^(2nl-2); a
@@ -253,12 +245,12 @@ def _place_rows(plan, cost_table, limit=None):
         if place.is_infinity:
             out.append((entry, _infinity_rows(u, m1), _infinity_rows(u, m2)))
         else:
-            rows = place_columns(plan.base, place.poly, entry, u, m2, limit)
+            rows = place_columns(plan.base, place.poly, entry, u, m2)
             out.append((entry, [row[: m1 + 1] for row in rows], rows))
     return out
 
 
-def build(plan, cost_table, limit=None):
+def build(plan, cost_table):
     """Assemble the bilinear algorithm of a plan; not verified here.
 
     The caller verifies it where it enters a cost table or a certificate.
@@ -274,7 +266,7 @@ def build(plan, cost_table, limit=None):
     tq = local_columns(field, Q, field.gen(), ell, 2 * dim - 2)
     lift = linalg.invert(base, [row[:dim] for row in tq])
     blocks = []
-    for entry, rows1, rows2 in _place_rows(plan, cost_table, limit):
+    for entry, rows1, rows2 in _place_rows(plan, cost_table):
         phi1 = linalg.mat_mul(base, rows1, lift)
         blocks.append((entry, phi1, phi1, rows2))
     alg = interpolation_algorithm(
@@ -285,9 +277,9 @@ def build(plan, cost_table, limit=None):
     return alg
 
 
-def interpolation_matrix_rank(plan, cost_table, limit=None):
+def interpolation_matrix_rank(plan, cost_table):
     """Column rank of the product-space evaluation matrix (should be 2nl-1)."""
     rows = []
-    for _, _, rows2 in _place_rows(plan, cost_table, limit):
+    for _, _, rows2 in _place_rows(plan, cost_table):
         rows.extend(rows2)
     return linalg.rank(plan.base, rows)

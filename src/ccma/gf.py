@@ -595,10 +595,12 @@ class Poly:
         if dq < 0:
             return Poly.zero(sp), self
         quot = [0] * (dq + 1)
-        inv_lead = sp.inv(other.coeffs[-1])
+        lead = other.coeffs[-1]
+        # a monic divisor needs no inverse, a power beyond the log tables
+        inv_lead = 1 if lead == 1 else sp.inv(lead)
         db = other.degree
         for i in range(len(rem) - 1, db - 1, -1):
-            c = sp.mul(rem[i], inv_lead)
+            c = rem[i] if inv_lead == 1 else sp.mul(rem[i], inv_lead)
             if c:
                 lo = i - db
                 quot[lo] = c
@@ -765,11 +767,11 @@ def iter_irreducibles(spec, d):
         i += 1
 
 
-def irreducibles(spec, d, limit=None):
+def irreducibles(spec, d):
     """Complete sorted list of monic irreducibles of degree d (guarded)."""
     if d < 1:
         raise CcmaError("degree must be >= 1")
-    check_guard(spec.q ** d, f"irreducibles over {spec!r} of degree {d}", limit)
+    check_guard(spec.q ** d, f"irreducibles over {spec!r} of degree {d}")
     return list(iter_irreducibles(spec, d))
 
 
@@ -777,14 +779,14 @@ def lex_least_irreducible(spec, d):
     return next(iter_irreducibles(spec, d))
 
 
-def least_root(ring, poly, limit=None):
+def least_root(ring, poly):
     """Least root of `poly` in `ring` in ascending encoding, or None.
 
     `ring` is a FieldSpec or an ExtensionRing over the coefficient field of
     `poly`: both provide `q` (the number of elements), `elements`, `zero`,
-    `add`, `mul` and `embed_base`.
+    `add`, `mul` and `embed_base`.  The scan of its q elements is guarded.
     """
-    check_guard(ring.q, f"root search in {ring!r}", limit)
+    check_guard(ring.q, f"root search in {ring!r}")
     for a in ring.elements():
         if poly.eval_in(ring, a) == ring.zero:
             return a
@@ -796,7 +798,7 @@ def least_root(ring, poly, limit=None):
 _EMBED_CACHE = {}
 
 
-def field_extend(spec, m, limit=None):
+def field_extend(spec, m):
     """The field F_{q^m} realized over the prime field, canonically.
 
     Returns a FieldSpec of degree k*m over F_p whose defining polynomial is
@@ -808,11 +810,11 @@ def field_extend(spec, m, limit=None):
     if m == 1:
         return spec
     big = FieldSpec.get(spec.p, spec.k * m)
-    embed_map(spec, big, limit)  # force determinism check early
+    embed_map(spec, big)  # force determinism check early
     return big
 
 
-def embed_map(sub, big, limit=None):
+def embed_map(sub, big):
     """Images of 1, g, g^2, ..., g^{k-1} of `sub` inside `big` (encoded).
 
     g is the power-basis generator of `sub`; its image is the least root of
@@ -829,7 +831,7 @@ def embed_map(sub, big, limit=None):
         _EMBED_CACHE[key] = images
         return images
     target = Poly(FieldSpec.get(sub.p), sub.poly)
-    root = least_root(big, target, limit)
+    root = least_root(big, target)
     if root is None:
         raise CcmaError(f"no root of {target!r} in {big!r}")
     images = [1]

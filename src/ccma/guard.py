@@ -1,4 +1,10 @@
-"""Enumeration guard: refuse desk-scale-unfriendly exhaustive loops."""
+"""Enumeration guard: refuse desk-scale-unfriendly exhaustive loops.
+
+The limit is decided here alone, from `CCMA_GUARD_LIMIT` or the default;
+synthesis code never carries one.  Only the exhaustive searches that a
+caller sizes itself (`brute_force_min_rank`, `LinearCode.min_distance`)
+take an explicit override.
+"""
 
 import os
 

@@ -45,19 +45,16 @@ def spec_for_q(q):
 
 
 class Planner:
-    """Strategy orchestrator over one root cost table and its subtables."""
+    """Strategy orchestrator over one root cost table and its subtables.
+
+    A genus-0 plan or a curve instance that is infeasible or hits the
+    guard drops out of the request; the other candidates still answer.
+    """
 
     STRATEGY_ORDER = ("tower", "g0", "curve")
 
-    def __init__(
-        self,
-        base,
-        strategies=("tower", "g0", "curve"),
-        max_place_degree=None,
-        max_mult=4,
-        limit=None,
-        instances=None,
-    ):
+    def __init__(self, base, strategies=("tower", "g0", "curve"), max_place_degree=None,
+                 max_mult=4, instances=None):
         self.base = base
         for s in strategies:
             if s not in self.STRATEGY_ORDER:
@@ -67,9 +64,8 @@ class Planner:
             raise InvalidRequest("no strategies enabled")
         self.max_place_degree = max_place_degree
         self.max_mult = max_mult
-        self.limit = limit
         self.instances = instances if instances is not None else shipped_instances()
-        self.table = CostTable(base, limit)
+        self.table = CostTable(base)
         self._memo = {}
 
     def synth(self, n):
@@ -111,7 +107,7 @@ class Planner:
                 return
             # every split is a candidate; synth keeps the first of least rank
             for a, outer, inner in self.table.tower_splits(n):
-                alg = compose_tower(outer, inner, self.limit)
+                alg = compose_tower(outer, inner)
                 yield alg, {
                     "kind": "tower",
                     "split": [a, n // a],
@@ -120,16 +116,10 @@ class Planner:
                 }
         elif strategy == "g0":
             try:
-                plan = genus0.plan_search(
-                    self.base,
-                    n,
-                    1,
-                    self.table,
-                    max_place_degree=self.max_place_degree,
-                    max_mult=self.max_mult,
-                    limit=self.limit,
-                )
-                alg = genus0.build(plan, self.table, self.limit)
+                plan = genus0.plan_search(self.base, n, 1, self.table,
+                                          max_place_degree=self.max_place_degree,
+                                          max_mult=self.max_mult)
+                alg = genus0.build(plan, self.table)
                 yield alg, {"kind": "genus0", "plan": plan.describe()}
             except (PlanInfeasible, GuardExceeded):
                 return
@@ -141,7 +131,10 @@ class Planner:
                 curve = curves_mod.CurveModel.from_json(curve_info)
                 if curve.base != self.base:
                     continue
-                alg = curve_instance_synth(curve, n, self.table, limit=self.limit)
+                try:
+                    alg = curve_instance_synth(curve, n, self.table)
+                except (PlanInfeasible, GuardExceeded):
+                    continue
                 yield alg, {"kind": "curve", "instance": inst.get("name", "?")}
 
 
@@ -151,16 +144,17 @@ def _table_detail(entry):
     return {"kind": "table", "n": target.n, "q": target.base.q, "rank": entry.N}
 
 
-def curve_instance_synth(curve, n, cost_table, limit=None):
+def curve_instance_synth(curve, n, cost_table):
     """Deterministic driver: plan the place multiset, pick the divisor, build.
 
     The divisor search builds the algorithm; an assignment on which it
     fails is skipped for the next one, for at most ASSIGNMENT_CAP
-    assignments.  The built algorithm is not verified here; that happens
-    when it enters a certificate.
+    assignments.  Raises PlanInfeasible when the instance cannot reach n.
+    The built algorithm is not verified here; that happens when it enters
+    a certificate.
     """
     need = 2 * n + curve.genus - 1
-    classes, places = _curve_classes(curve, need, limit)
+    classes, places = _curve_classes(curve, need)
     # exact minimum-cost class counts, shared availability per degree
     counts, _ = genus0._lazy_plan_dp(classes, need, cost_table)
     if counts is None:
@@ -183,7 +177,7 @@ def curve_instance_synth(curve, n, cost_table, limit=None):
     for items in itertools.islice(_assignments(base_items), ASSIGNMENT_CAP):
         tried += 1
         try:
-            _, alg = curves_mod.find_divisor(curve, Q, items, cost_table, limit, places)
+            _, alg = curves_mod.find_divisor(curve, Q, items, cost_table, places)
             return alg
         except CcmaError as exc:
             last_error = exc
@@ -192,7 +186,7 @@ def curve_instance_synth(curve, n, cost_table, limit=None):
     )
 
 
-def _curve_classes(curve, need, limit):
+def _curve_classes(curve, need):
     """Place classes and the places of each enumerated degree.
 
     Higher degrees are enumerated only when actually needed.
@@ -203,7 +197,7 @@ def _curve_classes(curve, need, limit):
     for d in (1, 2, 3):
         if curve.base.q ** d > curves_mod.PLACE_SCAN_LIMIT:
             break
-        places[d] = curves_mod.enumerate_curve_places(curve, d, limit)
+        places[d] = curves_mod.enumerate_curve_places(curve, d)
         avail = len(places[d])
         if avail <= 0:
             continue

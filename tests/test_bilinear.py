@@ -346,17 +346,19 @@ def test_empty_algorithm_fails_verification():
     assert alg.failing_pair() == (0, 0)
 
 
-def test_generator_scan_guard_counts_candidates_tried():
+def test_generator_scan_guard_counts_candidates_tried(monkeypatch):
     # F_2^8 as F_4 over F_2 under F_{4^4} over F_4: the first candidate is a
     # generator, so a limit of 4 (the root search in F_4) is enough
     table = CostTable(F2)
     outer, inner = table.get(2, 1), table.subtable(F4).get(4, 1)
-    alg = compose_tower(outer, inner, limit=4)
+    expected = compose_tower(outer, inner).to_json()
+    monkeypatch.setenv("CCMA_GUARD_LIMIT", "4")
+    alg = compose_tower(outer, inner)
     assert verify(alg)
-    assert alg.to_json() == compose_tower(outer, inner).to_json()
+    assert alg.to_json() == expected
 
 
-def test_generator_scan_guard_refuses_a_longer_scan():
+def test_generator_scan_guard_refuses_a_longer_scan(monkeypatch):
     from ccma.bilinear import _ExtFieldIso, _compose_blocks, _power_basis_form
     from ccma.errors import GuardExceeded
 
@@ -364,9 +366,12 @@ def test_generator_scan_guard_refuses_a_longer_scan():
     table = CostTable(F2)
     outer = table.get(3, 1)
     inner = table.subtable(field_extend(F2, 3)).get(2, 1)
+    expected = compose_tower(outer, inner).to_json()
     iso = _ExtFieldIso(outer.target)
     A, B, W = _compose_blocks(outer, inner, iso)
+    monkeypatch.setenv("CCMA_GUARD_LIMIT", "2")
     with pytest.raises(GuardExceeded, match="generator scan"):
-        _power_basis_form(A, B, W, iso, inner.target.ring, limit=2)
-    alg = _power_basis_form(A, B, W, iso, inner.target.ring, limit=3)
-    assert alg.to_json() == compose_tower(outer, inner).to_json()
+        _power_basis_form(A, B, W, iso, inner.target.ring)
+    monkeypatch.setenv("CCMA_GUARD_LIMIT", "3")
+    alg = _power_basis_form(A, B, W, iso, inner.target.ring)
+    assert alg.to_json() == expected

@@ -135,6 +135,23 @@ def test_poly_euclidean_division():
                 assert (f * g).degree == f.degree + g.degree
 
 
+def test_divmod_by_monic_divisor_takes_no_inverse(monkeypatch):
+    # beyond the 2^16 log tables an inverse is a power with schoolbook products
+    big = FieldSpec.get(2, 17)
+    rng = random.Random(17)
+    f = Poly(big, [rng.randrange(big.q) for _ in range(9)])
+    g = Poly(big, [rng.randrange(big.q) for _ in range(4)] + [1])
+    calls = []
+    inv = FieldSpec.inv
+    monkeypatch.setattr(FieldSpec, "inv", lambda spec, a: calls.append(a) or inv(spec, a))
+    q, r = f.divmod(g)
+    assert calls == []
+    assert q * g + r == f and r.degree < g.degree
+    q, r = f.divmod(g.scale(3))
+    assert calls == [3]
+    assert q * g.scale(3) + r == f and r.degree < g.degree
+
+
 def test_crt_linear_interpolation():
     x = Poly(F2, (0, 1))
     x1 = Poly(F2, (1, 1))

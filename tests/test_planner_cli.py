@@ -37,6 +37,18 @@ def test_synth_4_4_curve_instance_reaches_8():
     assert verify(alg) and alg.symmetric
 
 
+def test_curve_instance_that_cannot_reach_its_target_is_skipped():
+    from ccma.errors import PlanInfeasible
+
+    fermat = next(i for i in shipped_instances() if i["name"] == "fermat_f4")
+    # n = 5: no divisor builds on any assignment; n = 2: no degree-2 place
+    for n, rank in ((5, 11), (2, 3)):
+        instances = [dict(fermat, targets=[n])]
+        assert Planner(spec_for_q(4), instances=instances).synth(n)["rank"] == rank
+        with pytest.raises(PlanInfeasible):
+            Planner(spec_for_q(4), strategies=("curve",), instances=instances).synth(n)
+
+
 def test_strategy_monotonicity():
     ranks = []
     for strategies in (("g0",), ("g0", "tower"), ("g0", "tower", "curve")):
@@ -122,6 +134,17 @@ def test_cli_guard_exit_code(monkeypatch, capsys):
     monkeypatch.setenv("CCMA_GUARD_LIMIT", "4")
     assert main(["search", "--q", "2", "--n", "3", "--max-rank", "6"]) == 3
     assert "resource guard" in capsys.readouterr().err
+
+
+def test_deep_guards_follow_the_environment_alone(monkeypatch, capsys):
+    from ccma.errors import GuardExceeded
+
+    monkeypatch.setenv("CCMA_GUARD_LIMIT", "4")
+    with pytest.raises(GuardExceeded) as info:
+        Planner(spec_for_q(2)).synth(6)
+    assert str(info.value).startswith("root search in ExtensionRing(GF(2^3)")
+    assert main(["synth", "--q", "2", "--n", "6"]) == 3
+    assert capsys.readouterr().err.startswith("resource guard: root search")
 
 
 def test_cli_nonpositive_counts_are_usage_errors(capsys):
@@ -478,8 +501,8 @@ def test_curve_request_enumerates_each_degree_once(monkeypatch):
     calls = []
     enumerate_places = curves_mod.enumerate_curve_places
     monkeypatch.setattr(curves_mod, "enumerate_curve_places",
-                        lambda curve, d, limit=None: calls.append(d)
-                        or enumerate_places(curve, d, limit))
+                        lambda curve, d: calls.append(d)
+                        or enumerate_places(curve, d))
     for q, n, degrees in ((4, 4, [1, 2, 3]), (3, 9, [1, 2, 3, 4, 5])):
         calls.clear()
         cert = Planner(spec_for_q(q), strategies=("curve",)).synth(n)
