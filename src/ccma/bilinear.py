@@ -8,7 +8,7 @@ x, y.  Checking this on all D^2 basis pairs is exact by bilinearity.
 
 from . import linalg
 from .errors import CcmaError, ConditionFailure, FieldMismatch, GuardExceeded
-from .errors import MalformedPayload, VerificationError
+from .errors import MalformedPayload, PlanInfeasible, VerificationError
 from .gf import (
     ExtensionRing,
     FieldSpec,
@@ -831,6 +831,11 @@ def brute_force_min_rank(target, max_rank, symmetric_only=False, limit=None):
 # -- cost table ----------------------------------------------------------------
 
 
+# guard limit -> {field: CostTable}: the tables every planner of this
+# process prices from, so an entry is built and verified once per process
+_SHARED_TABLES = {}
+
+
 class CostTable:
     """Certified best-known algorithms for F_{q^d}[t]/(t^u) over one base field.
 
@@ -842,21 +847,29 @@ class CostTable:
 
     All tables reached through `subtable` share one registry keyed by
     field: one table per field, and each entry is built once.
+    `CostTable(base)` starts a private registry; `CostTable.shared(base)`
+    takes its table from the process-wide registry of the active guard
+    limit, which every later request of the process reuses.  An entry
+    depends on its field and the guard limit alone (a candidate the guard
+    drops under one limit may win under another), so no entry built under
+    one limit serves a request under another.
     """
 
-    def __init__(self, base):
+    def __init__(self, base, registry=None):
         self.base = base
         self._entries = {}
-        self._registry = {base: self}
+        self._registry = {} if registry is None else registry
+        self._registry[base] = self
+
+    @staticmethod
+    def shared(base):
+        """The table over `base` in the process-wide registry of the active limit."""
+        registry = _SHARED_TABLES.setdefault(guard_limit(), {})
+        return registry.get(base) or CostTable(base, registry)
 
     def subtable(self, spec):
         """The table over `spec` in this table's registry."""
-        tab = self._registry.get(spec)
-        if tab is None:
-            tab = CostTable(spec)
-            tab._registry = self._registry
-            self._registry[spec] = tab
-        return tab
+        return self._registry.get(spec) or CostTable(spec, self._registry)
 
     def cost(self, d, u=1):
         return self.get(d, u).N
@@ -922,13 +935,14 @@ class CostTable:
 
     def _genus0_candidate(self, d, u):
         from . import genus0
-        from .errors import GuardExceeded, PlanInfeasible
 
+        # a plan that is infeasible, or hits the guard while it is searched
+        # or built, drops out; the other candidates still make the entry
         try:
             plan = genus0.plan_search(self.base, d, u, self, max_item_dim=d * u - 1)
+            return genus0.build(plan, self)
         except (PlanInfeasible, GuardExceeded):
             return None
-        return genus0.build(plan, self)
 
     def load_check(self):
         """Re-verify every cached entry of every table in the registry."""

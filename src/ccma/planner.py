@@ -5,7 +5,8 @@ returns the best one with a machine-checkable certificate; the winner is
 verified exhaustively when its certificate is made.  Ties break by the
 documented strategy order: composition, then genus 0, then curves.  All
 strategies price and compose from one cost table per field, the planner's
-root table and its subtables.
+root table and its subtables, shared by every planner of the process under
+the same guard limit.
 """
 
 import itertools
@@ -47,6 +48,10 @@ def spec_for_q(q):
 class Planner:
     """Strategy orchestrator over one root cost table and its subtables.
 
+    The root table is `CostTable.shared(base)`: entries that earlier
+    planners of the process built and verified under the active guard
+    limit are reused, not rebuilt.
+
     A genus-0 plan or a curve instance that is infeasible or hits the
     guard drops out of the request; the other candidates still answer.
     """
@@ -65,7 +70,7 @@ class Planner:
         self.max_place_degree = max_place_degree
         self.max_mult = max_mult
         self.instances = instances if instances is not None else shipped_instances()
-        self.table = CostTable(base)
+        self.table = CostTable.shared(base)
         self._memo = {}
 
     def synth(self, n):

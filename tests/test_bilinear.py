@@ -201,12 +201,50 @@ def test_cost_table_load_check_fails_on_corruption():
         table.load_check()
 
 
-def test_cost_table_subtables_share_one_registry():
+def test_cost_table_subtables_share_one_registry(monkeypatch):
+    from ccma import bilinear
+
     table = CostTable(F2)
     F16 = field_extend(F2, 4)
     assert table.subtable(F2) is table
     assert table.subtable(F16) is table.subtable(F4).subtable(F16)
     assert table.subtable(F4).subtable(F2) is table
+    # the process-wide tables: one registry per guard limit, apart from
+    # every private one
+    monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
+    shared = CostTable.shared(F2)
+    assert CostTable.shared(F2) is shared and shared is not table
+    assert shared.subtable(F4) is CostTable.shared(F4)
+    assert table.subtable(F4) is not CostTable.shared(F4)
+    monkeypatch.setenv("CCMA_GUARD_LIMIT", "4")
+    assert CostTable.shared(F2) is not shared
+    monkeypatch.delenv("CCMA_GUARD_LIMIT")
+    assert CostTable.shared(F2) is shared
+
+
+def test_guard_hit_in_genus0_build_drops_only_that_candidate(monkeypatch):
+    from ccma import genus0
+    from ccma.errors import GuardExceeded
+
+    tower = CostTable(F2).get(4, 1).to_json()
+    build = genus0.build
+    refused = []
+
+    def guarded_build(plan, cost_table):
+        if plan.base == F2 and plan.n in (3, 4) and plan.ell == 1:
+            refused.append(plan.n)
+            raise GuardExceeded("root search in a test field", 8, 4)
+        return build(plan, cost_table)
+
+    monkeypatch.setattr(genus0, "build", guarded_build)
+    table = CostTable(F2)
+    # genus 0 wins (3,1) at rank 6; without it schoolbook makes the entry
+    entry = table.get(3, 1)
+    assert refused == [3]
+    assert entry.meta["method"] == "schoolbook" and entry.N == 9
+    # (4,1) keeps its tower entry, which wins the tie with genus 0
+    assert table.get(4, 1).to_json() == tower
+    assert refused == [3, 4]
 
 
 def test_mutated_algorithms_fail_random_pairs():

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import ccma
+from ccma import bilinear
 from ccma.bilinear import BilinearAlgorithm, CostTable, verify
 from ccma.cli import main
 from ccma.errors import CcmaError
@@ -142,7 +143,7 @@ def test_deep_guards_follow_the_environment_alone(monkeypatch, capsys):
     monkeypatch.setenv("CCMA_GUARD_LIMIT", "4")
     with pytest.raises(GuardExceeded) as info:
         Planner(spec_for_q(2)).synth(6)
-    assert str(info.value).startswith("root search in ExtensionRing(GF(2^3)")
+    assert str(info.value).startswith("root search in GF(2^3):")
     assert main(["synth", "--q", "2", "--n", "6"]) == 3
     assert capsys.readouterr().err.startswith("resource guard: root search")
 
@@ -273,26 +274,8 @@ def _entries_built(planner):
     return sum(len(tab._entries) for tab in planner.table._registry.values())
 
 
-def test_synth_verifies_each_algorithm_once(monkeypatch):
-    # one exhaustive check per cost-table entry and one for the certificate
-    calls = []
-    failing_pair = BilinearAlgorithm.failing_pair
-
-    def counted(alg):
-        calls.append(alg)
-        return failing_pair(alg)
-
-    monkeypatch.setattr(BilinearAlgorithm, "failing_pair", counted)
-    planner = Planner(spec_for_q(2))
-    cert = planner.synth(6)
-    built = _entries_built(planner)
-    assert cert["rank"] == 15
-    assert built > 0
-    assert len(calls) == built + 1
-
-
-def test_synth_builds_each_cost_table_entry_once(monkeypatch):
-    # tower components and subtables of subtables come from one registry
+def _count_builds_and_checks(monkeypatch):
+    """Record every cost-table build and every exhaustive check from now on."""
     builds = []
     calls = []
     build = CostTable._build
@@ -308,11 +291,72 @@ def test_synth_builds_each_cost_table_entry_once(monkeypatch):
 
     monkeypatch.setattr(CostTable, "_build", counted_build)
     monkeypatch.setattr(BilinearAlgorithm, "failing_pair", counted_pair)
+    return builds, calls
+
+
+def test_synth_verifies_each_algorithm_once(monkeypatch):
+    # one exhaustive check per cost-table entry and one for the certificate
+    monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
+    _, calls = _count_builds_and_checks(monkeypatch)
+    planner = Planner(spec_for_q(2))
+    cert = planner.synth(6)
+    built = _entries_built(planner)
+    assert cert["rank"] == 15
+    assert built > 0
+    assert len(calls) == built + 1
+
+
+def test_synth_builds_each_cost_table_entry_once(monkeypatch):
+    # tower components and subtables of subtables come from one registry
+    monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
+    builds, calls = _count_builds_and_checks(monkeypatch)
     planner = Planner(spec_for_q(2))
     assert planner.synth(8)["rank"] == 24
     assert len(builds) == len(set(builds))
     assert len(builds) == _entries_built(planner)
     assert len(calls) == 53
+
+
+def test_second_planner_reuses_every_shared_entry(monkeypatch):
+    # the first request fills the process-wide tables; the second builds
+    # nothing and checks only its certificate
+    monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
+    first = Planner(spec_for_q(2)).synth(6)
+    builds, calls = _count_builds_and_checks(monkeypatch)
+    assert Planner(spec_for_q(2)).synth(6) == first
+    assert builds == []
+    assert len(calls) == 1
+
+
+def test_shared_tables_give_the_certificates_of_fresh_ones(monkeypatch):
+    cells = [(q, n) for q in (2, 4) for n in range(2, 9)]
+    fresh = {}
+    for q, n in cells:
+        monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
+        fresh[q, n] = Planner(spec_for_q(q)).synth(n)
+    monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
+    shared = {(2, n): Planner(spec_for_q(2)).synth(n) for n in range(2, 9)}
+    # the F_2 requests filled the F_4 table that the F_4 requests start from
+    F4 = spec_for_q(4)
+    assert Planner(F4).table is Planner(spec_for_q(2)).table.subtable(F4)
+    assert Planner(F4).table._entries
+    shared.update({(4, n): Planner(F4).synth(n) for n in range(2, 9)})
+    assert shared == fresh
+
+
+def test_shared_tables_keep_guard_limits_apart(monkeypatch):
+    from ccma.errors import GuardExceeded
+
+    monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
+    F2 = spec_for_q(2)
+    assert Planner(F2).synth(6)["rank"] == 15
+    assert Planner(F2).table.get(5, 1).N == 14
+    monkeypatch.setenv("CCMA_GUARD_LIMIT", "4")
+    with pytest.raises(GuardExceeded):
+        Planner(F2).synth(6)
+    # the genus-0 candidate of (5,1) drops out under the small limit, so that
+    # entry is schoolbook's there, never the default limit's
+    assert Planner(F2).table.get(5, 1).N == 25
 
 
 def test_cli_malformed_payload_is_named_error(tmp_path, capsys):
