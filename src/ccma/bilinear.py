@@ -6,6 +6,8 @@ correctness means W((A x) .* (B y)) equals the coordinates of x*y for all
 x, y.  Checking this on all D^2 basis pairs is exact by bilinearity.
 """
 
+from functools import partial
+
 from . import linalg
 from .errors import CcmaError, ConditionFailure, FieldMismatch, GuardExceeded
 from .errors import MalformedPayload, PlanInfeasible, VerificationError
@@ -828,6 +830,38 @@ def brute_force_min_rank(target, max_rank, symmetric_only=False, limit=None):
     return SearchOutcome(None, None)
 
 
+# -- candidate selection ------------------------------------------------------
+
+
+def cheapest(candidates):
+    """Build the first candidate of least rank from (rank, build) pairs.
+
+    Every candidate is priced before any is built: the pairs, in tie-break
+    order, are sorted stably by rank and built in that order until one
+    `build()` returns something other than None (a candidate that drops
+    out).  That result is returned: an algorithm, or a tuple that starts
+    with one.  Losing candidates are never built.  Returns None when every
+    candidate drops out.
+    """
+    for rank, build in sorted(candidates, key=lambda pair: pair[0]):
+        found = build()
+        if found is None:
+            continue
+        alg = found[0] if isinstance(found, tuple) else found
+        if alg.N != rank:
+            raise VerificationError(f"built rank {alg.N} differs from its price {rank}")
+        return found
+    return None
+
+
+def unless_dropped(build, *args):
+    """`build(*args)`, or None when it is infeasible or hits the guard."""
+    try:
+        return build(*args)
+    except (PlanInfeasible, GuardExceeded):
+        return None
+
+
 # -- cost table ----------------------------------------------------------------
 
 
@@ -841,9 +875,11 @@ class CostTable:
 
     Entries are built lazily from explicit formulas, tower/truncated
     composition over strictly smaller entries, and rational-interpolation
-    synthesis.  The first candidate of minimum rank wins and is verified
-    exhaustively when it enters the table; losing candidates are not
-    verified (the test suite checks every candidate of the small tables).
+    synthesis.  Every candidate is priced before any is built (`cheapest`):
+    the first candidate of minimum rank is the only one built, and it is
+    verified exhaustively when it enters the table.  Losing candidates are
+    priced, never built (the test suite builds and checks every candidate
+    of the small tables).
 
     All tables reached through `subtable` share one registry keyed by
     field: one table per field, and each entry is built once.
@@ -884,7 +920,7 @@ class CostTable:
         return entry
 
     def _build(self, d, u):
-        best = min(self._candidates(d, u), key=lambda alg: alg.N, default=None)
+        best = cheapest(self._candidates(d, u))
         if best is None:
             best = schoolbook(self._target(d, u))
         return best
@@ -895,32 +931,38 @@ class CostTable:
         return truncated_target(self.base, d, u)
 
     def _candidates(self, d, u):
-        """Every construction of the (d, u) entry, in tie-break order."""
+        """(rank, build) of every construction of the (d, u) entry, in tie-break order."""
         if d == 1 and u == 1:
-            yield trivial_rank1(self._target(1, 1))
+            yield 1, partial(trivial_rank1, self._target(1, 1))
             return
         if u == 1:
             if d == 2:
-                yield karatsuba(self._target(d, 1))
+                yield 3, partial(karatsuba, self._target(d, 1))
             for _, outer, inner in self.tower_splits(d):
-                yield compose_tower(outer, inner)
+                yield outer.N * inner.N, partial(compose_tower, outer, inner)
         else:
-            target = self._target(d, u)
             if d == 1 and u == 2:
-                yield truncated_order2(target)
+                yield 3, partial(truncated_order2, self._target(d, u))
             if d == 1 and u == 3:
-                yield truncated_order3(target)
+                yield 5, partial(truncated_order3, self._target(d, u))
             if d > 1:
                 big = field_extend(self.base, d)
-                inner = self.subtable(big).get(1, u)
-                yield compose_truncated(self.get(d, 1), inner)
-        g0 = self._genus0_candidate(d, u)
-        if g0 is not None:
-            yield g0
+                outer, inner = self.get(d, 1), self.subtable(big).get(1, u)
+                yield outer.N * inner.N, partial(compose_truncated, outer, inner)
+        from . import genus0
+
+        # a plan that is infeasible, or hits the guard while it is searched
+        # or built, drops out; the other candidates still make the entry
+        try:
+            plan = genus0.plan_search(self.base, d, u, self, max_item_dim=d * u - 1)
+        except (PlanInfeasible, GuardExceeded):
+            plan = None
+        if plan is not None:
+            yield plan.cost, partial(unless_dropped, genus0.build, plan, self)
         if d * u <= 8:
             # schoolbook is only ever competitive at tiny dimensions, and its
             # quadratic rank makes verification of large entries expensive
-            yield schoolbook(self._target(d, u))
+            yield (d * u) ** 2, partial(schoolbook, self._target(d, u))
 
     def tower_splits(self, d):
         """(a, outer, inner) for each tower F_q < F_{q^a} < F_{q^d}, 2 <= a < d.
@@ -932,17 +974,6 @@ class CostTable:
             if d % a == 0:
                 big = field_extend(self.base, a)
                 yield a, self.get(a, 1), self.subtable(big).get(d // a, 1)
-
-    def _genus0_candidate(self, d, u):
-        from . import genus0
-
-        # a plan that is infeasible, or hits the guard while it is searched
-        # or built, drops out; the other candidates still make the entry
-        try:
-            plan = genus0.plan_search(self.base, d, u, self, max_item_dim=d * u - 1)
-            return genus0.build(plan, self)
-        except (PlanInfeasible, GuardExceeded):
-            return None
 
     def load_check(self):
         """Re-verify every cached entry of every table in the registry."""

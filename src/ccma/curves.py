@@ -63,6 +63,8 @@ class CurveModel:
             raise CcmaError("declared genus does not match the shape")
         self.has_y = shape != RATIONAL
         self._fibers = {}
+        # degree -> the complete sorted list of its places, once enumerated
+        self.places_of_degree = {}
         self.infinity = CurvePlace(self, None, None, None, None)
 
     def _weierstrass_discriminant(self):

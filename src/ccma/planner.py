@@ -1,22 +1,23 @@
 """Cross-strategy synthesis: towers, rational interpolation, curve instances.
 
-For a requested (q, n) the planner evaluates every enabled strategy and
-returns the best one with a machine-checkable certificate; the winner is
-verified exhaustively when its certificate is made.  Ties break by the
-documented strategy order: composition, then genus 0, then curves.  All
-strategies price and compose from one cost table per field, the planner's
-root table and its subtables, shared by every planner of the process under
-the same guard limit.
+For a requested (q, n) the planner prices every candidate of every enabled
+strategy, builds only the first one of least rank, and returns it with a
+machine-checkable certificate; the winner is verified exhaustively when its
+certificate is made.  Ties break by the documented strategy order:
+composition, then genus 0, then curves.  All strategies price and compose
+from one cost table per field, the planner's root table and its subtables,
+shared by every planner of the process under the same guard limit.
 """
 
 import itertools
 import json
 import os
+from functools import partial
 
 from . import curves as curves_mod
 from . import genus0
-from .bilinear import BilinearAlgorithm, CostTable, compose_tower, extension_target
-from .bilinear import karatsuba, verify_or_raise
+from .bilinear import BilinearAlgorithm, CostTable, cheapest, compose_tower, extension_target
+from .bilinear import karatsuba, unless_dropped, verify_or_raise
 from .bounds import factor_prime_power
 from .errors import CcmaError, GuardExceeded, InvalidRequest, PlanInfeasible
 from .gf import FieldSpec
@@ -52,8 +53,13 @@ class Planner:
     planners of the process built and verified under the active guard
     limit are reused, not rebuilt.
 
-    A genus-0 plan or a curve instance that is infeasible or hits the
-    guard drops out of the request; the other candidates still answer.
+    Each candidate is priced before any is built (`bilinear.cheapest`): a
+    tower by the ranks of its two entries, a genus-0 plan by its cost, a
+    curve instance by its plan.  Only the first candidate of least rank is
+    built, so a losing candidate can never fail the request.  A genus-0
+    plan or a curve instance that is infeasible or hits the guard, while
+    it is priced or built, drops out of the request; the other candidates
+    still answer.
     """
 
     STRATEGY_ORDER = ("tower", "g0", "curve")
@@ -76,16 +82,13 @@ class Planner:
     def synth(self, n):
         """Best verified algorithm across the enabled strategies."""
         if n not in self._memo:
-            # min keeps the first candidate of least rank: strategy order,
-            # then candidate order, breaks ties
-            self._memo[n] = min(
-                (found for s in self.strategies for found in self._candidates(n, s)),
-                key=lambda found: found[0].N,
-                default=(None, None),
+            # strategy order, then candidate order, breaks rank ties
+            self._memo[n] = cheapest(
+                found for s in self.strategies for found in self._candidates(n, s)
             )
-        alg, strategy = self._memo[n]
-        if alg is None:
+        if self._memo[n] is None:
             raise PlanInfeasible(f"no strategy produced an algorithm for n={n}")
+        alg, strategy = self._memo[n]
         return self.certificate(alg, strategy)
 
     def certificate(self, alg, strategy):
@@ -103,31 +106,34 @@ class Planner:
         }
 
     def _candidates(self, n, strategy):
+        """(rank, build) of each candidate; build() gives (alg, detail) or None."""
         if strategy == "tower":
             if n == 1:
-                yield self.table.get(1, 1), {"kind": "trivial"}
+                yield 1, partial(_detailed, {"kind": "trivial"}, self.table.get, 1, 1)
                 return
             if n == 2:
-                yield karatsuba(extension_target(self.base, 2)), {"kind": "karatsuba"}
+                target = extension_target(self.base, 2)
+                yield 3, partial(_detailed, {"kind": "karatsuba"}, karatsuba, target)
                 return
             # every split is a candidate; synth keeps the first of least rank
             for a, outer, inner in self.table.tower_splits(n):
-                alg = compose_tower(outer, inner)
-                yield alg, {
+                detail = {
                     "kind": "tower",
                     "split": [a, n // a],
                     "outer": _table_detail(outer),
                     "inner": _table_detail(inner),
                 }
+                yield outer.N * inner.N, partial(_detailed, detail, compose_tower, outer, inner)
         elif strategy == "g0":
             try:
                 plan = genus0.plan_search(self.base, n, 1, self.table,
                                           max_place_degree=self.max_place_degree,
                                           max_mult=self.max_mult)
-                alg = genus0.build(plan, self.table)
-                yield alg, {"kind": "genus0", "plan": plan.describe()}
             except (PlanInfeasible, GuardExceeded):
                 return
+            detail = {"kind": "genus0", "plan": plan.describe()}
+            yield plan.cost, partial(_detailed, detail, unless_dropped, genus0.build,
+                                     plan, self.table)
         elif strategy == "curve":
             for inst in self.instances:
                 curve_info = inst["curve"]
@@ -137,10 +143,18 @@ class Planner:
                 if curve.base != self.base:
                     continue
                 try:
-                    alg = curve_instance_synth(curve, n, self.table)
+                    *_, rank = _curve_plan(curve, n, self.table)
                 except (PlanInfeasible, GuardExceeded):
                     continue
-                yield alg, {"kind": "curve", "instance": inst.get("name", "?")}
+                detail = {"kind": "curve", "instance": inst.get("name", "?")}
+                yield rank, partial(_detailed, detail, unless_dropped, curve_instance_synth,
+                                    curve, n, self.table)
+
+
+def _detailed(detail, build, *args):
+    """(build(*args), detail), or None when the build drops out."""
+    alg = build(*args)
+    return None if alg is None else (alg, detail)
 
 
 def _table_detail(entry):
@@ -152,18 +166,14 @@ def _table_detail(entry):
 def curve_instance_synth(curve, n, cost_table):
     """Deterministic driver: plan the place multiset, pick the divisor, build.
 
-    The divisor search builds the algorithm; an assignment on which it
-    fails is skipped for the next one, for at most ASSIGNMENT_CAP
-    assignments.  Raises PlanInfeasible when the instance cannot reach n.
-    The built algorithm is not verified here; that happens when it enters
-    a certificate.
+    The planner prices a curve instance by its plan (`_curve_plan`) and
+    calls this only for the winning candidate.  The divisor search builds
+    the algorithm; an assignment on which it fails is skipped for the next
+    one, for at most ASSIGNMENT_CAP assignments.  Raises PlanInfeasible
+    when the instance cannot reach n.  The built algorithm is not verified
+    here; that happens when it enters a certificate.
     """
-    need = 2 * n + curve.genus - 1
-    classes, places = _curve_classes(curve, need)
-    # exact minimum-cost class counts, shared availability per degree
-    counts, _ = genus0._lazy_plan_dp(classes, need, cost_table)
-    if counts is None:
-        raise PlanInfeasible("curve place classes cannot reach the degree target")
+    classes, places, counts, _ = _curve_plan(curve, n, cost_table)
     items_shape = [
         (d, u, c) for (d, u, avail), c in zip(classes, counts) if c
     ]
@@ -191,18 +201,37 @@ def curve_instance_synth(curve, n, cost_table):
     )
 
 
+def _curve_plan(curve, n, cost_table):
+    """(classes, places, counts, rank): the least-cost place classes for n.
+
+    `counts` are the exact minimum-cost class counts, with shared
+    availability per degree, and `rank` their total: the rank of every
+    algorithm the instance builds for n.  Raises PlanInfeasible when the
+    classes cannot reach the degree target.
+    """
+    need = 2 * n + curve.genus - 1
+    classes, places = _curve_classes(curve, need)
+    counts, rank = genus0._lazy_plan_dp(classes, need, cost_table)
+    if counts is None:
+        raise PlanInfeasible("curve place classes cannot reach the degree target")
+    return classes, places, counts, rank
+
+
 def _curve_classes(curve, need):
     """Place classes and the places of each enumerated degree.
 
-    Higher degrees are enumerated only when actually needed.
+    Higher degrees are enumerated only when actually needed, and each
+    degree once per curve object: pricing and building an instance share
+    `curve.places_of_degree`, which the divisor search extends.
     """
     classes = []
-    places = {}
+    places = curve.places_of_degree
     capacity = 0
     for d in (1, 2, 3):
         if curve.base.q ** d > curves_mod.PLACE_SCAN_LIMIT:
             break
-        places[d] = curves_mod.enumerate_curve_places(curve, d)
+        if d not in places:
+            places[d] = curves_mod.enumerate_curve_places(curve, d)
         avail = len(places[d])
         if avail <= 0:
             continue

@@ -12,6 +12,7 @@ from ccma.bilinear import (
     BilinearAlgorithm,
     CostTable,
     brute_force_min_rank,
+    cheapest,
     compose_tower,
     compose_truncated,
     extension_target,
@@ -242,9 +243,10 @@ def test_guard_hit_in_genus0_build_drops_only_that_candidate(monkeypatch):
     entry = table.get(3, 1)
     assert refused == [3]
     assert entry.meta["method"] == "schoolbook" and entry.N == 9
-    # (4,1) keeps its tower entry, which wins the tie with genus 0
+    # (4,1) keeps its tower entry, which wins the tie with genus 0 at rank
+    # 9; the genus-0 candidate comes later, so it is priced and never built
     assert table.get(4, 1).to_json() == tower
-    assert refused == [3, 4]
+    assert refused == [3]
 
 
 def test_mutated_algorithms_fail_random_pairs():
@@ -307,17 +309,48 @@ def test_compose_tower_trivial_outer_keeps_rank():
     assert verify(alg)
 
 
+def test_cheapest_builds_only_the_first_of_least_rank():
+    target = extension_target(F2, 2)
+    built = []
+
+    def build(alg):
+        built.append(alg.meta["method"])
+        return alg
+
+    kara, school = karatsuba(target), schoolbook(target)
+    # priced before any build; a dropped candidate gives way to the next
+    pairs = [(4, lambda: build(school)), (3, lambda: None), (3, lambda: build(kara)),
+             (3, lambda: build(school))]
+    assert cheapest(pairs) is kara
+    assert built == ["karatsuba"]
+    assert cheapest([(3, lambda: None)]) is None
+    with pytest.raises(VerificationError):
+        cheapest([(3, lambda: school)])
+
+
 def test_every_cost_table_candidate_verifies():
-    # only the winning candidate is verified at run time (when it enters
-    # the table), so the losers of the small tables are checked here
+    # only the winning candidate is built and verified at run time (when it
+    # enters the table), so the losers of the small tables are built and
+    # checked here, each at the rank it was priced at; the entry is the
+    # first of least rank among them all
+    checked = 0
     for spec in (F2, F3, F4):
         table = CostTable(spec)
         for d in range(1, 7):
             for u in range(1, 6 // d + 1):
                 cands = list(table._candidates(d, u))
                 assert cands, (spec, d, u)
-                for cand in cands:
-                    assert verify(cand), (spec, d, u, cand.meta.get("method"))
+                built = []
+                for rank, build in cands:
+                    alg = build()
+                    assert alg is not None, (spec, d, u, rank)
+                    assert alg.N == rank, (spec, d, u, alg.meta.get("method"))
+                    assert verify(alg), (spec, d, u, alg.meta.get("method"))
+                    built.append(alg)
+                checked += len(built)
+                best = min(built, key=lambda alg: alg.N)
+                assert table.get(d, u).to_json() == best.to_json(), (spec, d, u)
+    assert checked == 107
 
 
 # Exact compose_tower outputs recorded before the generator scan moved into

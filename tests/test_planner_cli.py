@@ -142,10 +142,21 @@ def test_deep_guards_follow_the_environment_alone(monkeypatch, capsys):
 
     monkeypatch.setenv("CCMA_GUARD_LIMIT", "4")
     with pytest.raises(GuardExceeded) as info:
-        Planner(spec_for_q(2)).synth(6)
-    assert str(info.value).startswith("root search in GF(2^3):")
-    assert main(["synth", "--q", "2", "--n", "6"]) == 3
+        Planner(spec_for_q(2)).synth(8)
+    assert str(info.value).startswith("root search in GF(2^4):")
+    assert main(["synth", "--q", "2", "--n", "8"]) == 3
     assert capsys.readouterr().err.startswith("resource guard: root search")
+
+
+def test_a_losing_candidate_cannot_fail_a_request(monkeypatch):
+    # the 3 x 2 tower ties with 2 x 3 at rank 15 and comes later; composing
+    # it hits the guard in its F_8 root search, but it is never built
+    monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
+    monkeypatch.setenv("CCMA_GUARD_LIMIT", "4")
+    cert = Planner(spec_for_q(2)).synth(6)
+    assert cert["rank"] == 15
+    assert cert["strategy"]["kind"] == "tower" and cert["strategy"]["split"] == [2, 3]
+    assert verify(BilinearAlgorithm.from_json(cert["algorithm"]))
 
 
 def test_cli_nonpositive_counts_are_usage_errors(capsys):
@@ -317,6 +328,52 @@ def test_synth_builds_each_cost_table_entry_once(monkeypatch):
     assert len(calls) == 53
 
 
+def test_only_the_winning_candidates_are_built(monkeypatch):
+    # every candidate is priced first; losing constructions are never made
+    from ccma import genus0, planner
+
+    monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
+    made = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            made[name] = made.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(genus0, "build", counted("genus0.build", genus0.build))
+    tower = counted("compose_tower", bilinear.compose_tower)
+    monkeypatch.setattr(bilinear, "compose_tower", tower)
+    monkeypatch.setattr(planner, "compose_tower", tower)
+    for name in ("compose_truncated", "schoolbook"):
+        monkeypatch.setattr(bilinear, name, counted(name, getattr(bilinear, name)))
+    _, calls = _count_builds_and_checks(monkeypatch)
+    assert Planner(spec_for_q(2)).synth(8)["rank"] == 24
+    assert len(calls) == 53
+    # building every candidate made 46, 18, 10 and 37 of them
+    assert made == {"genus0.build": 18, "compose_tower": 7, "compose_truncated": 6}
+
+
+def _built_reference(planner, n):
+    """Build every candidate and keep the first of least N: the rule that
+    pricing first must reproduce."""
+    found = [
+        build() for s in planner.strategies for _, build in planner._candidates(n, s)
+    ]
+    alg, detail = min((f for f in found if f is not None), key=lambda f: f[0].N)
+    return alg.to_json(), detail
+
+
+def test_pricing_first_picks_the_winner_of_building_all():
+    requests = [(Planner(spec_for_q(q)), n) for q in (2, 3, 4) for n in range(2, 9)]
+    requests += [(Planner(spec_for_q(q), strategies=("curve",)), n)
+                 for q, n in ((4, 4), (3, 9), (16, 13), (16, 14), (16, 15))]
+    for planner, n in requests:
+        cert = planner.synth(n)
+        assert (cert["algorithm"], cert["strategy"]) == _built_reference(planner, n), (
+            planner.base, n)
+
+
 def test_second_planner_reuses_every_shared_entry(monkeypatch):
     # the first request fills the process-wide tables; the second builds
     # nothing and checks only its certificate
@@ -353,7 +410,7 @@ def test_shared_tables_keep_guard_limits_apart(monkeypatch):
     assert Planner(F2).table.get(5, 1).N == 14
     monkeypatch.setenv("CCMA_GUARD_LIMIT", "4")
     with pytest.raises(GuardExceeded):
-        Planner(F2).synth(6)
+        Planner(F2).synth(8)
     # the genus-0 candidate of (5,1) drops out under the small limit, so that
     # entry is schoolbook's there, never the default limit's
     assert Planner(F2).table.get(5, 1).N == 25
