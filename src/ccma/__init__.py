@@ -34,7 +34,6 @@ from .codes import (
 )
 from .errors import CcmaError, GuardExceeded, VerificationError
 from .gf import (
-    FieldElement,
     FieldSpec,
     Poly,
     crt_reconstruct,

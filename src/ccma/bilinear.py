@@ -15,12 +15,14 @@ from .gf import (
     ExtensionRing,
     FieldSpec,
     Poly,
+    digits,
     embed_element,
     field_extend,
     is_irreducible,
     least_root,
     lex_least_irreducible,
     local_columns,
+    trunc_mul,
 )
 from .guard import check_guard, guard_limit
 
@@ -85,11 +87,8 @@ class TruncAlgebra:
         m = self.m
         return [tuple(coords[j * m : (j + 1) * m]) for j in range(self.ell)]
 
-    def join(self, digits):
-        out = []
-        for d in digits:
-            out.extend(d)
-        return list(out)
+    def join(self, blocks):
+        return [c for d in blocks for c in d]
 
     def basis_product(self, i, k):
         j1, i1 = divmod(i, self.m)
@@ -106,17 +105,7 @@ class TruncAlgebra:
         return out
 
     def mul_coords(self, x, y):
-        xd = self.split(x)
-        yd = self.split(y)
-        out = [self.field.zero] * self.ell
-        for a in range(self.ell):
-            if any(xd[a]):
-                for b in range(self.ell - a):
-                    if any(yd[b]):
-                        out[a + b] = self.field.add(
-                            out[a + b], self.field.mul(xd[a], yd[b])
-                        )
-        return self.join(out)
+        return self.join(trunc_mul(self.field, self.split(x), self.split(y)))
 
     def describe(self):
         return {
@@ -537,11 +526,7 @@ def _power_basis_form(A, B, W, iso, ring):
     first = q ** m if dim > m else 1
     for enc in range(first, q ** dim):
         check_guard(enc - first + 1, "generator scan", lim)
-        coords = []
-        v = enc
-        for _ in range(dim):
-            coords.append(v % q)
-            v //= q
+        coords = digits(enc, q, dim)
         g = tuple(iso.to_field(coords[j * m : (j + 1) * m]) for j in range(n))
         powers = [ring.one]
         for _ in range(dim):
@@ -672,19 +657,9 @@ class SearchOutcome:
 
 def _monic_vectors(spec, dim):
     """Nonzero vectors with first nonzero coordinate 1, ascending."""
-    out = []
     q = spec.q
-    for enc in range(1, q ** dim):
-        v = []
-        e = enc
-        for _ in range(dim):
-            v.append(e % q)
-            e //= q
-        lead = next(c for c in v if c)
-        if lead != 1:
-            continue
-        out.append(v)
-    return out
+    vecs = (digits(enc, q, dim) for enc in range(1, q ** dim))
+    return [v for v in vecs if next(c for c in v if c) == 1]
 
 
 def _pivot_row(spec, v):

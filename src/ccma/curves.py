@@ -280,19 +280,12 @@ class FuncElem:
 
 
 def _flatten_f2(K, v):
-    out = []
-    for c in v:
-        out.extend(K.spec.decode(c) if K.spec.k > 1 else (c,))
-    return out
+    return [b for c in v for b in K.spec.decode(c)]
 
 
 def _unflatten_f2(K, bits):
     k = K.spec.k
-    out = []
-    for i in range(K.dim):
-        chunk = tuple(bits[i * k : (i + 1) * k])
-        out.append(K.spec.encode(chunk) if k > 1 else chunk[0])
-    return tuple(out)
+    return tuple(K.spec.encode(bits[i * k : (i + 1) * k]) for i in range(K.dim))
 
 
 def solve_y_quadratic(K, c, v):

@@ -5,6 +5,13 @@ tuple (c_0, ..., c_{k-1}) in the power basis of the defining polynomial is
 packed little-endian in base p.  Polynomials carry their coefficient field
 and store trimmed little-endian coefficient tuples of such integers.
 
+Each arithmetic primitive has one implementation here, which the field,
+its quotient rings, `bilinear`, `curves` and `series` all call: the digit
+codec `digits`/`pack` (integer encodings, monic enumeration, ring
+elements), `power` (square and multiply under any product),
+`reduction_rows` (x^(d+j) mod a monic modulus, for field and quotient-ring
+products) and `trunc_mul` (the product in F[t]/(t^l)).
+
 Every field with q <= 2^16 multiplies through log/antilog tables over a
 fixed primitive element, built in O(q); for odd p with k > 1 it also adds
 through a Zech table.  Only larger fields multiply schoolbook and add digit
@@ -79,6 +86,53 @@ def count_irreducibles(q, d):
     return total // d
 
 
+# -- shared arithmetic primitives ---------------------------------------------
+
+
+def digits(v, base, n):
+    """The n little-endian base-`base` digits of v, as a list."""
+    out = []
+    for _ in range(n):
+        out.append(v % base)
+        v //= base
+    return out
+
+
+def pack(ds, base):
+    """The integer with little-endian base-`base` digits ds (inverse of digits)."""
+    v = 0
+    for d in reversed(ds):
+        v = v * base + d
+    return v
+
+
+def power(mul, one, a, e):
+    """a^e for an integer e >= 0 by square and multiply under `mul`."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
+def reduction_rows(spec, modulus):
+    """x^(d+j) mod `modulus` for j = 0..d-2, as tuples of d coefficients.
+
+    `modulus` is monic of degree d over `spec`.  A product of two residues
+    reduces by adding c times row j for each coefficient c of x^(d+j).
+    """
+    m = modulus.coeffs[:-1]
+    cur = [spec.neg(c) for c in m]  # x^d
+    rows = [tuple(cur)]
+    for _ in range(len(m) - 2):
+        # x^(d+j+1) = x * x^(d+j), whose top digit wraps around as -top * m
+        cur = spec.sub_scaled([0] + cur[:-1], cur[-1], m)
+        rows.append(tuple(cur))
+    return rows
+
+
 class FieldSpec:
     """The field F_{p^k} with a fixed monic irreducible defining polynomial.
 
@@ -119,7 +173,11 @@ class FieldSpec:
             if not is_irreducible(Poly(FieldSpec.get(p), poly)):
                 raise CcmaError("defining polynomial is reducible")
             self.poly = poly
-        self._red = self._reduction_rows() if k > 1 else None
+        if k > 1:
+            fp = FieldSpec.get(p)
+            self._red = reduction_rows(fp, Poly(fp, self.poly))
+        else:
+            self._red = None
         # exp[n] = g^n for 0 <= n < 2(q-1), log[a] for a != 0, and for odd
         # p with k > 1 zech[n] = log(1 + g^n) (None where 1 + g^n = 0)
         self._exp = self._log = self._zech = None
@@ -164,17 +222,11 @@ class FieldSpec:
     def encode(self, coeffs):
         if len(coeffs) != self.k:
             raise CcmaError("coefficient tuple has wrong length")
-        val = 0
-        for c in reversed(coeffs):
-            val = val * self.p + (c % self.p)
-        return val
+        p = self.p
+        return pack([c % p for c in coeffs], p)
 
     def decode(self, a):
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return tuple(digits(a, self.p, self.k))
 
     def elements(self):
         return range(self.q)
@@ -216,25 +268,24 @@ class FieldSpec:
         return 0
 
     def _mul_generic(self, a, b):
-        if self.k == 1:
-            return (a * b) % self.p
-        ca = self.decode(a)
-        cb = self.decode(b)
-        p = self.p
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(ca):
+        p, k = self.p, self.k
+        if k == 1:
+            return (a * b) % p
+        cb = digits(b, p, k)
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(digits(a, p, k)):
             if x:
                 for j, y in enumerate(cb):
                     if y:
                         prod[i + j] = (prod[i + j] + x * y) % p
-        out = list(prod[: self.k])
-        for j in range(self.k, 2 * self.k - 1):
+        out = prod[:k]
+        for j in range(k, 2 * k - 1):
             c = prod[j]
             if c:
-                row = self._red[j - self.k]
-                for i in range(self.k):
+                row = self._red[j - k]
+                for i in range(k):
                     out[i] = (out[i] + c * row[i]) % p
-        return self.encode(out)
+        return pack(out, p)
 
     def inv(self, a):
         if a == 0:
@@ -250,14 +301,7 @@ class FieldSpec:
         if e < 0:
             a = self.inv(a)
             e = -e
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return power(self.mul, 1, a, e)
 
     def scalar(self, c):
         """Embed an integer (prime subfield element) into the field."""
@@ -369,22 +413,6 @@ class FieldSpec:
             mul *= p
         return out
 
-    def _reduction_rows(self):
-        # x^(k+j) mod poly for j = 0..k-2, as coefficient rows of length k
-        p, k = self.p, self.k
-        rows = []
-        cur = [(-c) % p for c in self.poly[:k]]  # x^k
-        rows.append(tuple(cur))
-        for _ in range(k - 2):
-            nxt = [0] + cur[: k - 1]
-            top = cur[k - 1]
-            if top:
-                for i in range(k):
-                    nxt[i] = (nxt[i] + top * rows[0][i]) % p
-            cur = nxt
-            rows.append(tuple(cur))
-        return rows
-
     def _primitive_element(self):
         """The least encoding of multiplicative order q - 1."""
         q1 = self.q - 1
@@ -428,65 +456,6 @@ class FieldSpec:
             self._zech = zech
         self._exp = exp
         self._log = log
-
-
-class FieldElement:
-    """Wrapper pairing a FieldSpec with one encoded element."""
-
-    __slots__ = ("spec", "val")
-
-    def __init__(self, spec, val):
-        self.spec = spec
-        self.val = val % spec.q if isinstance(val, int) else spec.encode(val)
-
-    @property
-    def coeffs(self):
-        return self.spec.decode(self.val)
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement) or other.spec != self.spec:
-            raise FieldMismatch("operands live in different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add(self.val, other.val))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.sub(self.val, other.val))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.val))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.val, other.val))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.div(self.val, other.val))
-
-    def __pow__(self, e):
-        return FieldElement(self.spec, self.spec.pow(self.val, e))
-
-    def inverse(self):
-        return FieldElement(self.spec, self.spec.inv(self.val))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.spec == other.spec
-            and self.val == other.val
-        )
-
-    def __hash__(self):
-        return hash((self.spec.p, self.spec.k, self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return f"FieldElement({self.spec!r}, {self.coeffs})"
 
 
 # -- polynomials over a FieldSpec -------------------------------------------
@@ -651,21 +620,11 @@ class Poly:
         return acc
 
     def pow_mod(self, e, mod):
-        result = Poly.one(self.spec)
-        base = self % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
+        return power(lambda a, b: a * b % mod, Poly.one(self.spec), self % mod, e)
 
     def order_key(self):
         """Canonical total-order key: ascending sum(c_i q^i)."""
-        val = 0
-        for c in reversed(self.coeffs):
-            val = val * self.spec.q + c
-        return (self.degree, val)
+        return (self.degree, pack(self.coeffs, self.spec.q))
 
     def __repr__(self):
         if self.is_zero():
@@ -732,12 +691,7 @@ def iter_monic(spec, d):
     """All monic degree-d polynomials in the canonical ascending order."""
     q = spec.q
     for m in range(q ** d):
-        coeffs = []
-        v = m
-        for _ in range(d):
-            coeffs.append(v % q)
-            v //= q
-        yield Poly(spec, tuple(coeffs) + (1,))
+        yield Poly(spec, digits(m, q, d) + [1])
 
 
 _IRREDUCIBLE_STREAMS = {}
@@ -802,16 +756,15 @@ def field_extend(spec, m):
     """The field F_{q^m} realized over the prime field, canonically.
 
     Returns a FieldSpec of degree k*m over F_p whose defining polynomial is
-    the least monic irreducible of that degree.  The deterministic embedding
-    of `spec` is available through `embed_map`.
+    the least monic irreducible of that degree.  Nothing is embedded here:
+    `embed_map` finds (and caches) the deterministic embedding of `spec`
+    when a composition first needs it.
     """
     if m < 1:
         raise CcmaError("extension degree must be >= 1")
     if m == 1:
         return spec
-    big = FieldSpec.get(spec.p, spec.k * m)
-    embed_map(spec, big)  # force determinism check early
-    return big
+    return FieldSpec.get(spec.p, spec.k * m)
 
 
 def embed_map(sub, big):
@@ -868,22 +821,8 @@ class ExtensionRing:
         self.dim = modulus.degree
         self.q = spec.q ** self.dim  # number of elements, as FieldSpec.q
         self.zero = (0,) * self.dim
-        one = [0] * self.dim
-        one[0] = 1
-        self.one = tuple(one)
-        d = self.dim
-        rows = []
-        cur = [spec.neg(modulus[i]) for i in range(d)]
-        rows.append(tuple(cur))
-        for _ in range(d - 2):
-            nxt = [0] + cur[: d - 1]
-            top = cur[d - 1]
-            if top:
-                for i in range(d):
-                    nxt[i] = spec.add(nxt[i], spec.mul(top, rows[0][i]))
-            cur = nxt
-            rows.append(tuple(cur))
-        self._red = rows
+        self.one = self.embed_base(1)
+        self._red = reduction_rows(spec, modulus)
 
     def __eq__(self, other):
         return (
@@ -904,15 +843,8 @@ class ExtensionRing:
         return tuple(out)
 
     def gen(self):
-        out = [0] * self.dim
-        if self.dim == 1:
-            return self.embed_base(self.modulus_root_constant())
-        out[1] = 1
-        return tuple(out)
-
-    def modulus_root_constant(self):
-        # dim 1: x == -f0
-        return self.spec.neg(self.modulus[0])
+        """The class of x."""
+        return self.from_poly(Poly.x(self.spec))
 
     # most rings in use have dimension 1 or 2, where mapping the scalar
     # operation beats a row kernel call
@@ -945,14 +877,7 @@ class ExtensionRing:
         return tuple(out)
 
     def pow(self, a, e):
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return power(self.mul, self.one, a, e)
 
     def inv(self, a):
         # extended Euclid against the modulus
@@ -981,20 +906,12 @@ class ExtensionRing:
 
     def elements(self):
         """All elements in ascending encoding."""
-        q = self.spec.q
+        q, d = self.spec.q, self.dim
         for m in range(self.q):
-            coeffs = []
-            v = m
-            for _ in range(self.dim):
-                coeffs.append(v % q)
-                v //= q
-            yield tuple(coeffs)
+            yield tuple(digits(m, q, d))
 
     def encode(self, a):
-        val = 0
-        for c in reversed(a):
-            val = val * self.spec.q + c
-        return val
+        return pack(a, self.spec.q)
 
 
 # -- local parameters: F_q[x]/(P^u) as F[t]/(t^u) --------------------------
@@ -1017,22 +934,22 @@ def local_columns(field, P, root, u, bound):
             # P(xi + c_j t^j) = P(xi) + P'(rho) c_j t^j mod t^(j+1)
             acc = [field.zero] * u
             for c in reversed(P.coeffs):
-                acc = _trunc_mul(field, acc, xi)
+                acc = trunc_mul(field, acc, xi)
                 acc[0] = field.add(acc[0], field.embed_base(c))
             want = field.one if j == 1 else field.zero
             xi[j] = field.mul(field.sub(want, acc[j]), inv_slope)
     d = field.dim
     rows = [[0] * (bound + 1) for _ in range(d * u)]
-    power = [field.one] + [field.zero] * (u - 1)
+    xi_k = [field.one] + [field.zero] * (u - 1)
     for k in range(bound + 1):
-        for j, z in enumerate(power):
+        for j, z in enumerate(xi_k):
             for i, c in enumerate(z):
                 rows[j * d + i][k] = c
-        power = _trunc_mul(field, power, xi)
+        xi_k = trunc_mul(field, xi_k, xi)
     return rows
 
 
-def _trunc_mul(field, a, b):
+def trunc_mul(field, a, b):
     """Product of two digit lists in field[t]/(t^len(a))."""
     u = len(a)
     out = [field.zero] * u
@@ -1041,13 +958,6 @@ def _trunc_mul(field, a, b):
             for j in range(u - i):
                 if any(b[j]):
                     out[i + j] = field.add(out[i + j], field.mul(x, b[j]))
-    return out
-
-
-def _poly_power(poly, e):
-    out = Poly.one(poly.spec)
-    for _ in range(e):
-        out = out * poly
     return out
 
 
@@ -1142,7 +1052,7 @@ def local_expansion(num, den, place, order, normalize=False):
             pole = v - nv
         num, den = nn, dd
     P = place.monic()
-    ring = ExtensionRing(spec, _poly_power(P, order))
+    ring = ExtensionRing(spec, power(operator.mul, Poly.one(spec), P, order))
     val = ring.mul(ring.from_poly(num), ring.inv(ring.from_poly(den)))
     residue = ExtensionRing(spec, P)
     mat = local_columns(residue, P, residue.gen(), order, ring.dim - 1)

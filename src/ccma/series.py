@@ -7,6 +7,7 @@ add/sub/neg/mul/inv and embed_base.
 """
 
 from .errors import CcmaError
+from .gf import power
 
 
 class Laurent:
@@ -120,14 +121,8 @@ class Laurent:
     def pow(self, e):
         if e < 0:
             return self.inv().pow(-e)
-        result = Laurent.from_constant(self.ring, self.ring.one, self.prec + abs(self.val) * e + 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            e >>= 1
-        return result
+        one = Laurent.from_constant(self.ring, self.ring.one, self.prec + abs(self.val) * e + 1)
+        return power(Laurent.mul, one, self, e)
 
     def __repr__(self):
         return f"Laurent(val={self.val}, prec={self.prec}, coeffs={self.coeffs})"

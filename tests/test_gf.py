@@ -8,7 +8,6 @@ from ccma.errors import CcmaError, DegreeOverflow, NonCoprimeModuli, PoleAtPlace
 from ccma.gf import (
     INFINITY,
     ExtensionRing,
-    FieldElement,
     FieldSpec,
     Poly,
     count_irreducibles,
@@ -16,10 +15,16 @@ from ccma.gf import (
     embed_element,
     field_extend,
     irreducibles,
+    digits,
     is_irreducible,
+    iter_monic,
     lex_least_irreducible,
     local_expansion,
+    pack,
+    power,
+    reduction_rows,
 )
+from ccma.series import Laurent
 
 F2 = FieldSpec.get(2)
 F3 = FieldSpec.get(3)
@@ -58,16 +63,6 @@ def test_field_axioms_on_random_pairs():
             )
             if a:
                 assert spec.mul(a, spec.inv(a)) == 1
-
-
-def test_field_element_wrapper():
-    a = FieldElement(F9, (1, 2))
-    b = FieldElement(F9, (2, 1))
-    assert (a + b).coeffs == (0, 0)
-    assert (a * a.inverse()).val == 1
-    assert a != FieldElement(F3, (1,))
-    with pytest.raises(CcmaError):
-        a + FieldElement(F3, (1,))
 
 
 def test_field_extend_identity():
@@ -358,3 +353,80 @@ def test_row_kernels_match_scalar_loops():
                 for x, y in zip(xs, ys):
                     acc = spec.add(acc, spec.mul(x, y))
                 assert spec.dot(xs, ys) == acc, (spec, xs, ys)
+
+
+# -- the shared primitives against their definitions ---------------------------
+
+
+def _rows_by_division(spec, modulus):
+    d = modulus.degree
+    rows = []
+    for j in range(d - 1):
+        r = Poly(spec, (0,) * (d + j) + (1,)) % modulus
+        rows.append(tuple(r[i] for i in range(d)))
+    return rows
+
+
+def test_reduction_rows_match_polynomial_division():
+    rng = random.Random(5)
+    for spec in (F2, F3, F4, F16):
+        for d in range(1, 7):
+            for _ in range(5):
+                M = Poly(spec, [rng.randrange(spec.q) for _ in range(d)] + [1])
+                assert reduction_rows(spec, M) == (
+                    _rows_by_division(spec, M) if d > 1 else [(spec.neg(M[0]),)]
+                ), (spec, M)
+    for spec in (FieldSpec.get(2, 17), FieldSpec.get(3, 11)):  # beyond the tables
+        fp = FieldSpec.get(spec.p)
+        assert spec._red == _rows_by_division(fp, Poly(fp, spec.poly))
+
+
+def _repeated(mul, one, a, e):
+    out = one
+    for _ in range(e):
+        out = mul(out, a)
+    return out
+
+
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(9)
+    for spec in (F3, F4, F9, F16, FieldSpec.get(3, 11)):
+        for _ in range(10):
+            a = rng.randrange(1, spec.q)
+            e = rng.randrange(20)
+            assert power(spec.mul, 1, a, e) == _repeated(spec.mul, 1, a, e)
+            assert spec.pow(a, e) == _repeated(spec.mul, 1, a, e)
+            assert spec.pow(a, -e) == _repeated(spec.mul, 1, spec.inv(a), e)
+    for spec, mod in ((F2, (1, 1, 0, 1)), (F3, (0, 0, 1)), (F4, (2, 1, 1))):
+        ring = ExtensionRing(spec, Poly(spec, mod))
+        M = ring.modulus
+        for _ in range(10):
+            a = tuple(rng.randrange(spec.q) for _ in range(ring.dim))
+            e = rng.randrange(20)
+            assert ring.pow(a, e) == _repeated(ring.mul, ring.one, a, e)
+            f = Poly(spec, [rng.randrange(spec.q) for _ in range(5)])
+            assert f.pow_mod(e, M) == _repeated(lambda x, y: x * y % M, Poly.one(spec), f, e)
+    ring = ExtensionRing(F4, Poly(F4, (1, 1, 1)))
+    for val in (0, 1, -2):
+        s = Laurent(ring, val, [(1, 2), (0, 1), (3, 0), (2, 2)])
+        for e in range(6):
+            one = Laurent.from_constant(ring, ring.one, s.prec + abs(val) * e + 1)
+            want, got = _repeated(Laurent.mul, one, s, e), s.pow(e)
+            assert (got.val, got.prec, got.coeffs) == (want.val, want.prec, want.coeffs)
+
+
+def test_digit_codec_round_trips_in_ascending_order():
+    rng = random.Random(2)
+    for base in (2, 3, 4, 16, 2 ** 18):
+        for n in (1, 2, 5):
+            for _ in range(20):
+                v = rng.randrange(base ** n)
+                ds = digits(v, base, n)
+                assert len(ds) == n and all(0 <= c < base for c in ds)
+                assert pack(ds, base) == v
+    for spec in (F2, F3, F4):
+        for d in (1, 2, 3):
+            keys = [pack(f.coeffs[:-1], spec.q) for f in iter_monic(spec, d)]
+            assert keys == list(range(spec.q ** d))
+        ring = ExtensionRing(spec, Poly(spec, (1, 0, 1)))
+        assert [ring.encode(a) for a in ring.elements()] == list(range(ring.q))
