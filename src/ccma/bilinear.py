@@ -22,6 +22,7 @@ from .gf import (
     least_root,
     lex_least_irreducible,
     local_columns,
+    powers,
     trunc_mul,
 )
 from .guard import check_guard, guard_limit
@@ -465,10 +466,7 @@ class _ExtFieldIso:
             raise CcmaError("modulus has no root in the canonical field")
         self.K = K
         self.m = m
-        powers = [1]
-        for _ in range(m - 1):
-            powers.append(big.mul(powers[-1], root))
-        self.powers = powers
+        self.powers = powers(big.mul, 1, root, m)
         # F_p-matrix sending (K-coeff vector) to spec2 p-coordinates
         p = K.p
         fp = FieldSpec.get(p)
@@ -476,7 +474,7 @@ class _ExtFieldIso:
         for i in range(m):
             for j in range(K.k):
                 g_j = K.encode(tuple(1 if t == j else 0 for t in range(K.k)))
-                img = big.mul(embed_element(K, big, g_j), powers[i])
+                img = big.mul(embed_element(K, big, g_j), self.powers[i])
                 cols.append(list(big.decode(img)))
         mat = [[cols[c][r] for c in range(len(cols))] for r in range(big.k)]
         self._fp = fp
@@ -528,10 +526,8 @@ def _power_basis_form(A, B, W, iso, ring):
         check_guard(enc - first + 1, "generator scan", lim)
         coords = digits(enc, q, dim)
         g = tuple(iso.to_field(coords[j * m : (j + 1) * m]) for j in range(n))
-        powers = [ring.one]
-        for _ in range(dim):
-            powers.append(ring.mul(powers[-1], g))
-        cols = [[c for x in pw for c in iso.from_field(x)] for pw in powers]
+        cols = [[c for x in pw for c in iso.from_field(x)]
+                for pw in powers(ring.mul, ring.one, g, dim + 1)]
         theta = [[cols[j][i] for j in range(dim)] for i in range(dim)]
         theta_inv = linalg.invert(K, theta)
         if theta_inv is None:

@@ -14,8 +14,8 @@ import itertools
 from . import linalg
 from .bilinear import ExtAlgebra, TruncAlgebra, entry_conversion, interpolation_algorithm
 from .errors import CcmaError, ConditionFailure, DivisorSearchFailed, PlanInfeasible
-from .gf import ExtensionRing, FieldSpec, Poly, iter_irreducibles
-from .guard import check_guard
+from .gf import ExtensionRing, FieldSpec, Poly, iter_irreducibles, powers
+from .guard import check_guard, guard_limit
 from .series import Laurent, eval_poly, newton_root
 
 WEIERSTRASS = "weierstrass"
@@ -26,6 +26,9 @@ RATIONAL = "rational"
 PLACE_SCAN_LIMIT = 4096
 # Divisor candidates tried before the search gives up.
 DIVISOR_CANDIDATES = 5000
+
+# guard limit -> {curve: the one CurveModel equal to it}; see CurveModel.shared
+_SHARED_CURVES = {}
 
 
 class CurveModel:
@@ -116,6 +119,17 @@ class CurveModel:
         coeffs = [base.encode(tuple(c)) if isinstance(c, list) else c
                   for c in data.get("coefficients", [])]
         return cls(base, data["shape"], coeffs, data.get("genus"))
+
+    @classmethod
+    def shared(cls, data):
+        """The curve `data` describes, from the process-wide registry of the active limit.
+
+        Its fibres and place lists then serve every later request of the
+        process.  The registry is keyed by the guard limit: a cached place
+        list skips the guard of `enumerate_curve_places`.
+        """
+        curve = cls.from_json(data)
+        return _SHARED_CURVES.setdefault(guard_limit(), {}).setdefault(curve, curve)
 
     def describe(self):
         base = self.base
@@ -504,20 +518,16 @@ class Frame:
         self.prec = prec
         self.ring, self.sx, self.sy = _local_series(place, prec)
         window = prec + max(0, -self.sx.val) * max(top, 1) + 1
-        power = Laurent.from_constant(self.ring, self.ring.one, window)
-        powers = [power]
-        for _ in range(top):
-            power = power.mul(self.sx)
-            powers.append(power)
-        self._powers = powers
-        self._lo = min(s.val for s in powers)
+        one = Laurent.from_constant(self.ring, self.ring.one, window)
+        self._powers = powers(Laurent.mul, one, self.sx, top + 1)
+        self._lo = min(s.val for s in self._powers)
         # _columns[e - lo] holds the t^e coefficients of sx^0..sx^top, one
         # tuple per residue coordinate (0 where a power is not known at e;
         # poly_at stops below the precision of every power it uses)
         self._columns = []
         for e in range(self._lo, prec):
             column = [s.coeffs[e - s.val] if s.val <= e < s.prec else self.ring.zero
-                      for s in powers]
+                      for s in self._powers]
             self._columns.append(column if place.is_infinity else list(zip(*column)))
 
     def poly_at(self, poly):
@@ -659,12 +669,7 @@ def func_values_at(curve, funcs, place, order):
         return _frame_values(funcs, place, order)
     K = place.residue
     dot = curve.base.dot
-    power = K.one
-    powers = [power]
-    for _ in range(_top_degree(funcs)):
-        power = K.mul(power, place.xi)
-        powers.append(power)
-    columns = list(zip(*powers))
+    columns = list(zip(*powers(K.mul, K.one, place.xi, _top_degree(funcs) + 1)))
 
     def value(poly):
         return tuple(dot(poly.coeffs, col) for col in columns)
@@ -904,6 +909,8 @@ def find_divisor(curve, Q, items, cost_table, places=None):
     exhausted (never silently degrades).  `places` maps a degree to its
     enumerated places; the support pool reads it and adds the degrees it
     enumerates, so a caller that passes one dict enumerates each degree once.
+    The pool lists a degree only when the walk over candidates first reads
+    past the places already listed.
     """
     n = Q.degree
     g = curve.genus
@@ -911,7 +918,7 @@ def find_divisor(curve, Q, items, cost_table, places=None):
         raise CcmaError("deg G must be at least 2n+g-1")
     target_deg = n + g - 1
     eval_places = {p for p, _ in items}
-    pool = _support_pool(curve, Q, eval_places, target_deg, places)
+    pool = _SupportPool(_support_places(curve, Q, eval_places, target_deg, places))
     tried = 0
     for D in _divisor_candidates(curve, eval_places, target_deg, pool):
         if tried == DIVISOR_CANDIDATES:
@@ -945,26 +952,48 @@ def _divisor_candidates(curve, eval_places, target_deg, pool):
             yield CurveDivisor(curve, support)
 
 
-def _support_pool(curve, Q, eval_places, target_deg, places):
+def _support_places(curve, Q, eval_places, target_deg, places):
+    """Divisor support places by ascending degree, enumerating each degree lazily.
+
+    Stops after the degree at which 24 places have been given.
+    """
     places = {} if places is None else places
-    pool = []
+    given = 0
     for d in range(1, target_deg + 1):
         if curve.base.q ** d > PLACE_SCAN_LIMIT:
-            break
+            return
         if d not in places:
             try:
                 places[d] = enumerate_curve_places(curve, d)
             except CcmaError:
-                break
+                return
         for p in places[d]:
             if p.is_infinity or p in eval_places or p == Q:
                 continue
             if p.ramified or p.x_deg != p.degree:
                 continue  # keep the series machinery on supported ground
-            pool.append(p)
-        if len(pool) >= 24:
-            break
-    return pool
+            given += 1
+            yield p
+        if given >= 24:
+            return
+
+
+class _SupportPool:
+    """The places of an iterator, drawn from it only as far as they are read."""
+
+    def __init__(self, places):
+        self._places = places
+        self._listed = []
+
+    def get(self, idx):
+        """The place at `idx`, or None past the last."""
+        listed = self._listed
+        while idx >= len(listed):
+            p = next(self._places, None)
+            if p is None:
+                return None
+            listed.append(p)
+        return listed[idx]
 
 
 def _multisets(pool, total_degree):
@@ -974,9 +1003,9 @@ def _multisets(pool, total_degree):
         if remaining == 0:
             yield []
             return
-        if idx >= len(pool):
+        p = pool.get(idx)
+        if p is None:
             return
-        p = pool[idx]
         for c in range(remaining // p.degree, -1, -1):
             for rest in rec(idx + 1, remaining - c * p.degree):
                 yield [p] * c + rest

@@ -117,6 +117,14 @@ def power(mul, one, a, e):
     return result
 
 
+def powers(mul, one, g, k):
+    """[g^0, g^1, ..., g^(k-1)] under `mul`, each the last times g."""
+    out = [one]
+    for _ in range(k - 1):
+        out.append(mul(out[-1], g))
+    return out
+
+
 def reduction_rows(spec, modulus):
     """x^(d+j) mod `modulus` for j = 0..d-2, as tuples of d coefficients.
 
@@ -644,9 +652,10 @@ class Poly:
 
 
 # is_irreducible decides degrees 2 and 3 by a root scan while q is at most
-# this: over F_16 a cubic takes about 15 us against 130 us for Butler's
-# test (2-vCPU VM, Python 3.11), but the scan makes q scalar evaluations,
-# which outgrow Butler's row kernels on larger fields.
+# this, and by its gcd root screen above: over F_16 a cubic takes about
+# 13 us by the scan against 90 us by the screen (2-vCPU VM, Python 3.11),
+# but the scan makes q scalar evaluations, which outgrow the screen's
+# polynomial products on larger fields.
 ROOT_SCAN_MAX_Q = 16
 
 
@@ -658,8 +667,12 @@ def is_irreducible(poly):
     Q is the matrix of the F_q-linear map f -> f^q on F_q[x]/(P): the kernel
     of Q - I (the Berlekamp subalgebra) has one dimension per distinct
     irreducible factor of a squarefree P.  Row i of Q is x^(iq) mod P.
-    For d <= 3 a factorization has a linear factor, so while q <=
-    ROOT_SCAN_MAX_Q a scan for roots in F_q decides instead.
+    Before the rows are built, a root screen rejects P when gcd(x^q - x, P)
+    has positive degree, that is when P has a root in F_q (the
+    distinct-degree step of von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 14).  For d <= 3 a factorization has a linear factor, so
+    the screen alone decides; while q <= ROOT_SCAN_MAX_Q a scan for roots
+    in F_q decides before it.
     """
     d = poly.degree
     if d <= 0:
@@ -675,7 +688,12 @@ def is_irreducible(poly):
     deriv = poly.derivative()
     if deriv.is_zero() or poly.gcd(deriv).degree > 0:
         return False
-    xq = Poly.x(sp).pow_mod(sp.q, poly)
+    x = Poly.x(sp)
+    xq = x.pow_mod(sp.q, poly)
+    if (xq - x).gcd(poly).degree > 0:
+        return False
+    if d <= 3:
+        return True
     cur = Poly.one(sp)
     rows = []
     for i in range(d):
@@ -787,9 +805,7 @@ def embed_map(sub, big):
     root = least_root(big, target)
     if root is None:
         raise CcmaError(f"no root of {target!r} in {big!r}")
-    images = [1]
-    for _ in range(sub.k - 1):
-        images.append(big.mul(images[-1], root))
+    images = powers(big.mul, 1, root, sub.k)
     _EMBED_CACHE[key] = images
     return images
 

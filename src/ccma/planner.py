@@ -51,7 +51,8 @@ class Planner:
 
     The root table is `CostTable.shared(base)`: entries that earlier
     planners of the process built and verified under the active guard
-    limit are reused, not rebuilt.
+    limit are reused, not rebuilt.  Curve instances come from
+    `CurveModel.shared` in the same way, with their fibres and place lists.
 
     Each candidate is priced before any is built (`bilinear.cheapest`): a
     tower by the ranks of its two entries, a genus-0 plan by its cost, a
@@ -139,7 +140,7 @@ class Planner:
                 curve_info = inst["curve"]
                 if n not in inst.get("targets", []):
                     continue
-                curve = curves_mod.CurveModel.from_json(curve_info)
+                curve = curves_mod.CurveModel.shared(curve_info)
                 if curve.base != self.base:
                     continue
                 try:
@@ -221,7 +222,8 @@ def _curve_classes(curve, need):
     """Place classes and the places of each enumerated degree.
 
     Higher degrees are enumerated only when actually needed, and each
-    degree once per curve object: pricing and building an instance share
+    degree once per curve object: pricing and building an instance, and
+    every later request on the shared curve, share
     `curve.places_of_degree`, which the divisor search extends.
     """
     classes = []

@@ -341,6 +341,56 @@ def test_curve_instance_synth_tests_divisors_by_building(monkeypatch):
     assert alg.N == 8 and verify(alg)
 
 
+def test_lazy_support_pool_walks_like_the_eager_pool(monkeypatch):
+    # the reference lists every degree of the pool up front
+    import itertools
+
+    import ccma.curves as curves_mod
+    from ccma.curves import PLACE_SCAN_LIMIT, _divisor_candidates, _support_places, _SupportPool
+    from ccma.planner import Planner, shipped_instances
+
+    def eager_pool(curve, Q, eval_places, target_deg):
+        pool = []
+        for d in range(1, target_deg + 1):
+            if curve.base.q ** d > PLACE_SCAN_LIMIT:
+                break
+            try:
+                found = enumerate_curve_places(curve, d)
+            except CcmaError:
+                break
+            pool += [p for p in found
+                     if not (p.is_infinity or p in eval_places or p == Q
+                             or p.ramified or p.x_deg != p.degree)]
+            if len(pool) >= 24:
+                break
+        return pool
+
+    searches = []
+    search = curves_mod.find_divisor
+    monkeypatch.setattr(curves_mod, "find_divisor", lambda curve, Q, items, *rest:
+                        searches.append((curve, Q, items)) or search(curve, Q, items, *rest))
+    requests = 0
+    for inst in shipped_instances():
+        curve = CurveModel.from_json(inst["curve"])
+        for n in inst["targets"]:
+            Planner(curve.base, strategies=("curve",), instances=[inst]).synth(n)
+            requests += 1
+    assert requests == 5 and len(searches) >= requests
+    lengths = []
+    for curve, Q, items in searches:
+        eval_places = {p for p, _ in items}
+        target_deg = Q.degree + curve.genus - 1
+        reference = eager_pool(curve, Q, eval_places, target_deg)
+        assert list(_support_places(curve, Q, eval_places, target_deg, {})) == reference
+        eager = _SupportPool(iter(reference))
+        lazy = _SupportPool(_support_places(curve, Q, eval_places, target_deg, {}))
+        first = [list(itertools.islice(_divisor_candidates(curve, eval_places, target_deg, pool),
+                                       50)) for pool in (eager, lazy)]
+        assert first[0] == first[1], (curve, Q.degree)
+        lengths.append(len(first[0]))
+    assert min(lengths) > 0 and max(lengths) == 50, lengths
+
+
 def test_build_raises_condition_failure():
     c = fermat()
     Q = find_place_of_degree(c, 4)

@@ -3,7 +3,7 @@ replaced, and the memoized irreducible stream against a direct filter."""
 
 import random
 
-from ccma import gf
+from ccma import gf, linalg
 from ccma.gf import (
     FieldSpec,
     Poly,
@@ -20,6 +20,7 @@ F3 = FieldSpec.get(3)
 F4 = FieldSpec.get(2, 2)
 F5 = FieldSpec.get(5)
 F16 = FieldSpec.get(2, 4)
+F64 = FieldSpec.get(2, 6)
 
 
 def _prime_divisors(n):
@@ -98,13 +99,41 @@ def test_butler_matches_rabin_on_random_high_degree():
         low = lex_least_irreducible(F16, 5)
         cases.append(low * lex_least_irreducible(F16, d - 5))
         cases.append(low * low * _random_monic(rng, F16, d - 10))
+        # a root in F_16 times an irreducible: rejected by the root screen
+        cases.append(_linear(rng, F16) * lex_least_irreducible(F16, d - 1))
     cases += [_random_monic(rng, F2, 16) for _ in range(10)]
-    # low degrees on either side of gf.ROOT_SCAN_MAX_Q (root scan, then Butler)
-    for spec in (F16, FieldSpec.get(2, 6)):
+    # low degrees on either side of gf.ROOT_SCAN_MAX_Q (root scan, then root screen)
+    for spec in (F16, F64):
         cases += [_random_monic(rng, spec, d) for d in (2, 3, 4) for _ in range(4)]
+    # above ROOT_SCAN_MAX_Q, squarefree products with a root, and irreducibles
+    # that the screen alone accepts at d <= 3
+    cases.append(Poly(F64, [3, 1]) * Poly(F64, [5, 1]))
+    for d in (3, 4, 5):
+        cases.append(_linear(rng, F64) * lex_least_irreducible(F64, d - 1))
+    cases += [lex_least_irreducible(F64, d) for d in (2, 3)]
     verdicts = [is_irreducible(p) for p in cases]
     assert verdicts == [rabin_is_irreducible(p) for p in cases]
     assert True in verdicts and False in verdicts
+
+
+def _linear(rng, spec):
+    """x + a for a random nonzero a."""
+    return Poly(spec, [rng.randrange(1, spec.q), 1])
+
+
+def test_root_screen_rejects_before_any_rank(monkeypatch):
+    ranks = []
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda spec, rows: ranks.append(len(rows))
+                        or real(spec, rows))
+    rng = random.Random(14)
+    irreducible = lex_least_irreducible(F16, 13)
+    for _ in range(4):
+        assert not is_irreducible(_linear(rng, F16) * irreducible)
+    assert ranks == []
+    # an irreducible of the same degree still takes Butler's rank
+    assert is_irreducible(lex_least_irreducible(F16, 14))
+    assert ranks == [14]
 
 
 def test_interleaved_streams_share_one_ascending_sequence(monkeypatch):

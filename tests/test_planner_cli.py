@@ -11,7 +11,7 @@ import ccma
 from ccma import bilinear
 from ccma.bilinear import BilinearAlgorithm, CostTable, verify
 from ccma.cli import main
-from ccma.errors import CcmaError
+from ccma.errors import CcmaError, PlanInfeasible
 from ccma.planner import Planner, shipped_instances, spec_for_q
 
 
@@ -595,20 +595,38 @@ def test_cli_search_guard_before_enumeration():
 
 
 def test_curve_request_enumerates_each_degree_once(monkeypatch):
-    # at the parent the divisor search enumerated the planned degrees again
-    # on every call: (4,4) [1, 1, 2, 3] and (3,9) [1, 2, 1, 2, 3, 4, 5]
+    # the divisor search reads the planner's place lists and draws its support
+    # pool only as far as its walk reads, so (3,9) stops before degrees 4 and 5
     import ccma.curves as curves_mod
 
+    monkeypatch.setattr(curves_mod, "_SHARED_CURVES", {})
     calls = []
     enumerate_places = curves_mod.enumerate_curve_places
     monkeypatch.setattr(curves_mod, "enumerate_curve_places",
                         lambda curve, d: calls.append(d)
                         or enumerate_places(curve, d))
-    for q, n, degrees in ((4, 4, [1, 2, 3]), (3, 9, [1, 2, 3, 4, 5])):
+    for q, n, degrees in ((4, 4, [1, 2, 3]), (3, 9, [1, 2, 3])):
         calls.clear()
         cert = Planner(spec_for_q(q), strategies=("curve",)).synth(n)
         assert calls == degrees, (q, n, calls)
         assert cert["rank"] == {4: 8, 3: 26}[q]
+        # a second planner reads the shared curve's place lists
+        calls.clear()
+        assert Planner(spec_for_q(q), strategies=("curve",)).synth(n) == cert
+        assert calls == [], (q, n, calls)
+
+
+def test_shared_curves_are_kept_per_guard_limit(monkeypatch):
+    # a curve shared across limits would answer 27 from its cached place
+    # lists; a fresh process under the lower limit finds no curve candidate
+    import ccma.curves as curves_mod
+
+    monkeypatch.setattr(curves_mod, "_SHARED_CURVES", {})
+    F16 = spec_for_q(16)  # F_16 itself exceeds the limit set below
+    assert Planner(F16, strategies=("curve",)).synth(13)["rank"] == 27
+    monkeypatch.setenv("CCMA_GUARD_LIMIT", "8")
+    with pytest.raises(PlanInfeasible):
+        Planner(F16, strategies=("curve",)).synth(13)
 
 
 def test_cli_bounds_table2_achieved_writes_every_row_past_a_failure(monkeypatch, capsys):
