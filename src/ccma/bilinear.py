@@ -6,6 +6,7 @@ correctness means W((A x) .* (B y)) equals the coordinates of x*y for all
 x, y.  Checking this on all D^2 basis pairs is exact by bilinearity.
 """
 
+import operator
 from functools import partial
 
 from . import linalg
@@ -22,6 +23,7 @@ from .gf import (
     least_root,
     lex_least_irreducible,
     local_columns,
+    pack,
     powers,
     trunc_mul,
 )
@@ -43,9 +45,10 @@ class ExtAlgebra:
         self.ring = ExtensionRing(base, self.Q)
 
     def basis_product(self, i, k):
-        e_i = tuple(1 if t == i else 0 for t in range(self.dim))
-        e_k = tuple(1 if t == k else 0 for t in range(self.dim))
-        return list(self.ring.mul(e_i, e_k))
+        """x^i * x^k: x^(i+k), or its reduction row once i + k >= n."""
+        if i + k < self.n:
+            return [1 if t == i + k else 0 for t in range(self.n)]
+        return list(self.ring._red[i + k - self.n])
 
     def mul_coords(self, x, y):
         return list(self.ring.mul(tuple(x), tuple(y)))
@@ -166,26 +169,54 @@ class BilinearAlgorithm:
     def symmetric(self):
         return self.A == self.B
 
-    def apply(self, x, y):
-        """Multiply two coordinate vectors with this algorithm."""
-        sp = self.target.base
-        ax = linalg.mat_vec(sp, self.A, x)
-        by = linalg.mat_vec(sp, self.B, y)
-        prods = [sp.mul(a, b) for a, b in zip(ax, by)]
-        return linalg.mat_vec(sp, self.W, prods)
-
     def failing_pair(self):
-        """First basis pair where the algorithm is wrong, or None."""
-        dim = self.target.dim
-        sp = self.target.base
-        # A e_i and B e_k are the columns of A and B
-        a_cols = [[row[i] for row in self.A] for i in range(dim)]
-        b_cols = [[row[k] for row in self.B] for k in range(dim)]
+        """The first failing basis pair (i, k) in (i, k) order, or None.
+
+        The product of e_i and e_k is the sum over terms j of v_j times
+        column j of W, where v_j = a_j(e_i) b_j(e_k).  Each v times column j
+        is packed into one int with a slot per base-p digit of each output
+        coordinate, and kept in a dict per column on the first v that
+        occurs, so a pair costs N lookups.  For p = 2 the slots are bits,
+        added by XOR; for odd p they hold up to N(p-1) and are added as
+        integers, then taken mod p.  Both target algebras are commutative,
+        so when A = B the pair (k, i) fails iff (i, k) does, and only
+        k >= i is checked.
+        """
+        target = self.target
+        sp = target.base
+        p, k_digits, q = sp.p, sp.k, sp.q
+        dim = target.dim
+        if p == 2:
+            add, slot_base = operator.xor, 2
+        else:
+            add, slot_base = operator.add, 1 << (self.N * (p - 1)).bit_length()
+
+        def packed(coords):
+            if p == 2 or k_digits == 1:  # an encoding is its own slot content
+                return pack(coords, slot_base ** k_digits)
+            return pack([d for c in coords for d in digits(c, p, k_digits)], slot_base)
+
+        def canonical(acc):
+            """The coordinates packed base q, as pack(basis_product, q)."""
+            if p == 2:
+                return acc
+            return pack([d % p for d in digits(acc, slot_base, dim * k_digits)], p)
+
+        w_cols = list(zip(*self.W))
+        tables = [{0: 0} for _ in range(self.N)]
+        symmetric = self.symmetric
         for i in range(dim):
-            for k in range(dim):
-                prods = [sp.mul(a, b) for a, b in zip(a_cols[i], b_cols[k])]
-                got = linalg.mat_vec(sp, self.W, prods)
-                if got != self.target.basis_product(i, k):
+            start = i if symmetric else 0
+            sums = [0] * (dim - start)
+            for a_row, b_row, w_col, table in zip(self.A, self.B, w_cols, tables):
+                if not a_row[i]:
+                    continue
+                values = sp.scaled(a_row[i], b_row[start:])
+                for v in set(values).difference(table):
+                    table[v] = packed(sp.scaled(v, w_col))
+                sums = list(map(add, sums, map(table.__getitem__, values)))
+            for k, acc in enumerate(sums, start):
+                if canonical(acc) != pack(target.basis_product(i, k), q):
                     return (i, k)
         return None
 
@@ -945,10 +976,3 @@ class CostTable:
             if d % a == 0:
                 big = field_extend(self.base, a)
                 yield a, self.get(a, 1), self.subtable(big).get(d // a, 1)
-
-    def load_check(self):
-        """Re-verify every cached entry of every table in the registry."""
-        for tab in self._registry.values():
-            for key, entry in sorted(tab._entries.items()):
-                verify_or_raise(entry, f"cost table entry {key} over {tab.base!r}")
-        return True

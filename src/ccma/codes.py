@@ -90,6 +90,7 @@ class Supercode:
         for row in self.basis:
             if len(row) != self.n + N:
                 raise CcmaError("basis row has wrong length")
+        self._square_span = None
 
     @property
     def dim(self):
@@ -107,20 +108,20 @@ class Supercode:
         return linalg.rank(self.algebra.base, first) == self.n
 
     def square_span(self):
-        rows = []
-        for i in range(len(self.basis)):
-            for j in range(i, len(self.basis)):
-                rows.append(self.product(self.basis[i], self.basis[j]))
-        red, pivots = linalg.rref(self.algebra.base, rows)
-        return [red[r] for r in range(len(pivots))]
+        """Echelon basis of the span of all products of two basis rows (cached)."""
+        if self._square_span is None:
+            rows = []
+            for i in range(len(self.basis)):
+                for j in range(i, len(self.basis)):
+                    rows.append(self.product(self.basis[i], self.basis[j]))
+            red, pivots = linalg.rref(self.algebra.base, rows)
+            self._square_span = [red[r] for r in range(len(pivots))]
+        return self._square_span
 
     def condition2_holds(self):
         span = self.square_span()
         second = [row[self.n :] for row in span]
         return linalg.rank(self.algebra.base, second) == len(span)
-
-    def is_exact(self):
-        return self.dim == self.n
 
     def to_json(self):
         spec = self.algebra.base
@@ -174,7 +175,8 @@ def symmetric_from_supercode(S):
     Minv = linalg.invert(spec, M)
     canon = linalg.mat_mul(spec, Minv, exact_rows)  # rows (e_i, u(e_i))
     A = [ [canon[i][n + l] for i in range(n)] for l in range(S.N) ]
-    sub = Supercode(S.algebra, S.N, canon)
+    # the supercode_from_symmetric rows are already canonical: S is exact
+    sub = S if canon == S.basis else Supercode(S.algebra, S.N, canon)
     span = sub.square_span()
     # W solves W v = z for every (z, v) in the square span: one row
     # reduction of [v | z] carries all n right-hand sides, free variables 0

@@ -276,10 +276,3 @@ def build(plan, cost_table):
         raise VerificationError("assembled rank disagrees with plan cost")
     return alg
 
-
-def interpolation_matrix_rank(plan, cost_table):
-    """Column rank of the product-space evaluation matrix (should be 2nl-1)."""
-    rows = []
-    for _, _, rows2 in _place_rows(plan, cost_table):
-        rows.extend(rows2)
-    return linalg.rank(plan.base, rows)

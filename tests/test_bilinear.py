@@ -6,8 +6,9 @@ import random
 
 import pytest
 
+from ccma import linalg
 from ccma.errors import FieldMismatch, VerificationError
-from ccma.gf import FieldSpec, field_extend
+from ccma.gf import FieldSpec, Poly, field_extend, is_irreducible
 from ccma.bilinear import (
     BilinearAlgorithm,
     CostTable,
@@ -28,6 +29,38 @@ from ccma.bilinear import (
 F2 = FieldSpec.get(2)
 F3 = FieldSpec.get(3)
 F4 = FieldSpec.get(2, 2)
+
+
+def _apply(alg, x, y):
+    """Multiply two coordinate vectors with the algorithm: W((A x) .* (B y))."""
+    sp = alg.target.base
+    ax = linalg.mat_vec(sp, alg.A, x)
+    by = linalg.mat_vec(sp, alg.B, y)
+    return linalg.mat_vec(sp, alg.W, [sp.mul(a, b) for a, b in zip(ax, by)])
+
+
+def _load_check(table):
+    """Re-verify every cached entry of every table in the registry."""
+    for tab in table._registry.values():
+        for key, entry in sorted(tab._entries.items()):
+            verify_or_raise(entry, f"cost table entry {key} over {tab.base!r}")
+    return True
+
+
+def _reference_failing_pair(alg):
+    """The scalar check: N products and a W product per basis pair."""
+    dim = alg.target.dim
+    sp = alg.target.base
+    # A e_i and B e_k are the columns of A and B
+    a_cols = [[row[i] for row in alg.A] for i in range(dim)]
+    b_cols = [[row[k] for row in alg.B] for k in range(dim)]
+    for i in range(dim):
+        for k in range(dim):
+            prods = [sp.mul(a, b) for a, b in zip(a_cols[i], b_cols[k])]
+            got = linalg.mat_vec(sp, alg.W, prods)
+            if got != alg.target.basis_product(i, k):
+                return (i, k)
+    return None
 
 
 def test_karatsuba_matches_reference_matrices():
@@ -192,14 +225,14 @@ def test_cost_table_load_check_fails_on_corruption():
     entry = table._entries[(2, 1)]
     entry.W[0][0] ^= 1
     with pytest.raises(VerificationError):
-        table.load_check()
+        _load_check(table)
     # a corrupted subtable entry is reached from the root table
     table = CostTable(F2)
     table.get(4, 1)
-    assert table.load_check()
+    assert _load_check(table)
     table.subtable(F4)._entries[(2, 1)].W[0][0] ^= 1
     with pytest.raises(VerificationError):
-        table.load_check()
+        _load_check(table)
 
 
 def test_cost_table_subtables_share_one_registry(monkeypatch):
@@ -271,7 +304,7 @@ def test_mutated_algorithms_fail_random_pairs():
         for _ in range(500):
             x = [rng.randrange(2) for _ in range(dim)]
             y = [rng.randrange(2) for _ in range(dim)]
-            if alg.apply(x, y) != alg.target.mul_coords(x, y):
+            if _apply(alg, x, y) != alg.target.mul_coords(x, y):
                 found_bad_pair = True
                 break
         assert found_bad_pair
@@ -285,7 +318,7 @@ def test_verified_algorithm_agrees_on_random_pairs():
     for _ in range(500):
         x = [rng.randrange(3) for _ in range(dim)]
         y = [rng.randrange(3) for _ in range(dim)]
-        assert alg.apply(x, y) == alg.target.mul_coords(x, y)
+        assert _apply(alg, x, y) == alg.target.mul_coords(x, y)
 
 
 def test_compose_truncated_identity_outer():
@@ -415,6 +448,62 @@ def test_empty_algorithm_fails_verification():
     target = extension_target(FieldSpec.get(2), 2)
     alg = BilinearAlgorithm(target, [], [], [[], []])
     assert alg.failing_pair() == (0, 0)
+
+
+def _karatsuba_beyond_tables(spec, linear):
+    """Karatsuba on the first irreducible x^2 + linear*x + c, c = 1, 2, ..."""
+    c = 1
+    while not is_irreducible(Poly(spec, (c, linear, 1))):
+        c += 1
+    return karatsuba(extension_target(spec, 2, Poly(spec, (c, linear, 1))))
+
+
+def test_packed_check_agrees_with_the_scalar_loop():
+    rng = random.Random(31)
+    F9, F16 = FieldSpec.get(3, 2), FieldSpec.get(2, 4)
+    algs = []
+    for spec in (F2, F3, F4, F9, F16):
+        table = CostTable(spec)
+        algs += [table.get(2, 1), table.get(3, 1), schoolbook(extension_target(spec, 2))]
+    # truncated entries with u > 1, one of them a composition
+    algs += [CostTable(spec).get(d, u) for spec, d, u in
+             ((F2, 2, 2), (F2, 1, 3), (F3, 1, 2), (F3, 2, 2), (F4, 1, 3), (F9, 1, 2))]
+    # fields beyond the log tables: q > 2^16, and odd p with k > 1
+    algs += [_karatsuba_beyond_tables(FieldSpec.get(2, 17), 1),
+             _karatsuba_beyond_tables(FieldSpec.get(3, 11), 0)]
+    assert any(alg.symmetric for alg in algs) and not all(alg.symmetric for alg in algs)
+    checked = 0
+    for base_alg in algs:
+        assert base_alg.failing_pair() is None
+        assert _reference_failing_pair(base_alg) is None
+        sp = base_alg.target.base
+        for trial in range(12):
+            alg = BilinearAlgorithm(base_alg.target, base_alg.A, base_alg.B, base_alg.W)
+            # half of the mutants of a symmetric algorithm keep A = B
+            keep_symmetric = base_alg.symmetric and trial % 2 == 0
+            for _ in range(rng.randint(1, 3)):
+                which = rng.choice("ABW")
+                mat = getattr(alg, which)
+                i, j = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
+                mat[i][j] = sp.add(mat[i][j], rng.randrange(1, sp.q))
+                if keep_symmetric and which != "W":
+                    (alg.B if which == "A" else alg.A)[i][j] = mat[i][j]
+            assert alg.symmetric or not keep_symmetric
+            assert alg.failing_pair() == _reference_failing_pair(alg), (base_alg, trial)
+            checked += alg.failing_pair() is not None
+    assert checked > 200
+    for spec in (F2, F3, F9):
+        empty = BilinearAlgorithm(extension_target(spec, 2), [], [], [[], []])
+        assert empty.failing_pair() == _reference_failing_pair(empty) == (0, 0)
+
+
+def test_extension_basis_product_is_the_ring_product():
+    for spec, n in ((F2, 7), (F3, 5), (FieldSpec.get(2, 4), 13)):
+        target = extension_target(spec, n)
+        unit = [tuple(1 if t == i else 0 for t in range(n)) for i in range(n)]
+        for i in range(n):
+            for k in range(n):
+                assert target.basis_product(i, k) == list(target.ring.mul(unit[i], unit[k]))
 
 
 def test_generator_scan_guard_counts_candidates_tried(monkeypatch):

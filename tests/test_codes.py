@@ -2,7 +2,14 @@
 
 import pytest
 
-from ccma.bilinear import CostTable, extension_target, karatsuba, schoolbook, verify
+from ccma.bilinear import (
+    BilinearAlgorithm,
+    CostTable,
+    extension_target,
+    karatsuba,
+    schoolbook,
+    verify,
+)
 from ccma.codes import (
     LinearCode,
     Supercode,
@@ -12,9 +19,15 @@ from ccma.codes import (
 )
 from ccma.errors import CcmaError, SupercodeConditionError
 from ccma.gf import FieldSpec
+from ccma.planner import Planner
 
 F2 = FieldSpec.get(2)
 F3 = FieldSpec.get(3)
+
+
+def _is_exact(S):
+    """An exact supercode has dimension n."""
+    return S.dim == S.n
 
 
 def test_karatsuba_code_parameters():
@@ -59,7 +72,7 @@ def test_distance_lower_bound_across_small_decompositions():
 def test_supercode_roundtrip_karatsuba():
     alg = karatsuba(extension_target(F2, 2))
     S = supercode_from_symmetric(alg)
-    assert S.is_exact() and S.dim == 2
+    assert _is_exact(S) and S.dim == 2
     assert S.condition1_holds() and S.condition2_holds()
     back = symmetric_from_supercode(S)
     assert back.A == alg.A
@@ -89,7 +102,7 @@ def test_padded_supercode_reduces_to_exact():
     rows = [row + [0] for row in S.basis]
     rows.append([0, 0, 0, 0, 0, 1])
     padded = Supercode(S.algebra, 4, rows)
-    assert padded.dim == 3 and not padded.is_exact()
+    assert padded.dim == 3 and not _is_exact(padded)
     assert padded.condition1_holds() and padded.condition2_holds()
     back = symmetric_from_supercode(padded)
     assert back.N == 4 and verify(back)
@@ -120,7 +133,25 @@ def test_condition2_violation_reported():
 def test_supercode_exactness_is_dimension_n():
     alg = karatsuba(extension_target(F2, 2))
     S = supercode_from_symmetric(alg)
-    assert S.is_exact() == (S.dim == S.n)
+    assert _is_exact(S) and S.dim == S.n == 2
+
+
+def test_round_trip_builds_one_square_span(monkeypatch):
+    cert = Planner(F2).synth(4)
+    alg = BilinearAlgorithm.from_json(cert["algorithm"])
+    assert alg.symmetric
+    product = Supercode.product
+    calls = []
+
+    def counted(self, r1, r2):
+        calls.append(1)
+        return product(self, r1, r2)
+
+    monkeypatch.setattr(Supercode, "product", counted)
+    back = symmetric_from_supercode(supercode_from_symmetric(alg))
+    assert back.A == alg.A and verify(back)
+    # one product per pair of the n basis rows, not one set per condition check
+    assert len(calls) == 4 * 5 // 2
 
 
 def test_symmetric_rank_never_below_asymmetric():

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from ccma import linalg
 from ccma.bilinear import CostTable, verify
 from ccma.errors import PlanInfeasible
 from ccma.gf import FieldSpec, Poly, lex_least_irreducible
@@ -12,8 +13,8 @@ from ccma.genus0 import (
     EvalPlan,
     G0Place,
     build,
+    _place_rows,
     enumerate_g0_places,
-    interpolation_matrix_rank,
     plan_search,
 )
 
@@ -25,6 +26,14 @@ F5 = FieldSpec.get(5)
 
 def table(spec):
     return CostTable(spec)
+
+
+def interpolation_matrix_rank(plan, cost_table):
+    """Column rank of the product-space evaluation matrix (should be 2nl-1)."""
+    rows = []
+    for _, _, rows2 in _place_rows(plan, cost_table):
+        rows.extend(rows2)
+    return linalg.rank(plan.base, rows)
 
 
 def test_enumerate_places_degree_one():
