@@ -836,23 +836,22 @@ def brute_force_min_rank(target, max_rank, symmetric_only=False, limit=None):
 
 
 def cheapest(candidates):
-    """Build the first candidate of least rank from (rank, build) pairs.
+    """Build the first candidate of least rank from (rank, build, detail) triples.
 
-    Every candidate is priced before any is built: the pairs, in tie-break
+    Every candidate is priced before any is built: the triples, in tie-break
     order, are sorted stably by rank and built in that order until one
-    `build()` returns something other than None (a candidate that drops
-    out).  That result is returned: an algorithm, or a tuple that starts
-    with one.  Losing candidates are never built.  Returns None when every
-    candidate drops out.
+    `build()` returns an algorithm rather than None (a candidate that drops
+    out).  Returns that algorithm with its detail, the certificate record of
+    its strategy; losing candidates are never built.  Returns None when
+    every candidate drops out.
     """
-    for rank, build in sorted(candidates, key=lambda pair: pair[0]):
-        found = build()
-        if found is None:
+    for rank, build, detail in sorted(candidates, key=lambda cand: cand[0]):
+        alg = build()
+        if alg is None:
             continue
-        alg = found[0] if isinstance(found, tuple) else found
         if alg.N != rank:
             raise VerificationError(f"built rank {alg.N} differs from its price {rank}")
-        return found
+        return alg, detail
     return None
 
 
@@ -923,9 +922,7 @@ class CostTable:
 
     def _build(self, d, u):
         best = cheapest(self._candidates(d, u))
-        if best is None:
-            best = schoolbook(self._target(d, u))
-        return best
+        return schoolbook(self._target(d, u)) if best is None else best[0]
 
     def _target(self, d, u):
         if u == 1:
@@ -933,38 +930,62 @@ class CostTable:
         return truncated_target(self.base, d, u)
 
     def _candidates(self, d, u):
-        """(rank, build) of every construction of the (d, u) entry, in tie-break order."""
-        if d == 1 and u == 1:
-            yield 1, partial(trivial_rank1, self._target(1, 1))
-            return
-        if u == 1:
-            if d == 2:
-                yield 3, partial(karatsuba, self._target(d, 1))
-            for _, outer, inner in self.tower_splits(d):
-                yield outer.N * inner.N, partial(compose_tower, outer, inner)
-        else:
-            if d == 1 and u == 2:
-                yield 3, partial(truncated_order2, self._target(d, u))
-            if d == 1 and u == 3:
-                yield 5, partial(truncated_order3, self._target(d, u))
-            if d > 1:
-                big = field_extend(self.base, d)
-                outer, inner = self.get(d, 1), self.subtable(big).get(1, u)
-                yield outer.N * inner.N, partial(compose_truncated, outer, inner)
-        from . import genus0
+        """(rank, build, detail) of every construction of the (d, u) entry.
 
-        # a plan that is infeasible, or hits the guard while it is searched
-        # or built, drops out; the other candidates still make the entry
-        try:
-            plan = genus0.plan_search(self.base, d, u, self, max_item_dim=d * u - 1)
-        except (PlanInfeasible, GuardExceeded):
-            plan = None
-        if plan is not None:
-            yield plan.cost, partial(unless_dropped, genus0.build, plan, self)
+        In tie-break order: formulas and compositions, the genus-0 plan,
+        then schoolbook.  `detail` is the certificate strategy record of the
+        candidate: its `kind` (the `method` its algorithm's meta gets), a
+        tower's `split` and the table entries it nests, a genus-0 `plan`.
+        """
+        yield from self._composition_candidates(d, u)
+        if d == u == 1:
+            return  # the rank-1 formula cannot be beaten
+        yield from self._genus0_candidates(d, u)
         if d * u <= 8:
             # schoolbook is only ever competitive at tiny dimensions, and its
             # quadratic rank makes verification of large entries expensive
-            yield (d * u) ** 2, partial(schoolbook, self._target(d, u))
+            yield (d * u) ** 2, partial(schoolbook, self._target(d, u)), {"kind": "schoolbook"}
+
+    def _composition_candidates(self, d, u):
+        """Explicit formulas, towers and localizations for the (d, u) entry.
+
+        For (n, 1) these are the planner's `tower` strategy.
+        """
+        if d == 1 and u == 1:
+            yield 1, partial(trivial_rank1, self._target(1, 1)), {"kind": "trivial"}
+        elif u == 1:
+            if d == 2:
+                yield 3, partial(karatsuba, self._target(d, 1)), {"kind": "karatsuba"}
+            for a, outer, inner in self.tower_splits(d):
+                detail = {"kind": "tower", "split": [a, d // a],
+                          "outer": _table_record(outer), "inner": _table_record(inner)}
+                yield outer.N * inner.N, partial(compose_tower, outer, inner), detail
+        else:
+            if d == 1 and u == 2:
+                yield 3, partial(truncated_order2, self._target(d, u)), {"kind": "trunc2"}
+            if d == 1 and u == 3:
+                yield 5, partial(truncated_order3, self._target(d, u)), {"kind": "trunc3"}
+            if d > 1:
+                big = field_extend(self.base, d)
+                outer, inner = self.get(d, 1), self.subtable(big).get(1, u)
+                yield (outer.N * inner.N, partial(compose_truncated, outer, inner),
+                       {"kind": "localized"})
+
+    def _genus0_candidates(self, d, u):
+        """The genus-0 plan for the (d, u) entry, if there is one.
+
+        For (n, 1) this is the planner's `g0` strategy.  A plan that is
+        infeasible, or hits the guard while it is searched or built, drops
+        out; the other candidates still answer.
+        """
+        from . import genus0
+
+        try:
+            plan = genus0.plan_search(self.base, d, u, self)
+        except (PlanInfeasible, GuardExceeded):
+            return
+        yield (plan.cost, partial(unless_dropped, genus0.build, plan, self),
+               {"kind": "genus0", "plan": plan.describe()})
 
     def tower_splits(self, d):
         """(a, outer, inner) for each tower F_q < F_{q^a} < F_{q^d}, 2 <= a < d.
@@ -976,3 +997,9 @@ class CostTable:
             if d % a == 0:
                 big = field_extend(self.base, a)
                 yield a, self.get(a, 1), self.subtable(big).get(d // a, 1)
+
+
+def _table_record(entry):
+    """Certificate record of a cost-table entry that a tower nests."""
+    target = entry.target
+    return {"kind": "table", "n": target.n, "q": target.base.q, "rank": entry.N}

@@ -51,8 +51,6 @@ def build_parser():
         default="tower,g0,curve",
         help="comma list among tower,g0,curve",
     )
-    p_synth.add_argument("--max-place-degree", type=int, default=None)
-    p_synth.add_argument("--max-mult", type=int, default=4)
     p_synth.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="re-verify a stored algorithm file")
@@ -94,13 +92,7 @@ def _emit(text, path):
 def cmd_synth(args):
     strategies = tuple(s.strip() for s in args.strategies.split(",") if s.strip())
     spec = spec_for_q(args.q)
-    planner = Planner(
-        spec,
-        strategies=strategies,
-        max_place_degree=args.max_place_degree,
-        max_mult=args.max_mult,
-    )
-    cert = planner.synth(args.n)
+    cert = Planner(spec, strategies=strategies).synth(args.n)
     text = json.dumps(cert, indent=2) + "\n"
     _emit(text, args.out)
     if args.out:
@@ -192,7 +184,7 @@ def main(argv=None):
         if args.command is None:
             parser.print_help()
             return EXIT_USAGE
-        for name in ("n", "max_rank", "max_mult", "max_place_degree", "n_max"):
+        for name in ("n", "max_rank", "n_max"):
             value = getattr(args, name, None)
             if value is not None and value < 1:
                 flag = "--" + name.replace("_", "-")

@@ -161,16 +161,14 @@ def symmetric_from_supercode(S):
     """Symmetric algorithm recovered from a supercode (exact sub-supercode first)."""
     spec = S.algebra.base
     n = S.n
-    if not S.condition1_holds():
+    # exact sub-supercode: the rows with a pivot in the first block; there
+    # are n of them exactly when the first projection is surjective
+    red, pivots = linalg.rref(spec, S.basis)
+    exact_rows = [red[r] for r, p in enumerate(pivots) if p < n]
+    if len(exact_rows) != n:
         raise SupercodeConditionError(1, "first projection not surjective")
     if not S.condition2_holds():
         raise SupercodeConditionError(2, "second projection not injective on the square span")
-    # exact sub-supercode: pivot rows of the first block under row reduction
-    red, pivots = linalg.rref(spec, S.basis)
-    reduced = [red[r] for r in range(len(pivots))]
-    exact_rows = [row for row, p in zip(reduced, pivots) if p < n]
-    if len(exact_rows) != n:
-        raise SupercodeConditionError(1, "no exact sub-supercode of dimension n")
     M = [row[:n] for row in exact_rows]
     Minv = linalg.invert(spec, M)
     canon = linalg.mat_mul(spec, Minv, exact_rows)  # rows (e_i, u(e_i))

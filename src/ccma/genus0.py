@@ -99,18 +99,18 @@ class EvalPlan:
         }
 
 
-def plan_search(base, n, ell, cost_table, max_place_degree=None, max_mult=4,
-                max_item_dim=None):
+def plan_search(base, n, ell, cost_table, max_place_degree=None, max_mult=4):
     """Minimal-cost feasible plan for F_{q^n} (ell = 1) or F_{q^n}[t]/(t^ell).
 
     Exact optimization over (degree, multiplicity) class counts subject to
-    place availability, with the documented lexicographic tie-break.
+    place availability, with the documented lexicographic tie-break.  Every
+    item's local algebra has dimension d * u below n * ell, so a plan only
+    ever prices cost-table entries smaller than its target.
     """
     q = base.q
     budget = 2 * n * ell - 1
-    # no class of degree above the budget fits: every item has d * u <= budget
-    d_cap = min(max_place_degree if max_place_degree is not None else 2 * n, budget)
-    dim_cap = max_item_dim if max_item_dim is not None else budget
+    dim_cap = n * ell - 1
+    d_cap = dim_cap if max_place_degree is None else min(max_place_degree, dim_cap)
     Q = lex_least_irreducible(base, n)
     classes = []
     for d in range(1, d_cap + 1):
@@ -120,7 +120,7 @@ def plan_search(base, n, ell, cost_table, max_place_degree=None, max_mult=4,
         if avail <= 0:
             continue
         for u in range(1, max_mult + 1):
-            if d * u <= min(dim_cap, budget):
+            if d * u <= dim_cap:
                 classes.append((d, u, avail))
     if not classes:
         raise PlanInfeasible(f"no admissible items for n={n}, l={ell} over {base!r}")

@@ -16,8 +16,7 @@ from functools import partial
 
 from . import curves as curves_mod
 from . import genus0
-from .bilinear import BilinearAlgorithm, CostTable, cheapest, compose_tower, extension_target
-from .bilinear import karatsuba, unless_dropped, verify_or_raise
+from .bilinear import BilinearAlgorithm, CostTable, cheapest, unless_dropped, verify_or_raise
 from .bounds import factor_prime_power
 from .errors import CcmaError, GuardExceeded, InvalidRequest, PlanInfeasible
 from .gf import FieldSpec
@@ -54,19 +53,21 @@ class Planner:
     limit are reused, not rebuilt.  Curve instances come from
     `CurveModel.shared` in the same way, with their fibres and place lists.
 
-    Each candidate is priced before any is built (`bilinear.cheapest`): a
-    tower by the ranks of its two entries, a genus-0 plan by its cost, a
-    curve instance by its plan.  Only the first candidate of least rank is
-    built, so a losing candidate can never fail the request.  A genus-0
-    plan or a curve instance that is infeasible or hits the guard, while
-    it is priced or built, drops out of the request; the other candidates
-    still answer.
+    The candidates for F_{q^n} are the root table's own (n, 1) candidates,
+    in its order: its formulas and towers for `tower`, its genus-0 plan for
+    `g0`, never schoolbook; then the curve instances.  A disabled strategy
+    is not priced.  Each candidate is priced before any is built
+    (`bilinear.cheapest`): a tower by the ranks of its two entries, a
+    genus-0 plan by its cost, a curve instance by its plan.  Only the first
+    candidate of least rank is built, so a losing candidate can never fail
+    the request.  A genus-0 plan or a curve instance that is infeasible or
+    hits the guard, while it is priced or built, drops out of the request;
+    the other candidates still answer.
     """
 
     STRATEGY_ORDER = ("tower", "g0", "curve")
 
-    def __init__(self, base, strategies=("tower", "g0", "curve"), max_place_degree=None,
-                 max_mult=4, instances=None):
+    def __init__(self, base, strategies=("tower", "g0", "curve"), instances=None):
         self.base = base
         for s in strategies:
             if s not in self.STRATEGY_ORDER:
@@ -74,8 +75,6 @@ class Planner:
         self.strategies = tuple(s for s in self.STRATEGY_ORDER if s in strategies)
         if not self.strategies:
             raise InvalidRequest("no strategies enabled")
-        self.max_place_degree = max_place_degree
-        self.max_mult = max_mult
         self.instances = instances if instances is not None else shipped_instances()
         self.table = CostTable.shared(base)
         self._memo = {}
@@ -83,10 +82,7 @@ class Planner:
     def synth(self, n):
         """Best verified algorithm across the enabled strategies."""
         if n not in self._memo:
-            # strategy order, then candidate order, breaks rank ties
-            self._memo[n] = cheapest(
-                found for s in self.strategies for found in self._candidates(n, s)
-            )
+            self._memo[n] = cheapest(self._candidates(n))
         if self._memo[n] is None:
             raise PlanInfeasible(f"no strategy produced an algorithm for n={n}")
         alg, strategy = self._memo[n]
@@ -106,62 +102,26 @@ class Planner:
             "algorithm": alg.to_json(),
         }
 
-    def _candidates(self, n, strategy):
-        """(rank, build) of each candidate; build() gives (alg, detail) or None."""
-        if strategy == "tower":
-            if n == 1:
-                yield 1, partial(_detailed, {"kind": "trivial"}, self.table.get, 1, 1)
-                return
-            if n == 2:
-                target = extension_target(self.base, 2)
-                yield 3, partial(_detailed, {"kind": "karatsuba"}, karatsuba, target)
-                return
-            # every split is a candidate; synth keeps the first of least rank
-            for a, outer, inner in self.table.tower_splits(n):
-                detail = {
-                    "kind": "tower",
-                    "split": [a, n // a],
-                    "outer": _table_detail(outer),
-                    "inner": _table_detail(inner),
-                }
-                yield outer.N * inner.N, partial(_detailed, detail, compose_tower, outer, inner)
-        elif strategy == "g0":
+    def _candidates(self, n):
+        """(rank, build, detail) of every enabled candidate, in tie-break order."""
+        if "tower" in self.strategies:
+            yield from self.table._composition_candidates(n, 1)
+        if "g0" in self.strategies:
+            yield from self.table._genus0_candidates(n, 1)
+        if "curve" not in self.strategies:
+            return
+        for inst in self.instances:
+            if n not in inst.get("targets", []):
+                continue
+            curve = curves_mod.CurveModel.shared(inst["curve"])
+            if curve.base != self.base:
+                continue
             try:
-                plan = genus0.plan_search(self.base, n, 1, self.table,
-                                          max_place_degree=self.max_place_degree,
-                                          max_mult=self.max_mult)
+                *_, rank = _curve_plan(curve, n, self.table)
             except (PlanInfeasible, GuardExceeded):
-                return
-            detail = {"kind": "genus0", "plan": plan.describe()}
-            yield plan.cost, partial(_detailed, detail, unless_dropped, genus0.build,
-                                     plan, self.table)
-        elif strategy == "curve":
-            for inst in self.instances:
-                curve_info = inst["curve"]
-                if n not in inst.get("targets", []):
-                    continue
-                curve = curves_mod.CurveModel.shared(curve_info)
-                if curve.base != self.base:
-                    continue
-                try:
-                    *_, rank = _curve_plan(curve, n, self.table)
-                except (PlanInfeasible, GuardExceeded):
-                    continue
-                detail = {"kind": "curve", "instance": inst.get("name", "?")}
-                yield rank, partial(_detailed, detail, unless_dropped, curve_instance_synth,
-                                    curve, n, self.table)
-
-
-def _detailed(detail, build, *args):
-    """(build(*args), detail), or None when the build drops out."""
-    alg = build(*args)
-    return None if alg is None else (alg, detail)
-
-
-def _table_detail(entry):
-    """Certificate record of a cost-table entry used as a tower component."""
-    target = entry.target
-    return {"kind": "table", "n": target.n, "q": target.base.q, "rank": entry.N}
+                continue
+            yield (rank, partial(unless_dropped, curve_instance_synth, curve, n, self.table),
+                   {"kind": "curve", "instance": inst.get("name", "?")})
 
 
 def curve_instance_synth(curve, n, cost_table):

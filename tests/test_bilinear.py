@@ -351,14 +351,15 @@ def test_cheapest_builds_only_the_first_of_least_rank():
         return alg
 
     kara, school = karatsuba(target), schoolbook(target)
-    # priced before any build; a dropped candidate gives way to the next
-    pairs = [(4, lambda: build(school)), (3, lambda: None), (3, lambda: build(kara)),
-             (3, lambda: build(school))]
-    assert cheapest(pairs) is kara
+    # priced before any build; a dropped candidate gives way to the next,
+    # and the winner comes back with its own detail
+    cands = [(4, lambda: build(school), "a"), (3, lambda: None, "b"),
+             (3, lambda: build(kara), "c"), (3, lambda: build(school), "d")]
+    assert cheapest(cands) == (kara, "c")
     assert built == ["karatsuba"]
-    assert cheapest([(3, lambda: None)]) is None
+    assert cheapest([(3, lambda: None, "b")]) is None
     with pytest.raises(VerificationError):
-        cheapest([(3, lambda: school)])
+        cheapest([(3, lambda: school, "d")])
 
 
 def test_every_cost_table_candidate_verifies():
@@ -374,10 +375,11 @@ def test_every_cost_table_candidate_verifies():
                 cands = list(table._candidates(d, u))
                 assert cands, (spec, d, u)
                 built = []
-                for rank, build in cands:
+                for rank, build, detail in cands:
                     alg = build()
                     assert alg is not None, (spec, d, u, rank)
                     assert alg.N == rank, (spec, d, u, alg.meta.get("method"))
+                    assert detail["kind"] == alg.meta["method"], (spec, d, u, detail)
                     assert verify(alg), (spec, d, u, alg.meta.get("method"))
                     built.append(alg)
                 checked += len(built)

@@ -154,6 +154,33 @@ def test_round_trip_builds_one_square_span(monkeypatch):
     assert len(calls) == 4 * 5 // 2
 
 
+def test_round_trip_decides_condition_1_from_its_row_reduction(monkeypatch):
+    from ccma import linalg
+
+    alg = BilinearAlgorithm.from_json(Planner(F2).synth(8)["algorithm"])
+    assert alg.symmetric
+    rref = linalg.rref
+    calls = []
+
+    def counted(spec, mat):
+        calls.append(1)
+        return rref(spec, mat)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    back = symmetric_from_supercode(supercode_from_symmetric(alg))
+    assert back.A == alg.A and verify(back)
+    # the recovery reads condition 1 off the pivots of the reduction it takes
+    # of the basis, with no separate rank of the first block
+    assert len(calls) == 7
+    # one row with a zero second block fails both conditions; 1 is reported
+    S = supercode_from_symmetric(karatsuba(extension_target(F2, 2)))
+    both = Supercode(S.algebra, S.N, [[1, 0] + [0] * S.N])
+    assert not both.condition1_holds() and not both.condition2_holds()
+    with pytest.raises(SupercodeConditionError) as err:
+        symmetric_from_supercode(both)
+    assert err.value.condition == 1
+
+
 def test_symmetric_rank_never_below_asymmetric():
     # the brute-force oracle witnesses the chain mu <= mu_sym on small cases
     from ccma.bilinear import brute_force_min_rank, truncated_target

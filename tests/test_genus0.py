@@ -107,8 +107,12 @@ def test_build_karatsuba_equivalent():
 
 
 def test_build_truncated_target():
-    tab = table(F2)
-    plan = plan_search(F2, 1, 2, tab)
+    # F_3[t]/(t^2) from three rational places; over F_2 only two remain
+    # besides Q, and no item may be as large as the target
+    with pytest.raises(PlanInfeasible):
+        plan_search(F2, 1, 2, table(F2))
+    tab = table(F3)
+    plan = plan_search(F3, 1, 2, tab)
     alg = build(plan, tab)
     assert alg.target.kind == "truncated"
     assert verify(alg)
@@ -138,7 +142,7 @@ def test_interpolation_matrix_full_rank():
 def test_cost_monotone_in_n():
     for spec in (F2, F3):
         tab = table(spec)
-        costs = [plan_search(spec, n, 1, tab).cost for n in range(1, 6)]
+        costs = [plan_search(spec, n, 1, tab).cost for n in range(2, 6)]
         assert all(a <= b for a, b in zip(costs, costs[1:]))
 
 
@@ -162,13 +166,8 @@ def test_build_verify_wide_sweep():
 
 
 def test_place_degree_cap_is_the_budget():
-    # at the parent --max-place-degree 100000 counted irreducibles of every
-    # degree up to 100000 and did not finish
-    from ccma.planner import Planner
-
-    plain = Planner(F2).synth(3)
-    capped = Planner(F2, max_place_degree=100000).synth(3)
-    assert capped == plain
+    # a max_place_degree of 100000 once counted irreducibles of every degree
+    # up to 100000 and did not finish
     assert plan_search(F2, 3, 1, table(F2), max_place_degree=100000).items == (
         plan_search(F2, 3, 1, table(F2)).items
     )

@@ -1,10 +1,13 @@
 """Differential test of the genus-0 plan solver against its earlier form.
 
 `plan_requests.json` holds every distinct (classes, budget) that the plan
-solver receives while synthesizing F_{q^n} for q in {2, 3, 4} and n <= 9
+solver received while synthesizing F_{q^n} for q in {2, 3, 4} and n <= 9
 (one planner per q), and for the five shipped curve-instance requests,
-with the real cost-table cost of each class it prices.  Regenerate it with
-`PYTHONPATH=src python tests/test_plan_solver.py`.
+with the real cost-table cost of each class it prices.  It was recorded
+while the planner's own genus-0 plans still admitted items up to
+dimension 2n - 2, so it holds larger class sets than synthesis now asks
+for.  `PYTHONPATH=src python tests/test_plan_solver.py` records the
+requests of the current planner instead.
 """
 
 import json

@@ -1,5 +1,6 @@
 """Planner strategy selection, certificates, and the command-line surface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -176,8 +177,6 @@ def test_cli_nonpositive_counts_are_usage_errors(capsys):
 def test_cli_count_flags_are_checked(capsys):
     # at the parent: exit 2 "no strategy produced an algorithm", and `[]` with exit 0
     for argv, flag in (
-        (["synth", "--q", "2", "--n", "3", "--max-mult", "0"], "--max-mult"),
-        (["synth", "--q", "2", "--n", "3", "--max-place-degree", "0"], "--max-place-degree"),
         (["bounds", "--table", "table2", "--n-max", "0"], "--n-max"),
     ):
         assert main(argv) == 1, argv
@@ -199,6 +198,9 @@ def test_cli_bad_request_is_usage_error(capsys):
         (["synth", "--q", "x", "--n", "2"], "'x'"),
         (["frobnicate"], "'frobnicate'"),
         (["bounds", "--table", "msym", "--json"], "--json"),
+        # the genus-0 plan's own caps are not options of the planner
+        (["synth", "--q", "2", "--n", "3", "--max-mult", "4"], "--max-mult"),
+        (["synth", "--q", "2", "--n", "3", "--max-place-degree", "2"], "--max-place-degree"),
     ):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
@@ -325,12 +327,23 @@ def test_synth_builds_each_cost_table_entry_once(monkeypatch):
     assert planner.synth(8)["rank"] == 24
     assert len(builds) == len(set(builds))
     assert len(builds) == _entries_built(planner)
-    assert len(calls) == 53
+    assert len(calls) == 25
+
+
+def test_synth_prices_only_entries_below_the_request(monkeypatch):
+    # the genus-0 plan of F_2^8 admits items of dimension below 8, as the
+    # cost table's own plans do; admitting up to 14 built (8,1) to (12,1),
+    # (2,4), (4,2), (3,3), (5,2), (3,4), (4,3) and (6,2) over F_2
+    monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
+    builds, _ = _count_builds_and_checks(monkeypatch)
+    F2 = spec_for_q(2)
+    assert Planner(F2).synth(8)["rank"] == 24
+    assert [(d, u) for base, d, u in builds if base == F2 and d * u >= 8] == []
 
 
 def test_only_the_winning_candidates_are_built(monkeypatch):
     # every candidate is priced first; losing constructions are never made
-    from ccma import genus0, planner
+    from ccma import genus0
 
     monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
     made = {}
@@ -342,25 +355,19 @@ def test_only_the_winning_candidates_are_built(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(genus0, "build", counted("genus0.build", genus0.build))
-    tower = counted("compose_tower", bilinear.compose_tower)
-    monkeypatch.setattr(bilinear, "compose_tower", tower)
-    monkeypatch.setattr(planner, "compose_tower", tower)
-    for name in ("compose_truncated", "schoolbook"):
+    for name in ("compose_tower", "compose_truncated", "schoolbook"):
         monkeypatch.setattr(bilinear, name, counted(name, getattr(bilinear, name)))
     _, calls = _count_builds_and_checks(monkeypatch)
     assert Planner(spec_for_q(2)).synth(8)["rank"] == 24
-    assert len(calls) == 53
-    # building every candidate made 46, 18, 10 and 37 of them
-    assert made == {"genus0.build": 18, "compose_tower": 7, "compose_truncated": 6}
+    assert len(calls) == 25
+    assert made == {"genus0.build": 6, "compose_tower": 3, "compose_truncated": 3}
 
 
 def _built_reference(planner, n):
     """Build every candidate and keep the first of least N: the rule that
     pricing first must reproduce."""
-    found = [
-        build() for s in planner.strategies for _, build in planner._candidates(n, s)
-    ]
-    alg, detail = min((f for f in found if f is not None), key=lambda f: f[0].N)
+    found = [(build(), detail) for _, build, detail in planner._candidates(n)]
+    alg, detail = min((f for f in found if f[0] is not None), key=lambda f: f[0].N)
     return alg.to_json(), detail
 
 
@@ -372,6 +379,35 @@ def test_pricing_first_picks_the_winner_of_building_all():
         cert = planner.synth(n)
         assert (cert["algorithm"], cert["strategy"]) == _built_reference(planner, n), (
             planner.base, n)
+
+
+# sha256 over the hex sha256 of each `json.dumps(cert, sort_keys=True)`, for
+# Planner(spec_for_q(q)).synth(n), q in (2, 3, 4), n = 2..10, then the curve
+# instances with strategies=("curve",), in that order and in one process
+CERTIFICATE_GRID_DIGEST = "9bd9364f11ada0ea314f499e1cd4ee788f3f94fe5c209f9a72e5114d982342a7"
+
+
+def test_certificate_grid_is_pinned(monkeypatch):
+    from ccma import curves as curves_mod
+
+    monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
+    monkeypatch.setattr(curves_mod, "_SHARED_CURVES", {})
+    certs = [Planner(spec_for_q(q)).synth(n) for q in (2, 3, 4) for n in range(2, 11)]
+    certs += [Planner(spec_for_q(q), strategies=("curve",)).synth(n)
+              for q, n in ((4, 4), (3, 9), (16, 13), (16, 14), (16, 15))]
+    hexes = "".join(hashlib.sha256(json.dumps(cert, sort_keys=True).encode()).hexdigest()
+                    for cert in certs)
+    assert hashlib.sha256(hexes.encode()).hexdigest() == CERTIFICATE_GRID_DIGEST
+
+
+def test_genus0_alone_has_no_plan_for_n_1(capsys):
+    # a genus-0 item must be smaller than its target, and nothing is below
+    # dimension 1
+    with pytest.raises(PlanInfeasible):
+        Planner(spec_for_q(2), strategies=("g0",)).synth(1)
+    assert main(["synth", "--q", "2", "--n", "1", "--strategies", "g0"]) == 2
+    assert capsys.readouterr().err.startswith("error: no strategy produced an algorithm")
+    assert Planner(spec_for_q(2)).synth(1)["strategy"] == {"kind": "trivial"}
 
 
 def test_second_planner_reuses_every_shared_entry(monkeypatch):
