@@ -4,6 +4,10 @@ A length-N algorithm for an algebra of dimension D over F_q is a triple
 (A, B, W): A and B are N x D matrices of linear forms, W is D x N, and
 correctness means W((A x) .* (B y)) equals the coordinates of x*y for all
 x, y.  Checking this on all D^2 basis pairs is exact by bilinearity.
+
+Every target is one `Algebra`, F_{q^m}[t]/(t^l) over F_q: the extension
+field F_{q^m} is l = 1, and the local algebras of derived evaluation are
+l > 1.  Karatsuba serves each two-dimensional one.
 """
 
 import operator
@@ -30,119 +34,86 @@ from .gf import (
 from .guard import check_guard, guard_limit
 
 
-class ExtAlgebra:
-    """F_q[x]/(Q) for irreducible Q of degree n, in the power basis."""
+class Algebra:
+    """F_{q^m}[t]/(t^l) over F_q, with Q irreducible of degree m.
 
-    kind = "extension"
+    The basis is x^i t^j ordered by (j, i): coordinate j*m + i.  The
+    extension field F_q[x]/(Q) is l = 1, and its coordinates are the power
+    basis.  Q is not re-tested: every modulus comes from the irreducible
+    stream or a minimal polynomial, and outside input is tested where it
+    is read (`truncated_target`, `BilinearAlgorithm.from_json`).
+    """
 
-    def __init__(self, base, Q):
-        if not is_irreducible(Q):
-            raise CcmaError("extension algebra needs an irreducible modulus")
+    def __init__(self, base, Q, ell=1):
         self.base = base
         self.Q = Q.monic()
-        self.n = Q.degree
-        self.dim = Q.degree
+        self.ell = ell
+        self.m = self.Q.degree
+        self.dim = self.m * ell
         self.ring = ExtensionRing(base, self.Q)
 
+    @property
+    def n(self):
+        return self.m
+
+    @property
+    def kind(self):
+        return "extension" if self.ell == 1 else "truncated"
+
     def basis_product(self, i, k):
-        """x^i * x^k: x^(i+k), or its reduction row once i + k >= n."""
-        if i + k < self.n:
-            return [1 if t == i + k else 0 for t in range(self.n)]
-        return list(self.ring._red[i + k - self.n])
+        """x^i1 t^j1 * x^i2 t^j2: x^(i1+i2) or its reduction row in block j1 + j2.
 
-    def mul_coords(self, x, y):
-        return list(self.ring.mul(tuple(x), tuple(y)))
-
-    def describe(self):
-        return {"kind": "extension", "n": self.n, "Q": [c for c in self.Q.coeffs]}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtAlgebra)
-            and self.base == other.base
-            and self.Q == other.Q
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.Q))
-
-    def __repr__(self):
-        return f"ExtAlgebra({self.base!r}, n={self.n})"
-
-
-class TruncAlgebra:
-    """F_{q^m}[t]/(t^l) over F_q; basis e_i t^j ordered by (j, i)."""
-
-    kind = "truncated"
-
-    def __init__(self, base, m, ell, Q=None):
-        if Q is None:
-            Q = lex_least_irreducible(base, m)
-        if Q.degree != m or not is_irreducible(Q):
-            raise CcmaError("field modulus must be irreducible of degree m")
-        self.base = base
-        self.m = m
-        self.ell = ell
-        self.Q = Q.monic()
-        self.dim = m * ell
-        self.field = ExtensionRing(base, self.Q)
-
-    def split(self, coords):
+        The product is 0 once j1 + j2 >= l.
+        """
         m = self.m
-        return [tuple(coords[j * m : (j + 1) * m]) for j in range(self.ell)]
-
-    def join(self, blocks):
-        return [c for d in blocks for c in d]
-
-    def basis_product(self, i, k):
-        j1, i1 = divmod(i, self.m)
-        j2, i2 = divmod(k, self.m)
+        (j1, i1), (j2, i2) = divmod(i, m), divmod(k, m)
         out = [0] * self.dim
-        if j1 + j2 >= self.ell:
-            return out
-        e1 = tuple(1 if t == i1 else 0 for t in range(self.m))
-        e2 = tuple(1 if t == i2 else 0 for t in range(self.m))
-        prod = self.field.mul(e1, e2)
-        base_ix = (j1 + j2) * self.m
-        for t, c in enumerate(prod):
-            out[base_ix + t] = c
+        j, s = j1 + j2, i1 + i2
+        if j < self.ell:
+            out[j * m : (j + 1) * m] = (
+                self.ring._red[s - m] if s >= m else [1 if t == s else 0 for t in range(m)]
+            )
         return out
 
     def mul_coords(self, x, y):
-        return self.join(trunc_mul(self.field, self.split(x), self.split(y)))
+        # one ring product for the field: the supercode round trip calls this
+        # per pair of basis rows, and block lists cost it measurable time
+        if self.ell == 1:
+            return list(self.ring.mul(tuple(x), tuple(y)))
+        m = self.m
+        a, b = ([tuple(v[j * m : (j + 1) * m]) for j in range(self.ell)] for v in (x, y))
+        return [c for block in trunc_mul(self.ring, a, b) for c in block]
 
     def describe(self):
-        return {
-            "kind": "truncated",
-            "m": self.m,
-            "l": self.ell,
-            "Q": [c for c in self.Q.coeffs],
-        }
+        Q = list(self.Q.coeffs)
+        if self.ell == 1:
+            return {"kind": "extension", "n": self.m, "Q": Q}
+        return {"kind": "truncated", "m": self.m, "l": self.ell, "Q": Q}
 
     def __eq__(self, other):
         return (
-            isinstance(other, TruncAlgebra)
-            and self.base == other.base
-            and self.m == other.m
-            and self.ell == other.ell
-            and self.Q == other.Q
+            isinstance(other, Algebra)
+            and (self.base, self.Q, self.ell) == (other.base, other.Q, other.ell)
         )
 
     def __hash__(self):
-        return hash((self.base, self.m, self.ell, self.Q))
+        return hash((self.base, self.Q, self.ell))
 
     def __repr__(self):
-        return f"TruncAlgebra({self.base!r}, m={self.m}, l={self.ell})"
+        return f"Algebra({self.base!r}, m={self.m}, l={self.ell})"
 
 
 def extension_target(base, n, Q=None):
-    if Q is None:
-        Q = lex_least_irreducible(base, n)
-    return ExtAlgebra(base, Q)
+    return truncated_target(base, n, 1, Q)
 
 
 def truncated_target(base, m, ell, Q=None):
-    return TruncAlgebra(base, m, ell, Q)
+    """F_{q^m}[t]/(t^ell) over `base`, with Q the lex-least irreducible by default."""
+    if Q is None:
+        Q = lex_least_irreducible(base, m)
+    elif Q.degree != m or not is_irreducible(Q):
+        raise CcmaError("field modulus must be irreducible of degree m")
+    return Algebra(base, Q, ell)
 
 
 class BilinearAlgorithm:
@@ -178,9 +149,9 @@ class BilinearAlgorithm:
         coordinate, and kept in a dict per column on the first v that
         occurs, so a pair costs N lookups.  For p = 2 the slots are bits,
         added by XOR; for odd p they hold up to N(p-1) and are added as
-        integers, then taken mod p.  Both target algebras are commutative,
-        so when A = B the pair (k, i) fails iff (i, k) does, and only
-        k >= i is checked.
+        integers, then taken mod p.  The target algebra is commutative, so
+        when A = B the pair (k, i) fails iff (i, k) does, and only k >= i
+        is checked.
         """
         target = self.target
         sp = target.base
@@ -264,13 +235,17 @@ class BilinearAlgorithm:
         Q = Poly(base, Q)
         if tinfo["kind"] == "extension":
             _payload_claim(tinfo, "n", Q.degree)
-            target = ExtAlgebra(base, Q)
+            ell = 1
         elif tinfo["kind"] == "truncated":
             _require_keys(tinfo, "target", ("m", "l"))
-            m = _payload_int(tinfo["m"], "m", 1)
-            target = TruncAlgebra(base, m, _payload_int(tinfo["l"], "l", 1), Q)
+            _payload_claim(tinfo, "m", Q.degree)
+            # l = 1 is the extension field, whose canonical form is "extension"
+            ell = _payload_int(tinfo["l"], "l", 2)
         else:
             raise CcmaError(f"unknown target kind {tinfo['kind']!r}")
+        if not is_irreducible(Q):
+            raise CcmaError("target modulus Q is not irreducible")
+        target = Algebra(base, Q, ell)
         A, B, W = (_payload_elements(data[key], key, base, 2) for key in "ABW")
         _payload_claim(data, "N", len(A))
         return cls(target, A, B, W)
@@ -424,32 +399,19 @@ def schoolbook(target):
 
 
 def karatsuba(target):
-    """Rank-3 symmetric algorithm for a degree-2 extension."""
-    if target.kind != "extension" or target.n != 2:
-        raise CcmaError("karatsuba form is for degree-2 extensions")
+    """Rank-3 symmetric algorithm for a two-dimensional algebra with basis 1, z.
+
+    With z^2 = r0 + r1 z (basis_product(1, 1)) and m0 = x0 y0, m1 = x1 y1,
+    m2 = (x0+x1)(y0+y1): z0 = m0 + r0 m1, z1 = m2 - m0 + (r1 - 1) m1.
+    This is F_{q^2} for l = 1 and F_q[t]/(t^2), where z^2 = 0, for m = 1.
+    """
+    if target.dim != 2:
+        raise CcmaError("karatsuba form is for two-dimensional algebras")
     sp = target.base
-    q0 = target.Q[0]
-    q1 = target.Q[1]
+    r0, r1 = target.basis_product(1, 1)
     A = [[1, 0], [0, 1], [1, 1]]
-    # m0 = x0 y0, m1 = x1 y1, m2 = (x0+x1)(y0+y1)
-    # z0 = m0 - q0 m1 ; z1 = m2 - m0 - (1+q1) m1
-    one = 1
-    W = [
-        [one, sp.neg(q0), 0],
-        [sp.neg(one), sp.neg(sp.add(one, q1)), one],
-    ]
+    W = [[1, r0, 0], [sp.neg(1), sp.sub(r1, 1), 1]]
     return BilinearAlgorithm(target, A, [r[:] for r in A], W, meta={"method": "karatsuba"})
-
-
-def truncated_order2(target):
-    """Rank-3 symmetric algorithm for F_q[t]/(t^2)."""
-    if target.kind != "truncated" or target.m != 1 or target.ell != 2:
-        raise CcmaError("order-2 form is for F_q[t]/(t^2)")
-    sp = target.base
-    A = [[1, 0], [0, 1], [1, 1]]
-    # m0 = x0 y0, m1 = x1 y1, m2 = (x0+x1)(y0+y1); z0 = m0, z1 = m2 - m0 - m1
-    W = [[1, 0, 0], [sp.neg(1), sp.neg(1), 1]]
-    return BilinearAlgorithm(target, A, [r[:] for r in A], W, meta={"method": "trunc2"})
 
 
 def truncated_order3(target):
@@ -564,7 +526,7 @@ def _power_basis_form(A, B, W, iso, ring):
         if theta_inv is None:
             continue
         top = linalg.mat_vec(K, theta_inv, cols[dim])
-        target = ExtAlgebra(K, Poly(K, [K.neg(c) for c in top] + [1]))
+        target = Algebra(K, Poly(K, [K.neg(c) for c in top] + [1]))
         return BilinearAlgorithm(
             target,
             linalg.mat_mul(K, A, theta),
@@ -600,22 +562,16 @@ def compose_truncated(outer, inner):
     """Localize: outer for F_{q^d}/F_q, inner for F_{q^d}[t]/(t^u) over F_{q^d}."""
     if outer.target.kind != "extension":
         raise FieldMismatch("outer algorithm must target an extension field")
-    if inner.target.kind != "truncated" or inner.target.m != 1:
+    if inner.target.m != 1:
         raise FieldMismatch("inner algorithm must target F[t]/(t^u) over the big field")
-    K = outer.target.base
-    d = outer.target.n
     iso = _ExtFieldIso(outer.target)
     if inner.target.base != iso.spec2:
         raise FieldMismatch(
             f"inner base {inner.target.base!r} is not {iso.spec2!r}"
         )
-    u = inner.target.ell
     A, B, W = _compose_blocks(outer, inner, iso)
     # the blocks already use the (j, i) basis order of the target
-    if u == 1:
-        target = ExtAlgebra(K, outer.target.Q)
-    else:
-        target = TruncAlgebra(K, d, u, outer.target.Q)
+    target = Algebra(outer.target.base, outer.target.Q, inner.target.ell)
     meta = {"method": "localized", "outer": outer.meta, "inner": inner.meta}
     return BilinearAlgorithm(target, A, B, W, meta=meta)
 
@@ -925,8 +881,6 @@ class CostTable:
         return schoolbook(self._target(d, u)) if best is None else best[0]
 
     def _target(self, d, u):
-        if u == 1:
-            return extension_target(self.base, d)
         return truncated_target(self.base, d, u)
 
     def _candidates(self, d, u):
@@ -951,18 +905,16 @@ class CostTable:
 
         For (n, 1) these are the planner's `tower` strategy.
         """
-        if d == 1 and u == 1:
+        if d == u == 1:
             yield 1, partial(trivial_rank1, self._target(1, 1)), {"kind": "trivial"}
-        elif u == 1:
-            if d == 2:
-                yield 3, partial(karatsuba, self._target(d, 1)), {"kind": "karatsuba"}
+        if d * u == 2:
+            yield 3, partial(karatsuba, self._target(d, u)), {"kind": "karatsuba"}
+        if u == 1:
             for a, outer, inner in self.tower_splits(d):
                 detail = {"kind": "tower", "split": [a, d // a],
                           "outer": _table_record(outer), "inner": _table_record(inner)}
                 yield outer.N * inner.N, partial(compose_tower, outer, inner), detail
         else:
-            if d == 1 and u == 2:
-                yield 3, partial(truncated_order2, self._target(d, u)), {"kind": "trunc2"}
             if d == 1 and u == 3:
                 yield 5, partial(truncated_order3, self._target(d, u)), {"kind": "trunc3"}
             if d > 1:

@@ -167,20 +167,23 @@ def symmetric_from_supercode(S):
     exact_rows = [red[r] for r, p in enumerate(pivots) if p < n]
     if len(exact_rows) != n:
         raise SupercodeConditionError(1, "first projection not surjective")
-    if not S.condition2_holds():
-        raise SupercodeConditionError(2, "second projection not injective on the square span")
     M = [row[:n] for row in exact_rows]
     Minv = linalg.invert(spec, M)
     canon = linalg.mat_mul(spec, Minv, exact_rows)  # rows (e_i, u(e_i))
     A = [ [canon[i][n + l] for i in range(n)] for l in range(S.N) ]
     # the supercode_from_symmetric rows are already canonical: S is exact
     sub = S if canon == S.basis else Supercode(S.algebra, S.N, canon)
+    # condition 2 is on S's own square span, which outgrows sub's when S
+    # is not exact; for sub = S the reduction below decides it
+    if sub is not S and not S.condition2_holds():
+        raise SupercodeConditionError(2, "second projection not injective on the square span")
     span = sub.square_span()
     # W solves W v = z for every (z, v) in the square span: one row
-    # reduction of [v | z] carries all n right-hand sides, free variables 0
+    # reduction of [v | z] carries all n right-hand sides, free variables 0;
+    # a pivot in the z block is a square-span row with v = 0
     red, pivots = linalg.rref(spec, [row[n:] + row[:n] for row in span])
     if any(c >= S.N for c in pivots):
-        raise SupercodeConditionError(2, "square span is inconsistent")
+        raise SupercodeConditionError(2, "second projection not injective on the square span")
     W = [[0] * S.N for _ in range(n)]
     for r, c in enumerate(pivots):
         for h in range(n):

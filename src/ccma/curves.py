@@ -12,7 +12,7 @@ valuation constraints, computed with truncated series expansions.
 import itertools
 
 from . import linalg
-from .bilinear import ExtAlgebra, TruncAlgebra, entry_conversion, interpolation_algorithm
+from .bilinear import Algebra, entry_conversion, interpolation_algorithm
 from .errors import CcmaError, ConditionFailure, DivisorSearchFailed, PlanInfeasible
 from .gf import ExtensionRing, FieldSpec, Poly, iter_irreducibles, powers
 from .guard import check_guard, guard_limit
@@ -1025,11 +1025,7 @@ def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table):
     """
     _check_supports(Q, D1, D2, items)
     base = curve.base
-    n = Q.degree
-    if ell == 1:
-        target = ExtAlgebra(base, Q.x_min)
-    else:
-        target = TruncAlgebra(base, n, ell, Q.x_min)
+    target = Algebra(base, Q.x_min, ell)
     L1 = riemann_roch_basis(curve, D1)
     same = D1 == D2
     L2 = L1 if same else riemann_roch_basis(curve, D2)

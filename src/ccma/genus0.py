@@ -7,11 +7,10 @@ with cost-table algorithms, and reconstructs by linear inversion.
 """
 
 from . import linalg
-from .bilinear import ExtAlgebra, TruncAlgebra, interpolation_algorithm, place_columns
+from .bilinear import Algebra, interpolation_algorithm, place_columns
 from .errors import CcmaError, PlanInfeasible, VerificationError
 from .gf import (
     INFINITY,
-    ExtensionRing,
     count_irreducibles,
     is_irreducible,
     iter_irreducibles,
@@ -257,13 +256,12 @@ def build(plan, cost_table):
     Raises VerificationError if its rank disagrees with the plan cost.
     """
     base = plan.base
-    n, ell, Q = plan.n, plan.ell, plan.Q
-    dim = n * ell
-    target = ExtAlgebra(base, Q) if ell == 1 else TruncAlgebra(base, n, ell, Q)
+    target = Algebra(base, plan.Q, plan.ell)
+    dim = target.dim
     # reduction of the product space into the target: x -> the local
     # parameter at Q in F_q[x]/(Q); its first dim columns invert to the lift
-    field = ExtensionRing(base, Q)
-    tq = local_columns(field, Q, field.gen(), ell, 2 * dim - 2)
+    field = target.ring
+    tq = local_columns(field, target.Q, field.gen(), plan.ell, 2 * dim - 2)
     lift = linalg.invert(base, [row[:dim] for row in tq])
     blocks = []
     for entry, rows1, rows2 in _place_rows(plan, cost_table):

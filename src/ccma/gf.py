@@ -1037,10 +1037,11 @@ def local_expansion(num, den, place, order, normalize=False):
         if pole and not normalize:
             raise PoleAtPlace("pole at infinity")
         shift = pole - m  # t-adic valuation of x^{-pole} * num/den
-        rn = Poly(spec, tuple(reversed([num[i] for i in range(num.degree + 1)])))
-        rd = Poly(spec, tuple(reversed([den[i] for i in range(den.degree + 1)])))
-        series = _series_div(spec, rn, rd, max(order - shift, 0))
-        out = tuple(([0] * shift + series)[:order])
+        # with t = 1/x, x^-pole num/den is t^shift rev(num)/rev(den), and
+        # rev(den)(0) is den's leading coefficient: expand at the place x
+        rn, rd = (Poly(spec, tuple(reversed(f.coeffs))) for f in (num, den))
+        series = local_expansion(rn, rd, Poly.x(spec), order)
+        out = tuple(([0] * shift + [c for (c,) in series])[:order])
         return (pole, out) if normalize else out
     if not is_irreducible(place):
         raise CcmaError("local ring needs an irreducible place polynomial")
@@ -1077,18 +1078,3 @@ def local_expansion(num, den, place, order, normalize=False):
     coeffs = tuple(tuple(flat[j * d : (j + 1) * d]) for j in range(order))
     return (pole, coeffs) if normalize else coeffs
 
-
-def _series_div(spec, num, den, prec):
-    """Coefficients of num/den as a power series (den(0) must be a unit)."""
-    if den[0] == 0:
-        raise PoleAtPlace("series division by non-unit")
-    inv0 = spec.inv(den[0])
-    out = []
-    rem = list(num.coeffs) + [0] * prec
-    for i in range(prec):
-        c = spec.mul(rem[i], inv0)
-        out.append(c)
-        if c:
-            for j in range(min(den.degree, prec - i) + 1):
-                rem[i + j] = spec.sub(rem[i + j], spec.mul(c, den[j]))
-    return out

@@ -90,7 +90,7 @@ class Planner:
 
     def certificate(self, alg, strategy):
         verify_or_raise(alg, "certificate algorithm")
-        n = alg.target.n if alg.target.kind == "extension" else alg.target.m
+        n = alg.target.m
         return {
             "format": CERT_FORMAT,
             "q": self.base.q,
@@ -240,7 +240,7 @@ def verify_file_payload(data):
     alg = BilinearAlgorithm.from_json(data if cert is None else data["algorithm"])
     pair = alg.failing_pair()
     target = alg.target
-    n = target.n if target.kind == "extension" else target.m
+    n = target.m
     report = {
         "verified": pair is None,
         "rank": alg.N,

@@ -19,7 +19,6 @@ from ccma.bilinear import (
     extension_target,
     karatsuba,
     schoolbook,
-    truncated_order2,
     truncated_order3,
     truncated_target,
     verify,
@@ -92,8 +91,11 @@ def test_schoolbook_ranks():
 
 def test_truncated_formulas_over_several_fields():
     for spec in (F2, F3, F4, FieldSpec.get(5)):
-        t2 = truncated_order2(truncated_target(spec, 1, 2))
+        # Karatsuba on F_q[t]/(t^2), where t^2 = 0
+        t2 = karatsuba(truncated_target(spec, 1, 2))
         assert t2.N == 3 and verify(t2) and t2.symmetric
+        assert t2.A == [[1, 0], [0, 1], [1, 1]]
+        assert t2.W == [[1, 0, 0], [spec.neg(1), spec.neg(1), 1]]
         t3 = truncated_order3(truncated_target(spec, 1, 3))
         assert t3.N == 5 and verify(t3) and t3.symmetric
 
@@ -149,7 +151,7 @@ def test_compose_truncated_examples():
 def test_compose_truncated_direct():
     outer = karatsuba(extension_target(F2, 2))
     big = field_extend(F2, 2)
-    inner = truncated_order2(truncated_target(big, 1, 2))
+    inner = karatsuba(truncated_target(big, 1, 2))
     alg = compose_truncated(outer, inner)
     assert alg.N == 9
     assert alg.target.kind == "truncated"
@@ -506,6 +508,15 @@ def test_extension_basis_product_is_the_ring_product():
         for i in range(n):
             for k in range(n):
                 assert target.basis_product(i, k) == list(target.ring.mul(unit[i], unit[k]))
+    # truncated targets: x^(i1+i2) reduced by the ring's rows, in block j1 + j2
+    for spec in (F2, F3, F4):
+        for m, ell in ((1, 3), (2, 2), (3, 2), (2, 3)):
+            target = truncated_target(spec, m, ell)
+            dim = target.dim
+            unit = [[1 if t == i else 0 for t in range(dim)] for i in range(dim)]
+            for i in range(dim):
+                for k in range(dim):
+                    assert target.basis_product(i, k) == target.mul_coords(unit[i], unit[k])
 
 
 def test_generator_scan_guard_counts_candidates_tried(monkeypatch):

@@ -128,6 +128,7 @@ def test_condition2_violation_reported():
     with pytest.raises(SupercodeConditionError) as err:
         symmetric_from_supercode(broken)
     assert err.value.condition == 2
+    assert "second projection not injective on the square span" in str(err.value)
 
 
 def test_supercode_exactness_is_dimension_n():
@@ -170,8 +171,9 @@ def test_round_trip_decides_condition_1_from_its_row_reduction(monkeypatch):
     back = symmetric_from_supercode(supercode_from_symmetric(alg))
     assert back.A == alg.A and verify(back)
     # the recovery reads condition 1 off the pivots of the reduction it takes
-    # of the basis, with no separate rank of the first block
-    assert len(calls) == 7
+    # of the basis, and condition 2 off the reduction that solves for W, with
+    # no separate rank of either block
+    assert len(calls) == 6
     # one row with a zero second block fails both conditions; 1 is reported
     S = supercode_from_symmetric(karatsuba(extension_target(F2, 2)))
     both = Supercode(S.algebra, S.N, [[1, 0] + [0] * S.N])

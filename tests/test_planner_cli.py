@@ -262,10 +262,10 @@ def test_cli_bounds_table2_achieved(capsys):
 
 
 def test_cli_verify_truncated_target(tmp_path, capsys):
-    from ccma.bilinear import truncated_order2, truncated_target
+    from ccma.bilinear import karatsuba, truncated_target
     from ccma.gf import FieldSpec
 
-    alg = truncated_order2(truncated_target(FieldSpec.get(2), 1, 2))
+    alg = karatsuba(truncated_target(FieldSpec.get(2), 1, 2))
     path = tmp_path / "trunc.json"
     path.write_text(json.dumps(alg.to_json()))
     assert main(["verify", str(path)]) == 0
@@ -503,6 +503,12 @@ def test_cli_non_canonical_payload_is_named_error(tmp_path, capsys):
         (edited(("target", "n"), 9), "n claims 9, but the payload bears out 3"),
         (edited(("N",), "6"), "N claims '6'"),
         (edited(("target", "Q"), [[1], [1], [0], [1], [0]]), "Q is not monic"),
+        # F_8 written as a truncated algebra with l = 1, whose canonical kind
+        # is "extension", used to print VERIFIED
+        (edited(("target",), dict(cert["algorithm"]["target"], kind="truncated", m=3, l=1)),
+         "l holds 1"),
+        (edited(("target",), dict(cert["algorithm"]["target"], kind="truncated", m=2, l=2)),
+         "m claims 2, but the payload bears out 3"),
     ]
     # an F_64/F_4 algorithm needs its polynomial; the parent took null for the default
     main(["synth", "--q", "4", "--n", "3", "--out", str(tmp_path / "cert4.json")])
