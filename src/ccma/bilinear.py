@@ -791,24 +791,37 @@ def brute_force_min_rank(target, max_rank, symmetric_only=False, limit=None):
 # -- candidate selection ------------------------------------------------------
 
 
-def cheapest(candidates):
-    """Build the first candidate of least rank from (rank, build, detail) triples.
+STALE = object()  # a nesting candidate whose entries broke its price
 
-    Every candidate is priced before any is built: the triples, in tie-break
-    order, are sorted stably by rank and built in that order until one
-    `build()` returns an algorithm rather than None (a candidate that drops
-    out).  Returns that algorithm with its detail, the certificate record of
-    its strategy; losing candidates are never built.  Returns None when
-    every candidate drops out.
+
+def cheapest(candidates):
+    """Build the first candidate of least price from `candidates()`.
+
+    `candidates()` gives (price, build, detail) triples in tie-break order.
+    All are priced before any is built: they are sorted stably by price and
+    built in that order until one `build()` returns an algorithm rather
+    than None (a candidate that drops out).  Returns that algorithm with
+    its detail, the certificate record of its strategy; losing candidates
+    are never built.  Returns None when every candidate drops out.
+
+    A price is a promise, and prices only rise.  A candidate that nests
+    entries builds them first, and returns STALE when one came out above
+    the price it was priced from; all are then priced again.  Each retry
+    follows an entry built since the last pricing, so the loop ends.  Any
+    other built rank that differs from its price raises.
     """
-    for rank, build, detail in sorted(candidates, key=lambda cand: cand[0]):
-        alg = build()
-        if alg is None:
-            continue
-        if alg.N != rank:
-            raise VerificationError(f"built rank {alg.N} differs from its price {rank}")
-        return alg, detail
-    return None
+    while True:
+        for price, build, detail in sorted(candidates(), key=lambda cand: cand[0]):
+            alg = build()
+            if alg is STALE:
+                break
+            if alg is None:
+                continue
+            if alg.N != price:
+                raise VerificationError(f"built rank {alg.N} differs from its price {price}")
+            return alg, detail
+        else:
+            return None
 
 
 def unless_dropped(build, *args):
@@ -830,13 +843,13 @@ _SHARED_TABLES = {}
 class CostTable:
     """Certified best-known algorithms for F_{q^d}[t]/(t^u) over one base field.
 
-    Entries are built lazily from explicit formulas, tower/truncated
-    composition over strictly smaller entries, and rational-interpolation
-    synthesis.  Every candidate is priced before any is built (`cheapest`):
-    the first candidate of minimum rank is the only one built, and it is
-    verified exhaustively when it enters the table.  Losing candidates are
-    priced, never built (the test suite builds and checks every candidate
-    of the small tables).
+    Candidates are explicit formulas, tower/truncated composition over
+    strictly smaller entries, and rational-interpolation synthesis, each
+    priced from the prices of the entries it nests; pricing builds nothing.
+    The first candidate of least price is the only one built (`cheapest`),
+    modulus search and nested entries included, and it is verified
+    exhaustively when it enters the table (the test suite builds and checks
+    every candidate of the small tables).
 
     All tables reached through `subtable` share one registry keyed by
     field: one table per field, and each entry is built once.
@@ -851,6 +864,7 @@ class CostTable:
     def __init__(self, base, registry=None):
         self.base = base
         self._entries = {}
+        self._prices = {}
         self._registry = {} if registry is None else registry
         self._registry[base] = self
 
@@ -865,7 +879,10 @@ class CostTable:
         return self._registry.get(spec) or CostTable(spec, self._registry)
 
     def cost(self, d, u=1):
-        return self.get(d, u).N
+        """The entry's rank once built, else its least candidate price or schoolbook's."""
+        if (d, u) not in self._prices:
+            self._prices[d, u] = min((c[0] for c in self._candidates(d, u)), default=(d * u) ** 2)
+        return self._prices[d, u]
 
     def get(self, d, u=1):
         key = (d, u)
@@ -874,22 +891,23 @@ class CostTable:
             entry = self._build(d, u)
             verify_or_raise(entry, f"cost table entry ({d},{u}) over {self.base!r}")
             self._entries[key] = entry
+            self._prices[key] = entry.N
         return entry
 
     def _build(self, d, u):
-        best = cheapest(self._candidates(d, u))
-        return schoolbook(self._target(d, u)) if best is None else best[0]
+        best = cheapest(partial(self._candidates, d, u))
+        return self._formula(schoolbook, d, u) if best is None else best[0]
 
-    def _target(self, d, u):
-        return truncated_target(self.base, d, u)
+    def _formula(self, formula, d, u):
+        return formula(truncated_target(self.base, d, u))
 
     def _candidates(self, d, u):
-        """(rank, build, detail) of every construction of the (d, u) entry.
+        """(price, build, detail) of every construction of the (d, u) entry.
 
         In tie-break order: formulas and compositions, the genus-0 plan,
         then schoolbook.  `detail` is the certificate strategy record of the
         candidate: its `kind` (the `method` its algorithm's meta gets), a
-        tower's `split` and the table entries it nests, a genus-0 `plan`.
+        tower's `split` and the prices of the entries it nests, a genus-0 `plan`.
         """
         yield from self._composition_candidates(d, u)
         if d == u == 1:
@@ -898,7 +916,7 @@ class CostTable:
         if d * u <= 8:
             # schoolbook is only ever competitive at tiny dimensions, and its
             # quadratic rank makes verification of large entries expensive
-            yield (d * u) ** 2, partial(schoolbook, self._target(d, u)), {"kind": "schoolbook"}
+            yield (d * u) ** 2, partial(self._formula, schoolbook, d, u), {"kind": "schoolbook"}
 
     def _composition_candidates(self, d, u):
         """Explicit formulas, towers and localizations for the (d, u) entry.
@@ -906,52 +924,50 @@ class CostTable:
         For (n, 1) these are the planner's `tower` strategy.
         """
         if d == u == 1:
-            yield 1, partial(trivial_rank1, self._target(1, 1)), {"kind": "trivial"}
+            yield 1, partial(self._formula, trivial_rank1, 1, 1), {"kind": "trivial"}
         if d * u == 2:
-            yield 3, partial(karatsuba, self._target(d, u)), {"kind": "karatsuba"}
+            yield 3, partial(self._formula, karatsuba, d, u), {"kind": "karatsuba"}
         if u == 1:
-            for a, outer, inner in self.tower_splits(d):
+            for a in (a for a in range(2, d) if d % a == 0):
+                sub = self.subtable(field_extend(self.base, a))
+                outer, inner = self.cost(a), sub.cost(d // a)
                 detail = {"kind": "tower", "split": [a, d // a],
-                          "outer": _table_record(outer), "inner": _table_record(inner)}
-                yield outer.N * inner.N, partial(compose_tower, outer, inner), detail
+                          "outer": {"kind": "table", "n": a, "q": self.base.q, "rank": outer},
+                          "inner": {"kind": "table", "n": d // a, "q": sub.base.q, "rank": inner}}
+                price = outer * inner
+                yield price, partial(self._nest, compose_tower, price, a, d // a, 1), detail
         else:
             if d == 1 and u == 3:
-                yield 5, partial(truncated_order3, self._target(d, u)), {"kind": "trunc3"}
+                yield 5, partial(self._formula, truncated_order3, 1, 3), {"kind": "trunc3"}
             if d > 1:
-                big = field_extend(self.base, d)
-                outer, inner = self.get(d, 1), self.subtable(big).get(1, u)
-                yield (outer.N * inner.N, partial(compose_truncated, outer, inner),
+                price = self.cost(d) * self.subtable(field_extend(self.base, d)).cost(1, u)
+                yield (price, partial(self._nest, compose_truncated, price, d, 1, u),
                        {"kind": "localized"})
+
+    def _nest(self, compose, price, a, b, u):
+        """compose() of the entries (a, 1) and (b, u) over F_{q^a}, or STALE."""
+        outer, inner = self.get(a), self.subtable(field_extend(self.base, a)).get(b, u)
+        return STALE if outer.N * inner.N != price else compose(outer, inner)
 
     def _genus0_candidates(self, d, u):
         """The genus-0 plan for the (d, u) entry, if there is one.
 
-        For (n, 1) this is the planner's `g0` strategy.  A plan that is
-        infeasible, or hits the guard while it is searched or built, drops
-        out; the other candidates still answer.
+        For (n, 1) this is the planner's `g0` strategy.  Its plan, and its
+        detail's `plan`, are made when it is built; one that is infeasible or
+        hits the guard then drops out, and the other candidates still answer.
         """
         from . import genus0
 
-        try:
-            plan = genus0.plan_search(self.base, d, u, self)
-        except (PlanInfeasible, GuardExceeded):
-            return
-        yield (plan.cost, partial(unless_dropped, genus0.build, plan, self),
-               {"kind": "genus0", "plan": plan.describe()})
+        *_, price = genus0.price_plan(self.base, d, u, self)
+        if price is not None:
+            detail = {"kind": "genus0"}
+            yield price, partial(unless_dropped, self._genus0_build, price, detail, d, u), detail
 
-    def tower_splits(self, d):
-        """(a, outer, inner) for each tower F_q < F_{q^a} < F_{q^d}, 2 <= a < d.
+    def _genus0_build(self, price, detail, d, u):
+        from . import genus0
 
-        outer is the entry for F_{q^a} over this field and inner the entry
-        for F_{q^d} over F_{q^a}, taken from the F_{q^a} table.
-        """
-        for a in range(2, d):
-            if d % a == 0:
-                big = field_extend(self.base, a)
-                yield a, self.get(a, 1), self.subtable(big).get(d // a, 1)
-
-
-def _table_record(entry):
-    """Certificate record of a cost-table entry that a tower nests."""
-    target = entry.target
-    return {"kind": "table", "n": target.n, "q": target.base.q, "rank": entry.N}
+        plan = genus0.plan_search(self.base, d, u, self)
+        if sum(self.get(p.degree, m).N for p, m in plan.items) != price:
+            return STALE
+        detail["plan"] = plan.describe()
+        return genus0.build(plan, self)

@@ -435,9 +435,9 @@ M_PRINTED = {3: "6", 4: "4.579", 5: "4.5", 11: "3.6", 13: "3.5"}
 def msym_table():
     """Regenerate the symmetric limsup table from its recipes.
 
-    The q = 7 entry is pinned to the printed value: the stated recipe
-    evaluates to 4.20, which disagrees with the printed 4.08; the result
-    carries both numbers in its note.
+    The q = 7 recipe evaluates to 4.20, which disagrees with the printed
+    4.08; that result does not match the paper, and its note names both
+    numbers.
     """
     out = []
     for q in sorted(MSYM_RECIPES):
@@ -452,8 +452,8 @@ def msym_table():
             res.printed = printed
         if not res.matches_printed():
             res.note = (
-                f"printed value {printed} retained; recipe evaluates to "
-                f"{render_like(res.value, printed)}"
+                f"recipe evaluates to {render_like(res.value, printed)}; "
+                f"the paper prints {printed}"
             )
         out.append(res)
     return out
@@ -520,8 +520,6 @@ def table_report(name, planner=None, n_max=6):
         for res in msym_table():
             row = res.row()
             row["q"] = res.params["q"]
-            row["value"] = res.printed  # the regenerated table is the printed one
-            row["matches_paper"] = True
             rows.append(row)
     elif name == "m":
         for res in m_table():

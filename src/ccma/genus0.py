@@ -98,37 +98,40 @@ class EvalPlan:
         }
 
 
-def plan_search(base, n, ell, cost_table, max_place_degree=None, max_mult=4):
-    """Minimal-cost feasible plan for F_{q^n} (ell = 1) or F_{q^n}[t]/(t^ell).
+def price_plan(base, n, ell, cost_table):
+    """(classes, counts, cost) of the least plan, from prices; builds nothing.
 
-    Exact optimization over (degree, multiplicity) class counts subject to
-    place availability, with the documented lexicographic tie-break.  Every
-    item's local algebra has dimension d * u below n * ell, so a plan only
-    ever prices cost-table entries smaller than its target.
+    An item's local algebra has dimension d * u below n * ell, so a plan
+    only ever prices cost-table entries smaller than its target.  counts
+    and cost are None when no plan exists.
     """
     q = base.q
-    budget = 2 * n * ell - 1
     dim_cap = n * ell - 1
-    d_cap = dim_cap if max_place_degree is None else min(max_place_degree, dim_cap)
-    Q = lex_least_irreducible(base, n)
     classes = []
-    for d in range(1, d_cap + 1):
+    for d in range(1, dim_cap + 1):
         avail = (q + 1) if d == 1 else count_irreducibles(q, d)
         if d == n:
             avail -= 1  # the interpolation place itself
         if avail <= 0:
             continue
-        for u in range(1, max_mult + 1):
+        for u in range(1, 5):  # multiplicities up to 4
             if d * u <= dim_cap:
                 classes.append((d, u, avail))
-    if not classes:
-        raise PlanInfeasible(f"no admissible items for n={n}, l={ell} over {base!r}")
+    return (classes, *_lazy_plan_dp(classes, 2 * n * ell - 1, cost_table))
 
-    counts, total = _lazy_plan_dp(classes, budget, cost_table)
+
+def plan_search(base, n, ell, cost_table):
+    """Minimal-cost feasible plan for F_{q^n} (ell = 1) or F_{q^n}[t]/(t^ell).
+
+    Exact optimization over (degree, multiplicity) class counts subject to
+    place availability, with the documented lexicographic tie-break.
+    """
+    classes, counts, total = price_plan(base, n, ell, cost_table)
     if counts is None:
-        raise PlanInfeasible(f"no feasible plan for n={n}, l={ell} within caps")
+        raise PlanInfeasible(f"no feasible plan for n={n}, l={ell} over {base!r}")
 
     # assign concrete places per degree in canonical order, skipping Q
+    Q = lex_least_irreducible(base, n)
     items = []
     used = {}
     for (d, u, _), c in zip(classes, counts):
@@ -141,7 +144,7 @@ def plan_search(base, n, ell, cost_table, max_place_degree=None, max_mult=4):
         for _ in range(c):
             items.append((next(pool), u))
     items.sort(key=_item_key)
-    return EvalPlan(base, n, ell, Q, items, int(total))
+    return EvalPlan(base, n, ell, Q, items, total)
 
 
 def _lazy_plan_dp(classes, budget, cost_table):
@@ -149,7 +152,7 @@ def _lazy_plan_dp(classes, budget, cost_table):
 
     Entries are priced optimistically at the local lower bound 2du-1 until
     a candidate-optimal plan actually uses them; iterating to a fixpoint
-    yields the true optimum while never building irrelevant table entries.
+    yields the true optimum while never pricing irrelevant table entries.
 
     `best(i, remaining, used)` is the least cost of classes i.. that covers
     `remaining` degree when `used` places of class i's degree are taken.

@@ -652,11 +652,12 @@ class Poly:
 
 
 # is_irreducible decides degrees 2 and 3 by a root scan while q is at most
-# this, and by its gcd root screen above: over F_16 a cubic takes about
-# 13 us by the scan against 90 us by the screen (2-vCPU VM, Python 3.11),
-# but the scan makes q scalar evaluations, which outgrow the screen's
-# polynomial products on larger fields.
-ROOT_SCAN_MAX_Q = 16
+# this, and by its gcd root screen above: the scan's up to q evaluations
+# outgrow the screen's polynomial products.  Mean us per call, scan/screen,
+# on 200 random monic polynomials with a nonzero constant term (timeit, best
+# of 5; 2-vCPU VM, Python 3.11), quadratics then cubics: q = 16 12/98 15/130;
+# 32 24/118 28/161; 64 41/93 55/158; 128 89/141 99/200; 256 166/162 209/216.
+ROOT_SCAN_MAX_Q = 128
 
 
 def is_irreducible(poly):

@@ -1,7 +1,7 @@
 """Cross-strategy synthesis: towers, rational interpolation, curve instances.
 
 For a requested (q, n) the planner prices every candidate of every enabled
-strategy, builds only the first one of least rank, and returns it with a
+strategy, builds only the first one of least price, and returns it with a
 machine-checkable certificate; the winner is verified exhaustively when its
 certificate is made.  Ties break by the documented strategy order:
 composition, then genus 0, then curves.  All strategies price and compose
@@ -56,13 +56,12 @@ class Planner:
     The candidates for F_{q^n} are the root table's own (n, 1) candidates,
     in its order: its formulas and towers for `tower`, its genus-0 plan for
     `g0`, never schoolbook; then the curve instances.  A disabled strategy
-    is not priced.  Each candidate is priced before any is built
-    (`bilinear.cheapest`): a tower by the ranks of its two entries, a
-    genus-0 plan by its cost, a curve instance by its plan.  Only the first
-    candidate of least rank is built, so a losing candidate can never fail
-    the request.  A genus-0 plan or a curve instance that is infeasible or
-    hits the guard, while it is priced or built, drops out of the request;
-    the other candidates still answer.
+    is not priced.  Each candidate is priced from the table's prices, which
+    build nothing, before any is built (`bilinear.cheapest`).  Only the
+    first candidate of least price is built, so a losing candidate can
+    never fail the request.  A genus-0 plan or a curve instance that is
+    infeasible or hits the guard, while it is priced or built, drops out of
+    the request; the other candidates still answer.
     """
 
     STRATEGY_ORDER = ("tower", "g0", "curve")
@@ -77,16 +76,13 @@ class Planner:
             raise InvalidRequest("no strategies enabled")
         self.instances = instances if instances is not None else shipped_instances()
         self.table = CostTable.shared(base)
-        self._memo = {}
 
     def synth(self, n):
         """Best verified algorithm across the enabled strategies."""
-        if n not in self._memo:
-            self._memo[n] = cheapest(self._candidates(n))
-        if self._memo[n] is None:
+        best = cheapest(partial(self._candidates, n))
+        if best is None:
             raise PlanInfeasible(f"no strategy produced an algorithm for n={n}")
-        alg, strategy = self._memo[n]
-        return self.certificate(alg, strategy)
+        return self.certificate(*best)
 
     def certificate(self, alg, strategy):
         verify_or_raise(alg, "certificate algorithm")

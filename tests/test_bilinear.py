@@ -10,6 +10,7 @@ from ccma import linalg
 from ccma.errors import FieldMismatch, VerificationError
 from ccma.gf import FieldSpec, Poly, field_extend, is_irreducible
 from ccma.bilinear import (
+    STALE,
     BilinearAlgorithm,
     CostTable,
     brute_force_min_rank,
@@ -357,11 +358,17 @@ def test_cheapest_builds_only_the_first_of_least_rank():
     # and the winner comes back with its own detail
     cands = [(4, lambda: build(school), "a"), (3, lambda: None, "b"),
              (3, lambda: build(kara), "c"), (3, lambda: build(school), "d")]
-    assert cheapest(cands) == (kara, "c")
+    assert cheapest(lambda: cands) == (kara, "c")
     assert built == ["karatsuba"]
-    assert cheapest([(3, lambda: None, "b")]) is None
+    assert cheapest(lambda: [(3, lambda: None, "b")]) is None
     with pytest.raises(VerificationError):
-        cheapest([(3, lambda: school, "d")])
+        cheapest(lambda: [(3, lambda: school, "d")])
+    # a candidate that finds its nested entries above its price answers
+    # STALE, and every candidate is priced again from the fresh prices
+    pricings = iter([[(3, lambda: STALE, "e"), (4, lambda: build(school), "f")],
+                     [(9, lambda: build(kara), "e"), (4, lambda: build(school), "f")]])
+    assert cheapest(lambda: next(pricings)) == (school, "f")
+    assert built == ["karatsuba", "schoolbook"]
 
 
 def test_every_cost_table_candidate_verifies():
@@ -438,8 +445,10 @@ def test_compose_tower_outputs_are_pinned():
         table = CostTable(spec)
         d = 2
         while spec.q ** d <= 4096:
-            for a, outer, inner in table.tower_splits(d):
-                got[(spec.q, d, a)] = _pin(compose_tower(outer, inner))
+            for a in range(2, d):
+                if d % a == 0:
+                    inner = table.subtable(field_extend(spec, a)).get(d // a, 1)
+                    got[(spec.q, d, a)] = _pin(compose_tower(table.get(a, 1), inner))
             d += 1
         for d in (2, 3, 4):
             alg = compose_tower(table.get(1, 1), table.get(d, 1))

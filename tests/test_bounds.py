@@ -135,7 +135,10 @@ def test_golden_tables_report():
     assert cells[(2, 2)] == "9" and cells[(1, 3)] == "5" and cells[(2, 5)] == "30"
     assert len(cells) == len(TABLE3)
     msym = table_report("msym")
-    assert [r["value"] for r in msym] == ["10", "7.5", "5.33", "5.21", "4.08", "3.71", "3.77", "3.56", "3"]
+    # the q = 7 recipe gives 4.20 against the printed 4.08, and says so
+    assert [r["value"] for r in msym] == ["10", "7.5", "5.33", "5.21", "4.20", "3.71", "3.77", "3.56", "3"]
+    assert [r["q"] for r in msym if not r["matches_paper"]] == [7]
+    assert "4.08" in msym[4]["note"]
     m = table_report("m")
     assert all(r["matches_paper"] for r in m)
     csym = table_report("csym")

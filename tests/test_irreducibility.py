@@ -20,7 +20,7 @@ F3 = FieldSpec.get(3)
 F4 = FieldSpec.get(2, 2)
 F5 = FieldSpec.get(5)
 F16 = FieldSpec.get(2, 4)
-F64 = FieldSpec.get(2, 6)
+F256 = FieldSpec.get(2, 8)
 
 
 def _prime_divisors(n):
@@ -89,6 +89,13 @@ def _random_monic(rng, spec, d):
     return Poly(spec, [rng.randrange(spec.q) for _ in range(d)] + [1])
 
 
+def _random_irreducible(rng, spec, d):
+    while True:
+        poly = _random_monic(rng, spec, d)
+        if rabin_is_irreducible(poly):
+            return poly
+
+
 def test_butler_matches_rabin_on_random_high_degree():
     rng = random.Random(20190501)
     cases = []
@@ -103,14 +110,16 @@ def test_butler_matches_rabin_on_random_high_degree():
         cases.append(_linear(rng, F16) * lex_least_irreducible(F16, d - 1))
     cases += [_random_monic(rng, F2, 16) for _ in range(10)]
     # low degrees on either side of gf.ROOT_SCAN_MAX_Q (root scan, then root screen)
-    for spec in (F16, F64):
+    for spec in (F16, F256):
         cases += [_random_monic(rng, spec, d) for d in (2, 3, 4) for _ in range(4)]
     # above ROOT_SCAN_MAX_Q, squarefree products with a root, and irreducibles
     # that the screen alone accepts at d <= 3
-    cases.append(Poly(F64, [3, 1]) * Poly(F64, [5, 1]))
+    cases.append(Poly(F256, [3, 1]) * Poly(F256, [5, 1]))
+    # (over F_256 the lex-least quartic comes after 2^16 reducible x^4 + bx^2 + c,
+    # so the irreducible factors are drawn at random, as Rabin's test accepts)
     for d in (3, 4, 5):
-        cases.append(_linear(rng, F64) * lex_least_irreducible(F64, d - 1))
-    cases += [lex_least_irreducible(F64, d) for d in (2, 3)]
+        cases.append(_linear(rng, F256) * _random_irreducible(rng, F256, d - 1))
+    cases += [lex_least_irreducible(F256, d) for d in (2, 3)]
     verdicts = [is_irreducible(p) for p in cases]
     assert verdicts == [rabin_is_irreducible(p) for p in cases]
     assert True in verdicts and False in verdicts
