@@ -14,6 +14,7 @@ import operator
 from functools import partial
 
 from . import linalg
+from .bounds import winograd
 from .errors import CcmaError, ConditionFailure, FieldMismatch, GuardExceeded
 from .errors import MalformedPayload, PlanInfeasible, VerificationError
 from .gf import (
@@ -210,22 +211,7 @@ class BilinearAlgorithm:
     @classmethod
     def from_json(cls, data):
         _require_keys(data, "algorithm", ("p", "k", "target", "A", "B", "W"))
-        p = _payload_int(data["p"], "p", 2)
-        k = _payload_int(data["k"], "k", 1)
-        limit = guard_limit()
-        if k >= limit.bit_length():  # then p**k > limit; never compute it
-            raise GuardExceeded(f"field F_{p}^{k}", f"{p}^{k}", limit)
-        check_guard(p ** k, f"field F_{p}^{k}")
-        raw = poly = data.get("defining_poly")
-        if poly is not None:
-            _require_list(poly, "defining_poly")
-            poly = tuple(_payload_int(c, "defining_poly", 0, p) for c in poly)
-        # canonical as to_json writes it: null for a prime field, else monic of degree k
-        if k == 1 and poly is not None:
-            raise MalformedPayload(f"defining_poly holds {raw!r}, not null (k = 1)")
-        if k > 1 and (poly is None or len(poly) != k + 1 or poly[-1] != 1):
-            raise MalformedPayload(f"defining_poly holds {raw!r}, not a monic degree-{k} list")
-        base = FieldSpec.get(p, k, poly)
+        base = _payload_base(data)
         _payload_claim(data, "q", base.q)
         tinfo = data["target"]
         _require_keys(tinfo, "target", ("kind", "Q"))
@@ -249,6 +235,31 @@ class BilinearAlgorithm:
         A, B, W = (_payload_elements(data[key], key, base, 2) for key in "ABW")
         _payload_claim(data, "N", len(A))
         return cls(target, A, B, W)
+
+
+def _payload_base(data):
+    """The base field of a payload's `p`, `k` and `defining_poly`.
+
+    Algorithms and curve instances both read their field here.  The field
+    size is guarded before p**k is computed, and the defining polynomial
+    must be canonical as `to_json` writes it: null for a prime field, else
+    a monic degree-k list of digits in [0, p).
+    """
+    p = _payload_int(data["p"], "p", 2)
+    k = _payload_int(data["k"], "k", 1)
+    limit = guard_limit()
+    if k >= limit.bit_length():  # then p**k > limit; never compute it
+        raise GuardExceeded(f"field F_{p}^{k}", f"{p}^{k}", limit)
+    check_guard(p ** k, f"field F_{p}^{k}")
+    raw = poly = data.get("defining_poly")
+    if poly is not None:
+        _require_list(poly, "defining_poly")
+        poly = tuple(_payload_int(c, "defining_poly", 0, p) for c in poly)
+    if k == 1 and poly is not None:
+        raise MalformedPayload(f"defining_poly holds {raw!r}, not null (k = 1)")
+    if k > 1 and (poly is None or len(poly) != k + 1 or poly[-1] != 1):
+        raise MalformedPayload(f"defining_poly holds {raw!r}, not a monic degree-{k} list")
+    return FieldSpec.get(p, k, poly)
 
 
 def _require_keys(data, what, keys):
@@ -313,9 +324,10 @@ def verify_or_raise(alg, context=""):
 
 def winograd_floor(alg):
     """Sanity gate: an extension-field decomposition has rank >= 2n-1."""
-    if alg.target.kind == "extension" and alg.N < 2 * alg.target.n - 1:
+    target = alg.target
+    if target.kind == "extension" and alg.N < winograd(target.base.q, target.n)[0]:
         raise VerificationError(
-            f"rank {alg.N} below the 2n-1 lower bound for n={alg.target.n}"
+            f"rank {alg.N} below the 2n-1 lower bound for n={target.n}"
         )
 
 

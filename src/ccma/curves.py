@@ -6,13 +6,15 @@ curve y^2 + y = x^5 over fields of characteristic 2.
 
 Functions are represented as (a(x) + b(x) y) / den(x); Riemann-Roch spaces
 are cut out of the pole-order filtration at the infinite place by local
-valuation constraints, computed with truncated series expansions.
+valuation constraints, computed with truncated series expansions: every
+model but the line is y^2 + h(x) y = f(x), with one expansion at infinity.
 """
 
 import itertools
 
 from . import linalg
 from .bilinear import Algebra, entry_conversion, interpolation_algorithm
+from .bilinear import _payload_base, _payload_elements, _require_keys
 from .errors import CcmaError, ConditionFailure, DivisorSearchFailed, PlanInfeasible
 from .gf import ExtensionRing, FieldSpec, Poly, iter_irreducibles, powers
 from .guard import check_guard, guard_limit
@@ -73,14 +75,11 @@ class CurveModel:
     def _weierstrass_discriminant(self):
         sp = self.base
         a1, a2, a3, a4, a6 = self.coefficients
+        m = sp.mul
 
         def times(n, v):
-            out = 0
-            for _ in range(n % sp.p):
-                out = sp.add(out, v)
-            return out
+            return m(sp.scalar(n), v)
 
-        m = sp.mul
         b2 = sp.add(m(a1, a1), times(4, a2))
         b4 = sp.add(times(2, a4), m(a1, a3))
         b6 = sp.add(m(a3, a3), times(4, a6))
@@ -113,11 +112,11 @@ class CurveModel:
 
     @classmethod
     def from_json(cls, data):
-        binfo = data["base"]
-        poly = binfo.get("defining_poly")
-        base = FieldSpec.get(binfo["p"], binfo["k"], tuple(poly) if poly else None)
-        coeffs = [base.encode(tuple(c)) if isinstance(c, list) else c
-                  for c in data.get("coefficients", [])]
+        """The model `describe` writes; MalformedPayload if it is not one."""
+        _require_keys(data, "curve", ("base", "shape"))
+        _require_keys(data["base"], "base", ("p", "k"))
+        base = _payload_base(data["base"])
+        coeffs = _payload_elements(data.get("coefficients", []), "coefficients", base, 1)
         return cls(base, data["shape"], coeffs, data.get("genus"))
 
     @classmethod
@@ -143,6 +142,17 @@ class CurveModel:
             "coefficients": [list(base.decode(c)) for c in self.coefficients],
             "genus": self.genus,
         }
+
+    def places(self, d):
+        """The sorted degree-d places: enumerated (guarded) on the first call only.
+
+        Pricing, building and the divisor search of every request on the
+        curve read this one list, kept in `places_of_degree`.
+        """
+        found = self.places_of_degree.get(d)
+        if found is None:
+            found = self.places_of_degree[d] = enumerate_curve_places(self, d)
+        return found
 
     def ambient_monomials(self, M):
         """Monomials x^i y^j with pole order at infinity at most M."""
@@ -490,13 +500,9 @@ def find_place_of_degree(curve, n):
         tries += 1
         if tries > cap:
             break
-        places = fiber_places(curve, m)
-        for p in places:
-            if p.degree == n and not p.ramified:
-                return p
-        for p in places:
-            if p.degree == n:
-                return p
+        places = [p for p in fiber_places(curve, m) if p.degree == n]
+        if places:
+            return min(places, key=lambda p: p.ramified)  # unramified first
     raise PlanInfeasible(f"no degree-{n} place found within {cap} candidates")
 
 
@@ -567,88 +573,59 @@ def _local_series(place, prec):
     if place.is_infinity:
         return (curve.base,) + _infinity_series(curve, prec)
     K = place.residue
+
+    def const(c, window=prec + 1):
+        return Laurent.from_constant(K, K.embed_base(c), window)
+
     if curve.has_y and place.ramified and place.degree == 1:
-        # uniformizer y - y0; solve for the x series
-        y0 = place.beta
-        t = Laurent.uniformizer(K, prec + 1)
-        sy = t.add(Laurent.from_constant(K, y0, prec + 1))
-        coeffs = []
-        top = curve.f.degree
-        ysq = sy.mul(sy)
-        h = curve.h1
-        for i in range(top + 1):
-            term = Laurent.from_constant(K, K.embed_base(curve.base.neg(curve.f[i])), prec + 1)
-            if i <= h.degree and h[i]:
-                term = term.add(sy.scale(K.embed_base(h[i])))
-            if i == 0:
-                term = term.add(ysq)
-            coeffs.append(term.truncate(prec + 1))
+        # uniformizer t = y - y0; solve y^2 + h(x) y - f(x) = 0 for the x series
+        sy = Laurent(K, 0, [place.beta, K.one] + [K.zero] * (prec - 1))
+        coeffs = [const(curve.h1[i]).mul(sy).sub(const(c)) for i, c in enumerate(curve.f.coeffs)]
+        coeffs[0] = coeffs[0].add(sy.mul(sy))
         return K, newton_root(coeffs, place.xi, K, prec), sy.truncate(prec)
     if place.x_deg != place.degree:
         raise CcmaError("series frames unsupported at inert places")
     if place.ramified:
         raise CcmaError("series frames unsupported at this ramified place")
-    # uniformizer x_min(x); x series from x_min(x(t)) = t, then y by Newton
-    t = Laurent.uniformizer(K, prec + 1)
-    coeffs = []
-    for i in range(place.x_min.degree + 1):
-        term = Laurent.from_constant(K, K.embed_base(place.x_min[i]), prec + 1)
-        if i == 0:
-            term = term.sub(t)
-        coeffs.append(term)
+    # uniformizer t = x_min(x); x series from x_min(x(t)) - t = 0, then y by Newton
+    coeffs = [const(c) for c in place.x_min.coeffs]
+    coeffs[0].coeffs[1] = K.neg(K.one)
     sx = newton_root(coeffs, place.xi, K, prec)
     if not curve.has_y:
         return K, sx, Laurent.from_constant(K, K.zero, prec)
     fx = eval_poly(curve.f, sx, K, prec)
     hx = eval_poly(curve.h1, sx, K, prec)
-    ycoeffs = [fx.neg(), hx, Laurent.from_constant(K, K.one, prec)]
-    return K, sx, newton_root(ycoeffs, place.beta, K, prec)
+    return K, sx, newton_root([fx.neg(), hx, const(1, prec)], place.beta, K, prec)
 
 
 def _infinity_series(curve, prec):
+    """(sx, sy): x and y at the infinite place, in a uniformizer t.
+
+    On the line x = 1/t.  Every other model is y^2 + h(x) y = f(x), f monic
+    of degree 2g + 1, deg h <= g: x = s/t^2, y = s^g/t^(2g+1), and t^(4g+2)
+    times the equation is G(s) = s^2g + sum h_j s^(g+j) t^(2g+1-2j)
+    - sum f_i s^i t^(4g+2-2i), with G(1) = 0 and G'(1) = -1 at t = 0: one
+    Newton root from s(0) = 1.
+    """
     base = curve.base
     if not curve.has_y:
         sx = Laurent(base, -1, [1] + [0] * prec, prec)  # x = 1/t exactly
         sy = Laurent.from_constant(base, 0, prec)
         return sx, sy
+    g = curve.genus
     window = prec + 2 * curve.wt_y
-    if curve.shape == WEIERSTRASS:
-        a1, a2, a3, a4, a6 = curve.coefficients
-        t = Laurent.uniformizer(base, window)
-
-        def mono(c, k):
-            out = Laurent.from_constant(base, c, window)
-            return out.mul(t.pow(k).truncate(window)) if k else out
-
-        c0 = mono(a6, 6)
-        c1 = mono(base.neg(a3), 3).add(mono(a4, 4))
-        c2 = Laurent.from_constant(base, base.neg(1), window).add(
-            mono(base.neg(a1), 1)
-        ).add(mono(a2, 2))
-        c3 = Laurent.from_constant(base, 1, window)
-        s = newton_root([c0, c1, c2, c3], 1, base, window)
-        sx = s.shift(-2)
-        sy = s.shift(-3)
-    else:  # y^2 + y = x^5
-        t = Laurent.uniformizer(base, window)
-        c2 = t.pow(5).truncate(window).neg()
-        zero = Laurent.from_constant(base, 0, window)
-        c4 = Laurent.from_constant(base, base.neg(1), window)
-        c5 = Laurent.from_constant(base, 1, window)
-        s = newton_root([zero, zero, c2, zero, c4, c5], 1, base, window)
-        sx = s.shift(-2)
-        sy = s.mul(s).truncate(window).shift(-5)
-    return sx, sy
+    # rows[k][e]: the coefficient of s^k t^e; h fills odd e, f even e
+    rows = [[0] * window for _ in range(2 * g + 2)]
+    rows[2 * g][0] = 1
+    for j, c in enumerate(curve.h1.coeffs):
+        rows[g + j][2 * g + 1 - 2 * j] = c
+    for i, c in enumerate(curve.f.coeffs):
+        rows[i][4 * g + 2 - 2 * i] = base.neg(c)
+    s = newton_root([Laurent(base, 0, row) for row in rows], 1, base, window)
+    return s.shift(-2), powers(Laurent.mul, s, s, g)[-1].shift(-(2 * g + 1))
 
 
 # -- expansions and evaluation matrices ----------------------------------------
-
-
-def residue_coords(place, value):
-    """Coordinates of a residue-field value over the base field."""
-    if place.is_infinity:
-        return [value]
-    return list(value)
 
 
 def func_values_at(curve, funcs, place, order):
@@ -730,7 +707,7 @@ def evaluation_rows(curve, funcs, place, order, conv=None):
     rows = [[0] * len(funcs) for _ in range(order * d)]
     for col, vals in enumerate(values):
         for j in range(order):
-            vec = residue_coords(place, vals[j])
+            vec = [vals[j]] if place.is_infinity else list(vals[j])
             if conv is not None:
                 vec = linalg.mat_vec(base, conv, vec)
             for i in range(d):
@@ -831,17 +808,10 @@ def riemann_roch_basis(curve, D):
         kern = [[1 if i == j else 0 for i in range(len(funcs))] for j in range(len(funcs))]
     out = []
     for vec in kern:
-        a = Poly.zero(base)
-        b = Poly.zero(base)
+        ab = [[0] * (M // curve.wt_x + 1) for _ in range(2)]  # x^i y^j at ab[j][i]
         for coef, (i, j) in zip(vec, monomials):
-            if not coef:
-                continue
-            mono = Poly(base, (0,) * i + (coef,))
-            if j == 0:
-                a = a + mono
-            else:
-                b = b + mono
-        out.append(FuncElem(curve, a, b, u_poly).normalize())
+            ab[j][i] = coef
+        out.append(FuncElem(curve, Poly(base, ab[0]), Poly(base, ab[1]), u_poly).normalize())
     return out
 
 
@@ -898,7 +868,7 @@ def _check_supports(Q, D1, D2, items):
 # -- divisor search ----------------------------------------------------------------
 
 
-def find_divisor(curve, Q, items, cost_table, places=None):
+def find_divisor(curve, Q, items, cost_table):
     """(D, algorithm) for the first divisor D of degree n+g-1 that builds.
 
     The build decides both conditions (evaluation at Q onto L(D), evaluation
@@ -906,11 +876,9 @@ def find_divisor(curve, Q, items, cost_table, places=None):
     candidate.  For n >= g every candidate is non-special, l(D) = n, and the
     conditions are L(D-Q) = 0 and L(2D-G) = 0.  Deterministic bounded
     search; raises DivisorSearchFailed when the candidate budget is
-    exhausted (never silently degrades).  `places` maps a degree to its
-    enumerated places; the support pool reads it and adds the degrees it
-    enumerates, so a caller that passes one dict enumerates each degree once.
-    The pool lists a degree only when the walk over candidates first reads
-    past the places already listed.
+    exhausted (never silently degrades).  The support pool reads the
+    curve's place lists (`CurveModel.places`), a degree only when the walk
+    over candidates first reads past the places already listed.
     """
     n = Q.degree
     g = curve.genus
@@ -918,7 +886,7 @@ def find_divisor(curve, Q, items, cost_table, places=None):
         raise CcmaError("deg G must be at least 2n+g-1")
     target_deg = n + g - 1
     eval_places = {p for p, _ in items}
-    pool = _SupportPool(_support_places(curve, Q, eval_places, target_deg, places))
+    pool = _SupportPool(_support_places(curve, Q, eval_places, target_deg))
     tried = 0
     for D in _divisor_candidates(curve, eval_places, target_deg, pool):
         if tried == DIVISOR_CANDIDATES:
@@ -952,22 +920,21 @@ def _divisor_candidates(curve, eval_places, target_deg, pool):
             yield CurveDivisor(curve, support)
 
 
-def _support_places(curve, Q, eval_places, target_deg, places):
+def _support_places(curve, Q, eval_places, target_deg):
     """Divisor support places by ascending degree, enumerating each degree lazily.
 
-    Stops after the degree at which 24 places have been given.
+    Stops after the degree at which 24 places have been given, or at the
+    first degree that cannot be enumerated.
     """
-    places = {} if places is None else places
     given = 0
     for d in range(1, target_deg + 1):
         if curve.base.q ** d > PLACE_SCAN_LIMIT:
             return
-        if d not in places:
-            try:
-                places[d] = enumerate_curve_places(curve, d)
-            except CcmaError:
-                return
-        for p in places[d]:
+        try:
+            places = curve.places(d)
+        except CcmaError:
+            return
+        for p in places:
             if p.is_infinity or p in eval_places or p == Q:
                 continue
             if p.ramified or p.x_deg != p.degree:

@@ -36,7 +36,7 @@ class DegreeOverflow(CcmaError):
 
 
 class MalformedPayload(CcmaError):
-    """A stored algorithm is not a JSON object, lacks a key or is not canonical."""
+    """A stored algorithm or curve instance is not an object, lacks a key or is not canonical."""
 
 
 class VerificationError(CcmaError):

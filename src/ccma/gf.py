@@ -967,13 +967,18 @@ def local_columns(field, P, root, u, bound):
 
 
 def trunc_mul(field, a, b):
-    """Product of two digit lists in field[t]/(t^len(a))."""
+    """Product of two digit lists in field[t]/(t^len(a)); len(b) >= len(a).
+
+    `field` is a FieldSpec (int elements) or an ExtensionRing (tuples); the
+    truncated algebras and `series.Laurent.mul` share this one loop.
+    """
     u = len(a)
-    out = [field.zero] * u
+    zero = field.zero
+    out = [zero] * u
     for i, x in enumerate(a):
-        if any(x):
+        if x != zero:
             for j in range(u - i):
-                if any(b[j]):
+                if b[j] != zero:
                     out[i + j] = field.add(out[i + j], field.mul(x, b[j]))
     return out
 

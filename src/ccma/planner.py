@@ -17,8 +17,9 @@ from functools import partial
 from . import curves as curves_mod
 from . import genus0
 from .bilinear import BilinearAlgorithm, CostTable, cheapest, unless_dropped, verify_or_raise
-from .bounds import factor_prime_power
-from .errors import CcmaError, GuardExceeded, InvalidRequest, PlanInfeasible
+from .bilinear import _require_keys
+from .bounds import factor_prime_power, winograd
+from .errors import CcmaError, GuardExceeded, InvalidRequest, MalformedPayload, PlanInfeasible
 from .gf import FieldSpec
 from .guard import check_guard
 
@@ -94,7 +95,7 @@ class Planner:
             "rank": alg.N,
             "symmetric": alg.symmetric,
             "strategy": strategy,
-            "winograd_lower": 2 * n - 1,
+            "winograd_lower": winograd(self.base.q, n)[0],
             "algorithm": alg.to_json(),
         }
 
@@ -107,12 +108,10 @@ class Planner:
         if "curve" not in self.strategies:
             return
         for inst in self.instances:
-            if n not in inst.get("targets", []):
-                continue
-            curve = curves_mod.CurveModel.shared(inst["curve"])
-            if curve.base != self.base:
-                continue
             try:
+                curve = _instance_curve(inst, n)  # parsing guards its field
+                if curve is None or curve.base != self.base:
+                    continue
                 *_, rank = _curve_plan(curve, n, self.table)
             except (PlanInfeasible, GuardExceeded):
                 continue
@@ -120,27 +119,46 @@ class Planner:
                    {"kind": "curve", "instance": inst.get("name", "?")})
 
 
+def _instance_curve(inst, n):
+    """The shared curve of an instance that targets n, else None.
+
+    An instance file is outside input: MalformedPayload names the instance
+    when `targets` is not a list of integers >= 1, or its curve does not parse
+    or is not a supported model.
+    """
+    name = inst.get("name", "?") if isinstance(inst, dict) else "?"
+    try:
+        _require_keys(inst, "instance", ("curve",))
+        targets = inst.get("targets", [])
+        if not isinstance(targets, list) or any(type(t) is not int or t < 1 for t in targets):
+            raise MalformedPayload(f"targets holds {targets!r}, not a list of integers >= 1")
+        return curves_mod.CurveModel.shared(inst["curve"]) if n in targets else None
+    except GuardExceeded:
+        raise
+    except CcmaError as exc:
+        raise MalformedPayload(f"curve instance {name!r}: {exc}") from None
+
+
 def curve_instance_synth(curve, n, cost_table):
     """Deterministic driver: plan the place multiset, pick the divisor, build.
 
     The planner prices a curve instance by its plan (`_curve_plan`) and
-    calls this only for the winning candidate.  The divisor search builds
-    the algorithm; an assignment on which it fails is skipped for the next
-    one, for at most ASSIGNMENT_CAP assignments.  Raises PlanInfeasible
-    when the instance cannot reach n.  The built algorithm is not verified
-    here; that happens when it enters a certificate.
+    calls this only for the winning candidate, whose places come from the
+    lists pricing enumerated (`CurveModel.places`).  The divisor search
+    builds the algorithm; an assignment on which it fails is skipped for
+    the next one, for at most ASSIGNMENT_CAP assignments.  Raises
+    PlanInfeasible when the instance cannot reach n.  The built algorithm
+    is verified when it enters a certificate, not here.
     """
-    classes, places, counts, _ = _curve_plan(curve, n, cost_table)
-    items_shape = [
-        (d, u, c) for (d, u, avail), c in zip(classes, counts) if c
-    ]
+    classes, counts, _ = _curve_plan(curve, n, cost_table)
+    items_shape = [(d, u, c) for (d, u, _), c in zip(classes, counts) if c]
     # materialize the places and search derived-evaluation assignments
     Q = curves_mod.find_place_of_degree(curve, n)
     base_items = []
     for d in sorted({d for d, _, _ in items_shape}):
         shapes = [(u, c) for dd, u, c in items_shape if dd == d]
         total = sum(c for _, c in shapes)
-        pool = [p for p in places[d] if p != Q][:total]
+        pool = [p for p in curve.places(d) if p != Q][:total]
         if len(pool) < total:
             raise PlanInfeasible(f"not enough degree-{d} places on the curve")
         base_items.append((shapes, pool))
@@ -149,17 +167,15 @@ def curve_instance_synth(curve, n, cost_table):
     for items in itertools.islice(_assignments(base_items), ASSIGNMENT_CAP):
         tried += 1
         try:
-            _, alg = curves_mod.find_divisor(curve, Q, items, cost_table, places)
+            _, alg = curves_mod.find_divisor(curve, Q, items, cost_table)
             return alg
         except CcmaError as exc:
             last_error = exc
-    raise PlanInfeasible(
-        f"curve instance failed after {tried} assignments: {last_error}"
-    )
+    raise PlanInfeasible(f"curve instance failed after {tried} assignments: {last_error}")
 
 
 def _curve_plan(curve, n, cost_table):
-    """(classes, places, counts, rank): the least-cost place classes for n.
+    """(classes, counts, rank): the least-cost place classes for n.
 
     `counts` are the exact minimum-cost class counts, with shared
     availability per degree, and `rank` their total: the rank of every
@@ -167,30 +183,27 @@ def _curve_plan(curve, n, cost_table):
     classes cannot reach the degree target.
     """
     need = 2 * n + curve.genus - 1
-    classes, places = _curve_classes(curve, need)
+    classes = _curve_classes(curve, need)
     counts, rank = genus0._lazy_plan_dp(classes, need, cost_table)
     if counts is None:
         raise PlanInfeasible("curve place classes cannot reach the degree target")
-    return classes, places, counts, rank
+    return classes, counts, rank
 
 
 def _curve_classes(curve, need):
-    """Place classes and the places of each enumerated degree.
+    """Place classes (d, u, available places) for a degree target `need`.
 
-    Higher degrees are enumerated only when actually needed, and each
-    degree once per curve object: pricing and building an instance, and
-    every later request on the shared curve, share
-    `curve.places_of_degree`, which the divisor search extends.
+    Higher degrees are enumerated only when actually needed, each degree
+    once per curve object (`CurveModel.places`): pricing and building an
+    instance, its divisor search and every later request on the shared
+    curve read the same lists.
     """
     classes = []
-    places = curve.places_of_degree
     capacity = 0
     for d in (1, 2, 3):
         if curve.base.q ** d > curves_mod.PLACE_SCAN_LIMIT:
             break
-        if d not in places:
-            places[d] = curves_mod.enumerate_curve_places(curve, d)
-        avail = len(places[d])
+        avail = len(curve.places(d))
         if avail <= 0:
             continue
         for u in (1, 2):
@@ -199,7 +212,7 @@ def _curve_classes(curve, need):
         capacity += avail * 2 * d
         if capacity >= need:
             break
-    return classes, places
+    return classes
 
 
 def _assignments(base_items):
@@ -244,7 +257,7 @@ def verify_file_payload(data):
         "target": target.describe(),
         "q": target.base.q,
         "n": n,
-        "winograd_lower": 2 * n - 1 if target.kind == "extension" else None,
+        "winograd_lower": winograd(target.base.q, n)[0] if target.kind == "extension" else None,
         "failing_pair": pair,
     }
     if cert is not None:

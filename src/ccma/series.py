@@ -4,10 +4,15 @@ A series knows its valuation `val` and the first unknown exponent `prec`;
 coefficients cover exponents val..prec-1.  The coefficient ring is either a
 FieldSpec (ints) or an ExtensionRing (tuples); both expose zero/one,
 add/sub/neg/mul/inv and embed_base.
+
+The module adds no arithmetic of its own: a product is `gf.trunc_mul` on
+the common window, and one Horner loop (`_poly_at`) evaluates a polynomial
+with series coefficients, which `eval_poly` (base-field coefficients) and
+`newton_root` both use.
 """
 
 from .errors import CcmaError
-from .gf import power
+from .gf import trunc_mul
 
 
 class Laurent:
@@ -26,13 +31,6 @@ class Laurent:
         if prec <= 0:
             return cls(ring, prec, [], prec)
         return cls(ring, 0, [c] + [ring.zero] * (prec - 1), prec)
-
-    @classmethod
-    def uniformizer(cls, ring, prec):
-        coeffs = [ring.zero] * (prec - 1)
-        if prec > 1:
-            coeffs[0] = ring.one
-        return cls(ring, 1, coeffs, prec)
 
     def coefficient(self, exponent):
         """Coefficient of t^exponent; raises past the known precision."""
@@ -76,26 +74,11 @@ class Laurent:
         return self.add(other.neg())
 
     def mul(self, other):
-        ring = self.ring
-        val = self.val + other.val
-        prec = min(self.val + other.prec, other.val + self.prec)
-        n = prec - val
-        out = [ring.zero] * n
-        for i, a in enumerate(self.coeffs):
-            if a == ring.zero:
-                continue
-            jmax = min(len(other.coeffs), n - i)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if b != ring.zero:
-                    out[i + j] = ring.add(out[i + j], ring.mul(a, b))
-        return Laurent(ring, val, out, prec)
-
-    def scale(self, c):
-        ring = self.ring
-        return Laurent(
-            self.ring, self.val, [ring.mul(c, v) for v in self.coeffs], self.prec
-        )
+        """`gf.trunc_mul` on the common window (the shorter length), at val + val."""
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        return Laurent(self.ring, self.val + other.val, trunc_mul(self.ring, a, b))
 
     def inv(self):
         ring = self.ring
@@ -115,15 +98,6 @@ class Laurent:
             out[i] = ring.neg(ring.mul(lead_inv, acc))
         return Laurent(ring, -v, out, -v + rel)
 
-    def div(self, other):
-        return self.mul(other.inv())
-
-    def pow(self, e):
-        if e < 0:
-            return self.inv().pow(-e)
-        one = Laurent.from_constant(self.ring, self.ring.one, self.prec + abs(self.val) * e + 1)
-        return power(Laurent.mul, one, self, e)
-
     def __repr__(self):
         return f"Laurent(val={self.val}, prec={self.prec}, coeffs={self.coeffs})"
 
@@ -131,19 +105,15 @@ class Laurent:
 def eval_poly(poly, series, ring, prec):
     """Evaluate a base-field polynomial at a Laurent series (Horner).
 
-    The accumulator starts on a window of prec + max(0, -val) * deg + 1
-    terms, which leaves room for the poles of the powers of a series with
-    negative valuation; the result keeps the precision the products track.
-    Curve frames use it for f(x) and h(x) of the model and evaluate
-    function bases through one table of powers at the same window
-    (`curves.Frame`).
+    `_poly_at` over the constant series of poly's coefficients, on a window
+    of prec + max(0, -val) * deg + 1 terms: room for the poles of the powers
+    of a series with negative valuation.  The result keeps the precision the
+    products track.  Curve frames evaluate function bases through one table
+    of powers at the same window (`curves.Frame`).
     """
     window = prec + max(0, -series.val) * max(poly.degree, 1) + 1
-    acc = Laurent.from_constant(ring, ring.zero, window)
-    for c in reversed(poly.coeffs):
-        acc = acc.mul(series)
-        acc = acc.add(Laurent.from_constant(ring, ring.embed_base(c), acc.prec))
-    return acc.truncate(prec)
+    coeffs = [Laurent.from_constant(ring, ring.embed_base(c), window) for c in poly.coeffs]
+    return _poly_at(coeffs, series, ring, window).truncate(prec)
 
 
 def newton_root(coeff_series, y0, ring, prec):
@@ -152,20 +122,20 @@ def newton_root(coeff_series, y0, ring, prec):
     `coeff_series` lists the Laurent coefficients of G as a polynomial in y,
     constant term first; all must share the target precision window.
     """
+    derived = _derive(coeff_series, ring)
     y = Laurent.from_constant(ring, y0, 1)
     known = 1
     while known < prec:
         known = min(2 * known, prec)
-        yw = Laurent(ring, y.val, y.coeffs, y.prec)
-        yw = Laurent(ring, yw.val, yw.coeffs + [ring.zero] * (known - yw.prec), known)
+        yw = Laurent(ring, y.val, y.coeffs + [ring.zero] * (known - y.prec), known)
         g = _poly_at(coeff_series, yw, ring, known)
-        gp = _poly_at(_derive(coeff_series, ring), yw, ring, known)
+        gp = _poly_at(derived, yw, ring, known)
         y = yw.sub(g.mul(gp.inv()).truncate(known))
-        y = y.truncate(known)
     return y
 
 
 def _poly_at(coeffs, y, ring, prec):
+    """Horner's sum of coeffs[i] * y^i, series coefficients, to prec."""
     acc = Laurent.from_constant(ring, ring.zero, prec)
     for c in reversed(coeffs):
         acc = acc.mul(y).truncate(prec)

@@ -390,9 +390,9 @@ def test_lazy_support_pool_walks_like_the_eager_pool(monkeypatch):
         eval_places = {p for p, _ in items}
         target_deg = Q.degree + curve.genus - 1
         reference = eager_pool(curve, Q, eval_places, target_deg)
-        assert list(_support_places(curve, Q, eval_places, target_deg, {})) == reference
+        assert list(_support_places(curve, Q, eval_places, target_deg)) == reference
         eager = _SupportPool(iter(reference))
-        lazy = _SupportPool(_support_places(curve, Q, eval_places, target_deg, {}))
+        lazy = _SupportPool(_support_places(curve, Q, eval_places, target_deg))
         first = [list(itertools.islice(_divisor_candidates(curve, eval_places, target_deg, pool),
                                        50)) for pool in (eager, lazy)]
         assert first[0] == first[1], (curve, Q.degree)

@@ -12,7 +12,7 @@ import ccma
 from ccma import bilinear
 from ccma.bilinear import BilinearAlgorithm, CostTable, verify
 from ccma.cli import main
-from ccma.errors import CcmaError, PlanInfeasible
+from ccma.errors import CcmaError, MalformedPayload, PlanInfeasible
 from ccma.planner import Planner, shipped_instances, spec_for_q
 
 
@@ -86,6 +86,45 @@ def test_certificate_roundtrip(tmp_path):
 def test_shipped_instances_present():
     names = {inst["name"] for inst in shipped_instances()}
     assert {"fermat_f4", "hyperelliptic_f16", "cenk_ozbudak_f3"} <= names
+
+
+def _fermat_without_shape(inst):
+    del inst["curve"]["shape"]
+
+
+def _fermat_int_coefficient(inst):
+    inst["curve"]["coefficients"][2] = 7  # an encoded int, beyond F_4
+
+
+def _fermat_string_targets(inst):
+    inst["targets"] = "4"
+
+
+def _fermat_digit_beyond_p(inst):
+    inst["curve"]["coefficients"][2] = [3, 0]  # 3 = 1 mod 2, but not canonical
+
+
+def _fermat_unknown_shape(inst):
+    inst["curve"]["shape"] = "y2=x7"
+
+
+@pytest.mark.parametrize("spoil", [_fermat_without_shape, _fermat_int_coefficient,
+                                   _fermat_string_targets, _fermat_digit_beyond_p,
+                                   _fermat_unknown_shape])
+def test_malformed_curve_instance_is_refused_by_name(spoil, tmp_path, monkeypatch, capsys):
+    from ccma import planner as planner_mod
+
+    inst = json.loads(json.dumps(next(i for i in shipped_instances() if i["name"] == "fermat_f4")))
+    spoil(inst)
+    with pytest.raises(MalformedPayload, match="curve instance 'fermat_f4'"):
+        Planner(spec_for_q(4), instances=[inst]).synth(4)
+    (tmp_path / "fermat_f4.json").write_text(json.dumps(inst))
+    monkeypatch.setattr(planner_mod, "_INSTANCE_DIR", str(tmp_path))
+    assert main(["synth", "--q", "4", "--n", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: curve instance 'fermat_f4'")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_synth_verify_roundtrip(tmp_path, capsys):
