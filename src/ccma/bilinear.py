@@ -293,20 +293,35 @@ def _payload_elements(value, key, base, depth):
     """Encoded field elements nested `depth` lists deep (1: vector, 2: matrix).
 
     An element is a list of k digits, each an int in [0, p): digits are
-    never reduced mod p, so every accepted payload is canonical.
+    never reduced mod p, so every accepted payload is canonical.  Each
+    digit is tested once; only an element that fails goes through
+    `_payload_element`, which names what is wrong with it.
     """
     _require_list(value, key)
     if depth > 1:
         return [_payload_elements(v, key, base, depth - 1) for v in value]
+    p, k = base.p, base.k
     out = []
-    for digits in value:
-        _require_list(digits, key)
-        if len(digits) != base.k:
-            raise MalformedPayload(
-                f"{key} holds a field element of {len(digits)} digits, not {base.k}"
-            )
-        out.append(base.encode([_payload_int(c, key, 0, base.p) for c in digits]))
+    for element in value:
+        if type(element) is list and len(element) == k:
+            for c in element:
+                if type(c) is not int or not 0 <= c < p:
+                    break
+            else:
+                out.append(pack(element, p))
+                continue
+        out.append(_payload_element(element, key, base))
     return out
+
+
+def _payload_element(element, key, base):
+    """The encoding of one field element, else MalformedPayload naming its fault."""
+    _require_list(element, key)
+    if len(element) != base.k:
+        raise MalformedPayload(
+            f"{key} holds a field element of {len(element)} digits, not {base.k}"
+        )
+    return pack([_payload_int(c, key, 0, base.p) for c in element], base.p)
 
 
 def verify(alg):

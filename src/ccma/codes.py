@@ -5,6 +5,8 @@ spanned by the images x -> (a_1(x), ..., a_N(x)); symmetric decompositions
 correspond to exact supercodes S in F_{q^n} (+) F_q^N.
 """
 
+import operator
+
 from . import linalg
 from .bilinear import BilinearAlgorithm, verify
 from .errors import (
@@ -30,32 +32,34 @@ class LinearCode:
     def min_distance(self, limit=None):
         """Exact minimum Hamming weight over all nonzero codewords (guarded).
 
-        Scaling a message keeps its weight, so only messages whose first
-        nonzero coordinate is 1 are visited, depth first: each codeword is
-        its parent plus one precomputed scaled generator row.
+        Meet in the middle: a codeword is h - t, h spanned by the first
+        ceil(n/2) rows and t by the last floor(n/2).  Every t is stored
+        once as its one-hot packing, bit j*q + x for coordinate j holding
+        x, so h - t has weight N - popcount(onehot(h) & onehot(t)).
+        Scaling keeps weight, so h runs over the words whose first nonzero
+        coefficient is 1, and h = 0 over the nonzero t; the max over the
+        stored t for one h is a single C-level pass.
         """
         if self._distance is not None:
             return self._distance
         spec = self.spec
         q = spec.q
         check_guard(q ** self.n, f"codeword enumeration [{self.N},{self.n}]_{q}", limit)
-        minus_one = spec.p - 1  # word - (-1)*row is word + row
-        scaled = [[spec.scaled(c, row) for c in range(1, q)] for row in self.G]
-        best = self.N + 1
+        G, split = self.G, self.n - self.n // 2
+        offsets = range(0, self.N * q, q)
 
-        def walk(word, start):
-            nonlocal best
-            w = self.N - word.count(0)
-            if w < best:
-                best = w
-            for j in range(start, self.n):
-                for row in scaled[j]:
-                    walk(spec.sub_scaled(word, minus_one, row), j + 1)
+        def onehot(word):
+            return sum(map((1).__lshift__, map(operator.add, offsets, word)))
 
-        for lead in range(self.n):
-            walk(self.G[lead], lead + 1)
-        self._distance = best
-        return best
+        zero = [0] * self.N
+        tails = list(map(onehot, _span(spec, zero, G[split:])))  # tails[0] is t = 0
+        # h = 0 with t != 0; with n = 0 there is no nonzero codeword
+        agree = max(map(int.bit_count, map(onehot(zero).__and__, tails[1:])), default=-1)
+        for lead in range(split):
+            for word in _span(spec, G[lead], G[lead + 1 : split]):
+                agree = max(agree, max(map(int.bit_count, map(onehot(word).__and__, tails))))
+        self._distance = self.N - agree
+        return self._distance
 
     def to_json(self):
         spec = self.spec
@@ -68,6 +72,14 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode([{self.N},{self.n}]_{self.spec.q})"
+
+
+def _span(spec, word, rows):
+    """All q^len(rows) words word - c_1*rows[0] - c_2*rows[1] - ..., word first."""
+    words = [word]
+    for row in rows:
+        words = [spec.sub_scaled(w, c, row) for w in words for c in spec.elements()]
+    return words
 
 
 def code_from_decomposition(alg):

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from ccma import linalg
-from ccma.errors import FieldMismatch, VerificationError
+from ccma.curves import CurveModel
+from ccma.errors import FieldMismatch, MalformedPayload, VerificationError
 from ccma.gf import FieldSpec, Poly, field_extend, is_irreducible
 from ccma.bilinear import (
     STALE,
@@ -25,6 +26,7 @@ from ccma.bilinear import (
     verify,
     verify_or_raise,
 )
+from ccma.planner import shipped_instances
 
 F2 = FieldSpec.get(2)
 F3 = FieldSpec.get(3)
@@ -211,6 +213,38 @@ def test_serialization_roundtrip_bit_exact():
     assert back.to_json() == data
     assert back.A == alg.A and back.B == alg.B and back.W == alg.W
     assert verify(back)
+
+
+# a bad field element of F_4 (p = 2, k = 2) and the exact error it must raise
+BAD_ELEMENTS = [
+    ([2, 0], "{key} holds 2, not an integer in [0, 2)"),
+    ([0, -1], "{key} holds -1, not an integer in [0, 2)"),
+    ([True, 0], "{key} holds True, not an integer in [0, 2)"),
+    ([1.0, 0], "{key} holds 1.0, not an integer in [0, 2)"),
+    ([1], "{key} holds a field element of 1 digits, not 2"),
+    (5, "{key} holds int where a list belongs"),
+]
+
+
+@pytest.mark.parametrize(
+    "bad,message", BAD_ELEMENTS, ids=["high", "negative", "bool", "float", "count", "scalar"]
+)
+@pytest.mark.parametrize("key", ["A", "B", "W", "Q", "coefficients"])
+def test_malformed_payload_elements_keep_their_messages(key, bad, message):
+    if key == "coefficients":
+        (data,) = [i["curve"] for i in shipped_instances() if i["name"] == "fermat_f4"]
+        data["coefficients"][0] = bad
+        parse = CurveModel.from_json
+    else:
+        data = CostTable(F4).get(2, 1).to_json()
+        if key == "Q":
+            data["target"]["Q"][0] = bad
+        else:
+            data[key][0][0] = bad
+        parse = BilinearAlgorithm.from_json
+    with pytest.raises(MalformedPayload) as err:
+        parse(data)
+    assert str(err.value) == message.format(key=key)
 
 
 def test_winograd_floor_gate():
