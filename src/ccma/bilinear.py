@@ -23,7 +23,10 @@ from .gf import (
     Poly,
     digits,
     embed_element,
+    embed_map,
     field_extend,
+    first_generator,
+    flatten,
     is_irreducible,
     least_root,
     lex_least_irreducible,
@@ -31,6 +34,7 @@ from .gf import (
     pack,
     powers,
     trunc_mul,
+    unflatten,
 )
 from .guard import check_guard, guard_limit
 
@@ -349,27 +353,14 @@ def winograd_floor(alg):
 # -- interpolation assembly ----------------------------------------------------
 
 
-def entry_conversion(base, modulus, entry):
-    """Matrix rebasing residue coordinates mod `modulus` into the entry's field.
-
-    The residue field F_q[x]/(modulus) is sent to the power basis of the
-    cost-table entry's modulus through the least root of `modulus` there
-    (`place_columns` with u = 1 on x^0..x^(d-1)); None for a rational
-    place, where both bases are F_q itself.
-    """
-    d = modulus.degree
-    if d == 1:
-        return None
-    return place_columns(base, modulus, entry, 1, d - 1)
-
-
-def place_columns(base, P, entry, u, bound):
+def place_columns(P, entry, u, bound):
     """Local evaluation at the place P on x^0..x^bound, in the entry's basis.
 
     The cost-table entry multiplies in F_{q^d}[t]/(t^u) over the field of
     its modulus; the place is read there through the least root of P.
+    With u = 1 and bound = deg P - 1 this rebases residues mod P.
     """
-    field = ExtensionRing(base, entry.target.Q)
+    field = entry.target.ring
     root = least_root(field, P)
     if root is None:
         raise CcmaError("place modulus has no root in the entry field")
@@ -487,40 +478,26 @@ class _ExtFieldIso:
         self.K = K
         self.m = m
         self.powers = powers(big.mul, 1, root, m)
-        # F_p-matrix sending (K-coeff vector) to spec2 p-coordinates
-        p = K.p
-        fp = FieldSpec.get(p)
-        cols = []
-        for i in range(m):
-            for j in range(K.k):
-                g_j = K.encode(tuple(1 if t == j else 0 for t in range(K.k)))
-                img = big.mul(embed_element(K, big, g_j), self.powers[i])
-                cols.append(list(big.decode(img)))
-        mat = [[cols[c][r] for c in range(len(cols))] for r in range(big.k)]
-        self._fp = fp
-        self._to_p = mat
-        self._from_p = linalg.invert(fp, mat)
+        # F_p-matrix sending flattened K-coordinates to spec2 p-coordinates:
+        # column i * k + j is the image of the j-th basis element of K times root^i
+        images = embed_map(K, big)
+        cols = [big.decode(big.mul(g, pw)) for pw in self.powers for g in images]
+        self._fp = FieldSpec.get(K.p)
+        self._to_p = linalg.transpose(cols)
+        self._from_p = linalg.invert(self._fp, self._to_p)
         if self._from_p is None:
             raise CcmaError("power basis does not span the canonical field")
 
     def to_field(self, coords):
         """Field element with algebra coordinates `coords` (inverse of from_field)."""
-        flat = [c for x in coords for c in self.K.decode(x)]
-        return self.spec2.encode(linalg.mat_vec(self._fp, self._to_p, flat))
+        return self.spec2.encode(linalg.mat_vec(self._fp, self._to_p, flatten(self.K, coords)))
 
     def from_field(self, val):
-        pvec = list(self.spec2.decode(val))
-        flat = linalg.mat_vec(self._fp, self._from_p, pvec)
-        K = self.K
-        out = []
-        for i in range(self.m):
-            out.append(K.encode(tuple(flat[i * K.k : i * K.k + K.k])))
-        return out
+        return unflatten(self.K, linalg.mat_vec(self._fp, self._from_p, self.spec2.decode(val)))
 
     def mul_by_matrix(self, c):
         """K-matrix of multiplication by field element c on algebra coords."""
-        cols = [self.from_field(self.spec2.mul(c, pw)) for pw in self.powers]
-        return [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
+        return linalg.transpose([self.from_field(self.spec2.mul(c, pw)) for pw in self.powers])
 
 
 def _power_basis_form(A, B, W, iso, ring):
@@ -529,38 +506,32 @@ def _power_basis_form(A, B, W, iso, ring):
     (A, B, W) use tower coordinates: coordinate j*m + t stands for
     iso.powers[t] * y^j in `ring` = F_{q^m}[y]/(Q), the inner target's
     ring.  Candidates g are scanned in ascending encoding of their tower
-    coordinates, and the first whose powers 1, g, ..., g^(d-1) are
-    independent wins: with theta = [g^0 ... g^(d-1)], the new modulus is
-    g's minimal polynomial z^d - theta^-1 g^d.  The guard counts the
-    candidates tried; non-generators lie in proper subfields, so few are.
+    coordinates (`first_generator`); with theta = [g^0 ... g^(d-1)], the
+    new modulus is g's minimal polynomial.
     """
     K = iso.K
     m = iso.m
-    n = ring.dim
-    dim = m * n
+    dim = m * ring.dim
     q = K.q
-    lim = guard_limit()
+
+    def candidate(enc):
+        coords = digits(enc, q, dim)
+        return tuple(iso.to_field(coords[j : j + m]) for j in range(0, dim, m))
+
+    def power_coords(g):
+        return [[c for x in pw for c in iso.from_field(x)]
+                for pw in powers(ring.mul, ring.one, g, dim + 1)]
+
     # encodings below q^m have only block-0 digits: they lie in F_{q^m}
     first = q ** m if dim > m else 1
-    for enc in range(first, q ** dim):
-        check_guard(enc - first + 1, "generator scan", lim)
-        coords = digits(enc, q, dim)
-        g = tuple(iso.to_field(coords[j * m : (j + 1) * m]) for j in range(n))
-        cols = [[c for x in pw for c in iso.from_field(x)]
-                for pw in powers(ring.mul, ring.one, g, dim + 1)]
-        theta = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-        theta_inv = linalg.invert(K, theta)
-        if theta_inv is None:
-            continue
-        top = linalg.mat_vec(K, theta_inv, cols[dim])
-        target = Algebra(K, Poly(K, [K.neg(c) for c in top] + [1]))
-        return BilinearAlgorithm(
-            target,
-            linalg.mat_mul(K, A, theta),
-            linalg.mat_mul(K, B, theta),
-            linalg.mat_mul(K, theta_inv, W),
-        )
-    raise CcmaError("no generator found for the composed algebra")
+    _, theta, theta_inv, N = first_generator(
+        K, dim, map(candidate, range(first, q ** dim)), power_coords)
+    return BilinearAlgorithm(
+        Algebra(K, N),
+        linalg.mat_mul(K, A, theta),
+        linalg.mat_mul(K, B, theta),
+        linalg.mat_mul(K, theta_inv, W),
+    )
 
 
 # -- composition --------------------------------------------------------------
@@ -574,12 +545,7 @@ def compose_tower(outer, inner):
     """
     if outer.target.kind != "extension" or inner.target.kind != "extension":
         raise FieldMismatch("tower composition needs extension-field targets")
-    iso = _ExtFieldIso(outer.target)
-    if inner.target.base != iso.spec2:
-        raise FieldMismatch(
-            f"inner base {inner.target.base!r} is not {iso.spec2!r}"
-        )
-    A, B, W = _compose_blocks(outer, inner, iso)
+    A, B, W, iso = _compose_blocks(outer, inner)
     out = _power_basis_form(A, B, W, iso, inner.target.ring)
     out.meta = {"method": "tower", "outer": outer.meta, "inner": inner.meta}
     return out
@@ -591,65 +557,45 @@ def compose_truncated(outer, inner):
         raise FieldMismatch("outer algorithm must target an extension field")
     if inner.target.m != 1:
         raise FieldMismatch("inner algorithm must target F[t]/(t^u) over the big field")
-    iso = _ExtFieldIso(outer.target)
-    if inner.target.base != iso.spec2:
-        raise FieldMismatch(
-            f"inner base {inner.target.base!r} is not {iso.spec2!r}"
-        )
-    A, B, W = _compose_blocks(outer, inner, iso)
+    A, B, W, _ = _compose_blocks(outer, inner)
     # the blocks already use the (j, i) basis order of the target
     target = Algebra(outer.target.base, outer.target.Q, inner.target.ell)
     meta = {"method": "localized", "outer": outer.meta, "inner": inner.meta}
     return BilinearAlgorithm(target, A, B, W, meta=meta)
 
 
-def _compose_blocks(outer, inner, iso):
-    """(A, B, W) of a tower/truncated nesting, in tower coordinates."""
+def _compose_blocks(outer, inner):
+    """(A, B, W) of a tower/truncated nesting in tower coordinates, and the iso.
+
+    With M(c) the matrix of multiplication by c on outer coordinates and
+    M(0) = 0, inner term s gives the rows outer.A [M(a_s0) | ... |
+    M(a_s,n-1)] of A (and of B likewise), and the columns
+    [M(w_0s); ...; M(w_n-1,s)] outer.W of W.
+    """
+    iso = _ExtFieldIso(outer.target)
+    if inner.target.base != iso.spec2:
+        raise FieldMismatch(f"inner base {inner.target.base!r} is not {iso.spec2!r}")
     K = outer.target.base
-    m = iso.m
-    n_blocks = inner.target.dim  # blocks over the big field
-    dim = m * n_blocks
+    mats = {0: [[0] * iso.m for _ in range(iso.m)]}
 
-    mulmat_cache = {}
-
-    def mulmat(c):
-        mat = mulmat_cache.get(c)
+    def M(c):
+        mat = mats.get(c)
         if mat is None:
-            mat = iso.mul_by_matrix(c)
-            mulmat_cache[c] = mat
+            mat = mats[c] = iso.mul_by_matrix(c)
         return mat
 
-    # per inner term: K-matrices sending tower coords to outer coords of the form value
-    def form_matrix(row):
-        mat = [[0] * dim for _ in range(m)]
-        for j in range(n_blocks):
-            c = row[j]
-            if c:
-                mm = mulmat(c)
-                for r in range(m):
-                    for t in range(m):
-                        mat[r][j * m + t] = mm[r][t]
-        return mat
+    def rows(forms, inner_row):
+        side = [[x for part in parts for x in part] for parts in zip(*map(M, inner_row))]
+        return linalg.mat_mul(K, forms, side)
 
-    A, B, w_cols = [], [], []
+    A, B, w_blocks = [], [], []
     for s in range(inner.N):
-        A.extend(linalg.mat_mul(K, outer.A, form_matrix(inner.A[s])))
-        B.extend(linalg.mat_mul(K, outer.B, form_matrix(inner.B[s])))
-        # W columns: product scaled by inner w coefficients into each block
-        w_inner = [inner.W[j][s] for j in range(n_blocks)]
-        for r in range(outer.N):
-            w_out_col = [outer.W[t][r] for t in range(m)]
-            col = [0] * dim
-            for j in range(n_blocks):
-                c = w_inner[j]
-                if c:
-                    mm = mulmat(c)
-                    vec = linalg.mat_vec(K, mm, w_out_col)
-                    for t in range(m):
-                        col[j * m + t] = vec[t]
-            w_cols.append(col)
-    W = [[w_cols[s][h] for s in range(len(w_cols))] for h in range(dim)]
-    return A, B, W
+        A.extend(rows(outer.A, inner.A[s]))
+        B.extend(rows(outer.B, inner.B[s]))
+        stacked = [r for w_row in inner.W for r in M(w_row[s])]
+        w_blocks.append(linalg.mat_mul(K, stacked, outer.W))
+    W = [[x for part in parts for x in part] for parts in zip(*w_blocks)]
+    return A, B, W, iso
 
 
 # -- brute force minimum rank -------------------------------------------------

@@ -13,10 +13,11 @@ model but the line is y^2 + h(x) y = f(x), with one expansion at infinity.
 import itertools
 
 from . import linalg
-from .bilinear import Algebra, entry_conversion, interpolation_algorithm
+from .bilinear import Algebra, interpolation_algorithm, place_columns
 from .bilinear import _payload_base, _payload_elements, _require_keys
 from .errors import CcmaError, ConditionFailure, DivisorSearchFailed, PlanInfeasible
-from .gf import ExtensionRing, FieldSpec, Poly, iter_irreducibles, powers
+from .gf import ExtensionRing, FieldSpec, Poly, first_generator, flatten, iter_irreducibles
+from .gf import powers, unflatten
 from .guard import check_guard, guard_limit
 from .series import Laurent, eval_poly, newton_root
 
@@ -303,15 +304,6 @@ class FuncElem:
 # -- quadratic solving in residue fields -------------------------------------
 
 
-def _flatten_f2(K, v):
-    return [b for c in v for b in K.spec.decode(c)]
-
-
-def _unflatten_f2(K, bits):
-    k = K.spec.k
-    return tuple(K.spec.encode(bits[i * k : (i + 1) * k]) for i in range(K.dim))
-
-
 def solve_y_quadratic(K, c, v):
     """Solutions y in the field K of y^2 + c y = v, sorted by encoding."""
     sp = K.spec
@@ -331,13 +323,12 @@ def solve_y_quadratic(K, c, v):
             for b in range(sp.k):
                 unit[i] = 1 << b
                 img = K.add(K.scale(sp.mul(unit[i], unit[i]), square), tuple(unit))
-                cols.append(_flatten_f2(K, img))
-        mat = [[cols[j][i] for j in range(nbits)] for i in range(nbits)]
+                cols.append(flatten(sp, img))
         w = K.mul(v, K.inv(K.mul(c, c)))
-        sol = linalg.solve(f2, mat, _flatten_f2(K, w))
+        sol = linalg.solve(f2, linalg.transpose(cols), flatten(sp, w))
         if sol is None:
             return [], False
-        z0 = _unflatten_f2(K, sol)
+        z0 = tuple(unflatten(sp, sol))
         y0 = K.mul(c, z0)
         y1 = K.add(y0, c)
         return sorted({y0, y1}, key=K.encode), False
@@ -353,51 +344,42 @@ def solve_y_quadratic(K, c, v):
 
 
 def sqrt_in_field(K, a):
-    """Square roots of a in the field K (empty when a is a non-residue)."""
-    sp = K.spec
-    size = sp.q ** K.dim
+    """Square roots of a in the field K (empty when a is a non-residue).
+
+    Tonelli-Shanks with K.q - 1 = 2^m * odd: r = a^((odd+1)/2) is a root
+    as soon as t = a^odd is 1, always so for K.q = 3 mod 4; otherwise the
+    least non-residue from 2 (0 and 1 are squares) corrects r and t.
+    """
     if a == K.zero:
         return [K.zero]
-    ls = K.pow(a, (size - 1) // 2)
-    if ls != K.one:
+    if K.pow(a, (K.q - 1) // 2) != K.one:
         return []
-    if size % 4 == 3:
-        r = K.pow(a, (size + 1) // 4)
-    else:
-        r = _tonelli_shanks(K, a, size)
+    odd, m = K.q - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        m += 1
+    r = K.pow(a, (odd + 1) // 2)
+    t = K.pow(a, odd)
+    if t != K.one:
+        nonres = next(
+            cand for cand in itertools.islice(K.elements(), 2, None)
+            if K.pow(cand, (K.q - 1) // 2) != K.one
+        )
+        c = K.pow(nonres, odd)
+        while t != K.one:
+            i = 0
+            tt = t
+            while tt != K.one:
+                tt = K.mul(tt, tt)
+                i += 1
+            b = c
+            for _ in range(m - i - 1):
+                b = K.mul(b, b)
+            m = i
+            c = K.mul(b, b)
+            t = K.mul(t, c)
+            r = K.mul(r, b)
     return sorted({r, K.neg(r)}, key=K.encode)
-
-
-def _tonelli_shanks(K, a, size):
-    q = size - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    # the least non-residue in ascending encoding, from 2 (0 and 1 are squares)
-    nonres = next(
-        cand for cand in itertools.islice(K.elements(), 2, None)
-        if K.pow(cand, (size - 1) // 2) != K.one
-    )
-    z = K.pow(nonres, q)
-    m = s
-    c = z
-    t = K.pow(a, q)
-    r = K.pow(a, (q + 1) // 2)
-    while t != K.one:
-        i = 0
-        tt = t
-        while tt != K.one:
-            tt = K.mul(tt, tt)
-            i += 1
-        b = c
-        for _ in range(m - i - 1):
-            b = K.mul(b, b)
-        m = i
-        c = K.mul(b, b)
-        t = K.mul(t, c)
-        r = K.mul(r, b)
-    return r
 
 
 # -- place enumeration ---------------------------------------------------------
@@ -434,35 +416,26 @@ def _inert_place(curve, x_min, K_e, c, v):
     The compositum K_e[y]/(y^2 + cy - v) = F_{q^2e} is written in the basis
     (1, y) over K_e, flattened over F_q.  Its residue field is F_q[T]/(N),
     N the minimal polynomial of the first generator z = y + a, a in K_e in
-    ascending encoding: the first whose powers z^0..z^(2e-1) are
-    independent (a = 0 unless y lies in a proper subfield).  The same
-    inverse gives N from z^2e and the coordinates of x in powers of z.
+    ascending encoding (`first_generator`; a = 0 unless y lies in a proper
+    subfield).  The same inverse gives the coordinates of x in powers of z.
     """
     base = curve.base
     dim = 2 * x_min.degree
 
-    def flat(pair):
-        return list(pair[0]) + list(pair[1])
-
-    target = flat((K_e.gen(), K_e.zero))
-    for a in K_e.elements():
+    def power_coords(a):
         # (p0 + p1 y)(a + y) = (p0 a + p1 v) + (p0 + p1 (a - c)) y
         a_minus_c = K_e.sub(a, c)
-        power = (K_e.one, K_e.zero)
-        cols = [flat(power)]
+        p0, p1 = K_e.one, K_e.zero
+        cols = [list(p0) + list(p1)]
         for _ in range(dim):
-            p0, p1 = power
-            power = (K_e.add(K_e.mul(p0, a), K_e.mul(p1, v)),
-                     K_e.add(p0, K_e.mul(p1, a_minus_c)))
-            cols.append(flat(power))
-        inv = linalg.invert(base, [list(row) for row in zip(*cols[:dim])])
-        if inv is not None:
-            break
-    else:
-        raise CcmaError("inert place construction found no generator")
-    relation = linalg.mat_vec(base, inv, cols[dim])
-    K_P = ExtensionRing(base, Poly(base, [base.neg(r) for r in relation] + [1]))
-    xroot = tuple(linalg.mat_vec(base, inv, target))
+            p0, p1 = (K_e.add(K_e.mul(p0, a), K_e.mul(p1, v)),
+                      K_e.add(p0, K_e.mul(p1, a_minus_c)))
+            cols.append(list(p0) + list(p1))
+        return cols
+
+    a, _, inv, N = first_generator(base, dim, K_e.elements(), power_coords)
+    K_P = ExtensionRing(base, N)
+    xroot = tuple(linalg.mat_vec(base, inv, list(K_e.gen()) + list(K_e.zero)))
     beta = K_P.sub(K_P.gen(), K_e.to_poly(a).eval_in(K_P, xroot))
     lhs = K_P.add(K_P.mul(beta, beta), K_P.mul(curve.h1.eval_in(K_P, xroot), beta))
     assert lhs == curve.f.eval_in(K_P, xroot)
@@ -1007,8 +980,8 @@ def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table):
     for place, u in items:
         entry = cost_table.get(place.degree, u)
         conv = None
-        if not place.is_infinity:
-            conv = entry_conversion(base, place.residue.modulus, entry)
+        if place.degree > 1:  # a rational place's residue is F_q itself
+            conv = place_columns(place.residue.modulus, entry, 1, place.degree - 1)
         X1 = linalg.mat_mul(base, evaluation_rows(curve, L1, place, u, conv), S1)
         X2 = X1
         if not same:

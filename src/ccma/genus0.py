@@ -247,7 +247,7 @@ def _place_rows(plan, cost_table):
         if place.is_infinity:
             out.append((entry, _infinity_rows(u, m1), _infinity_rows(u, m2)))
         else:
-            rows = place_columns(plan.base, place.poly, entry, u, m2)
+            rows = place_columns(place.poly, entry, u, m2)
             out.append((entry, [row[: m1 + 1] for row in rows], rows))
     return out
 

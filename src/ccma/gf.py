@@ -8,9 +8,12 @@ and store trimmed little-endian coefficient tuples of such integers.
 Each arithmetic primitive has one implementation here, which the field,
 its quotient rings, `bilinear`, `curves` and `series` all call: the digit
 codec `digits`/`pack` (integer encodings, monic enumeration, ring
-elements), `power` (square and multiply under any product),
-`reduction_rows` (x^(d+j) mod a monic modulus, for field and quotient-ring
-products) and `trunc_mul` (the product in F[t]/(t^l)).
+elements) and `flatten`/`unflatten` (vectors over F_{p^k} as digit lists
+over F_p), `power` (square and multiply under any product),
+`first_generator` (the guarded scan for a generator of a field written in
+another basis, for towers and inert curve places), `reduction_rows`
+(x^(d+j) mod a monic modulus, for field and quotient-ring products) and
+`trunc_mul` (the product in F[t]/(t^l)).
 
 Every field with q <= 2^16 multiplies through log/antilog tables over a
 fixed primitive element, built in O(q); for odd p with k > 1 it also adds
@@ -42,7 +45,7 @@ from .errors import (
     PoleAtPlace,
 )
 from . import linalg
-from .guard import check_guard
+from .guard import check_guard, guard_limit
 
 _LOG_TABLE_MAX_Q = 1 << 16
 
@@ -106,6 +109,17 @@ def pack(ds, base):
     return v
 
 
+def flatten(spec, xs):
+    """The k base-p digits of each element of xs over F_{p^k}, in one list."""
+    return [c for x in xs for c in digits(x, spec.p, spec.k)]
+
+
+def unflatten(spec, flat):
+    """The elements whose base-p digits are `flat`, k at a time (inverse of flatten)."""
+    k, p = spec.k, spec.p
+    return [pack(flat[i : i + k], p) for i in range(0, len(flat), k)]
+
+
 def power(mul, one, a, e):
     """a^e for an integer e >= 0 by square and multiply under `mul`."""
     result = one
@@ -123,6 +137,27 @@ def powers(mul, one, g, k):
     for _ in range(k - 1):
         out.append(mul(out[-1], g))
     return out
+
+
+def first_generator(spec, dim, candidates, power_coords):
+    """The first candidate g whose powers g^0..g^(dim-1) are independent.
+
+    `power_coords(g)` gives the coordinates over `spec` of g^0..g^dim.
+    Returns (g, theta, theta^-1, N): theta has the columns g^0..g^(dim-1),
+    and N = z^dim - theta^-1 g^dim is g's minimal polynomial.  The guard
+    counts the candidates tried; non-generators lie in proper subfields,
+    so few are.
+    """
+    lim = guard_limit()
+    for tried, g in enumerate(candidates, 1):
+        check_guard(tried, "generator scan", lim)
+        cols = power_coords(g)
+        theta = linalg.transpose(cols[:dim])
+        theta_inv = linalg.invert(spec, theta)
+        if theta_inv is not None:
+            top = linalg.mat_vec(spec, theta_inv, cols[dim])
+            return g, theta, theta_inv, Poly(spec, [spec.neg(c) for c in top] + [1])
+    raise CcmaError("no generator found among the candidates")
 
 
 def reduction_rows(spec, modulus):

@@ -575,7 +575,7 @@ def test_generator_scan_guard_counts_candidates_tried(monkeypatch):
 
 
 def test_generator_scan_guard_refuses_a_longer_scan(monkeypatch):
-    from ccma.bilinear import _ExtFieldIso, _compose_blocks, _power_basis_form
+    from ccma.bilinear import _compose_blocks, _power_basis_form
     from ccma.errors import GuardExceeded
 
     # F_2^6 as F_8 over F_2 under F_{8^2} over F_8: the third candidate wins
@@ -583,8 +583,7 @@ def test_generator_scan_guard_refuses_a_longer_scan(monkeypatch):
     outer = table.get(3, 1)
     inner = table.subtable(field_extend(F2, 3)).get(2, 1)
     expected = compose_tower(outer, inner).to_json()
-    iso = _ExtFieldIso(outer.target)
-    A, B, W = _compose_blocks(outer, inner, iso)
+    A, B, W, iso = _compose_blocks(outer, inner)
     monkeypatch.setenv("CCMA_GUARD_LIMIT", "2")
     with pytest.raises(GuardExceeded, match="generator scan"):
         _power_basis_form(A, B, W, iso, inner.target.ring)

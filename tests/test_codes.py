@@ -170,10 +170,11 @@ def test_round_trip_decides_condition_1_from_its_row_reduction(monkeypatch):
     monkeypatch.setattr(linalg, "rref", counted)
     back = symmetric_from_supercode(supercode_from_symmetric(alg))
     assert back.A == alg.A and verify(back)
-    # the recovery reads condition 1 off the pivots of the reduction it takes
-    # of the basis, and condition 2 off the reduction that solves for W, with
-    # no separate rank of either block
-    assert len(calls) == 6
+    # verification implies both conditions for the supercode of a symmetric
+    # algorithm; the recovery reads condition 1 off the pivots of the
+    # reduction it takes of the basis, and condition 2 off the reduction
+    # that solves for W, with no separate rank of either block
+    assert len(calls) == 4
     # one row with a zero second block fails both conditions; 1 is reported
     S = supercode_from_symmetric(karatsuba(extension_target(F2, 2)))
     both = Supercode(S.algebra, S.N, [[1, 0] + [0] * S.N])

@@ -6,8 +6,10 @@ import pytest
 
 from ccma import linalg
 from ccma.bilinear import CostTable, verify
-from ccma.errors import CcmaError, ConditionFailure
-from ccma.gf import FieldSpec
+from ccma import gf
+from ccma.errors import CcmaError, ConditionFailure, GuardExceeded
+from ccma.gf import ExtensionRing, FieldSpec, Poly, lex_least_irreducible
+from ccma.planner import shipped_instances
 from ccma.curves import (
     HYPER5,
     RATIONAL,
@@ -17,10 +19,12 @@ from ccma.curves import (
     ccma_build_curve,
     check_conditions,
     enumerate_curve_places,
+    fiber_places,
     find_divisor,
     find_place_of_degree,
     riemann_roch_basis,
     rr_dim,
+    sqrt_in_field,
 )
 
 F2 = FieldSpec.get(2)
@@ -504,3 +508,60 @@ def test_asymmetric_divisor_pair_build():
     assert alg.N == 8
     assert not alg.symmetric
     assert verify(alg)
+
+
+def test_inert_place_generator_scan_is_guarded(monkeypatch):
+    # above x^3 + 2 on the Fermat cubic, x^3 = 2 lies in F_4, so y lies in
+    # F_16 and z = y + a is no generator for the four a in F_4: the fifth
+    # candidate, a = x, is the first of the degree-6 residue field
+    x_min = Poly(F4, (2, 0, 0, 1))
+    monkeypatch.delenv("CCMA_GUARD_LIMIT", raising=False)
+    (place,) = fiber_places(fermat(), x_min)
+    assert place.degree == 6 and place.residue.modulus.coeffs == (1, 0, 3, 1, 2, 1, 1)
+    for limit in ("2", "4"):
+        monkeypatch.setenv("CCMA_GUARD_LIMIT", limit)
+        with pytest.raises(GuardExceeded, match="generator scan"):
+            fiber_places(fermat(), x_min)
+    monkeypatch.setenv("CCMA_GUARD_LIMIT", "5")
+    (again,) = fiber_places(fermat(), x_min)
+    assert (again.residue, again.xi, again.beta) == (place.residue, place.xi, place.beta)
+
+
+def test_inert_scans_on_the_shipped_curves_stop_early(monkeypatch):
+    # every inert place of the shipped curves while q^d <= 4096: the guard
+    # sees each scan's count, which starts again at 1 for the next scan
+    scans = []
+    check_guard = gf.check_guard
+
+    def counted(size, what, limit=None):
+        if what == "generator scan":
+            if size == 1:
+                scans.append(0)
+            scans[-1] = size
+        return check_guard(size, what, limit)
+
+    monkeypatch.setattr(gf, "check_guard", counted)
+    for inst in shipped_instances():
+        curve = CurveModel.from_json(inst["curve"])
+        d = 1
+        while curve.base.q ** d <= 4096:
+            curve.places(d)
+            d += 1
+    assert len(scans) == 1469
+    assert scans.count(1) == 1463 and max(scans) == 5
+
+
+def test_sqrt_in_field_matches_brute_force():
+    # residue rings of size 3 mod 4 (one exponentiation) and 1 mod 4
+    # (Tonelli-Shanks corrections), over prime fields and over F_9
+    F9 = FieldSpec.get(3, 2)
+    rings = [ExtensionRing(FieldSpec.get(p), lex_least_irreducible(FieldSpec.get(p), k))
+             for p, k in ((3, 1), (7, 1), (11, 1), (3, 3), (5, 1), (3, 2), (13, 1), (5, 2))]
+    rings.append(ExtensionRing(F9, lex_least_irreducible(F9, 2)))
+    assert sorted(K.q for K in rings) == [3, 5, 7, 9, 11, 13, 25, 27, 81]
+    for K in rings:
+        roots = {}
+        for r in K.elements():
+            roots.setdefault(K.mul(r, r), []).append(r)
+        for a in K.elements():
+            assert sqrt_in_field(K, a) == sorted(roots.get(a, []), key=K.encode), (K, a)

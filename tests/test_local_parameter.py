@@ -80,7 +80,7 @@ def test_local_columns_match_hensel_digits():
                 entry = table.get(d, u)
                 bound = 2 * d * u + 2
                 for P in iter_irreducibles(spec, d):
-                    got = place_columns(spec, P, entry, u, bound)
+                    got = place_columns(P, entry, u, bound)
                     assert got == reference_columns(spec, P, entry, u, bound), (spec, P, u)
                     checked += 1
     assert checked == 13 + 34 + 70  # (place, u) pairs over F_2, F_3, F_4
