@@ -115,10 +115,6 @@ class Supercode:
         second = [spec.mul(a, b) for a, b in zip(r1[n:], r2[n:])]
         return first + second
 
-    def condition1_holds(self):
-        first = [row[: self.n] for row in self.basis]
-        return linalg.rank(self.algebra.base, first) == self.n
-
     def square_span(self):
         """Echelon basis of the span of all products of two basis rows (cached)."""
         if self._square_span is None:

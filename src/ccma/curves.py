@@ -68,6 +68,7 @@ class CurveModel:
         if genus is not None and genus != self.genus:
             raise CcmaError("declared genus does not match the shape")
         self.has_y = shape != RATIONAL
+        # x_min -> the places above it, or (K, c, v) while an inert one is unbuilt
         self._fibers = {}
         # degree -> the complete sorted list of its places, once enumerated
         self.places_of_degree = {}
@@ -385,29 +386,40 @@ def sqrt_in_field(K, a):
 # -- place enumeration ---------------------------------------------------------
 
 
-def fiber_places(curve, x_min):
-    """All places of the curve above the x-line place x_min."""
-    cached = curve._fibers.get(x_min)
-    if cached is not None:
-        return cached
-    base = curve.base
-    K = ExtensionRing(base, x_min)
+def fiber_places(curve, x_min, degree=None):
+    """The places of the curve above the x-line place x_min, of `degree` if given.
+
+    The quadratic y^2 + h(x) y = f(x) over the residue field K of x_min
+    decides the fibre: two places of degree deg x_min (split), one
+    (ramified), or none in K, and then one inert place of degree
+    2 deg x_min.  An inert place (generator scan, minimal polynomial,
+    residue ring) is built only when asked for, with no `degree` or with
+    its own; until then `curve._fibers` keeps the fibre unbuilt.
+    """
+    fiber = curve._fibers.get(x_min)
+    if fiber is None:
+        fiber = curve._fibers[x_min] = _fiber(curve, x_min)
+    if isinstance(fiber, tuple):  # an inert fibre, not built yet
+        if degree not in (None, 2 * x_min.degree):
+            return []
+        fiber = curve._fibers[x_min] = [_inert_place(curve, x_min, *fiber)]
+    if degree is None:
+        return fiber
+    return [p for p in fiber if p.degree == degree]
+
+
+def _fiber(curve, x_min):
+    """The split or ramified places above x_min, or (K, c, v) for an inert fibre."""
+    K = ExtensionRing(curve.base, x_min)
     xi = K.gen()
     if not curve.has_y:
-        places = [CurvePlace(curve, x_min, K, xi, K.zero, ramified=False)]
-    else:
-        c = curve.h1.eval_in(K, xi)
-        v = curve.f.eval_in(K, xi)
-        sols, ramified = solve_y_quadratic(K, c, v)
-        if sols:
-            places = [
-                CurvePlace(curve, x_min, K, xi, beta, ramified=(len(sols) == 1))
-                for beta in sols
-            ]
-        else:
-            places = [_inert_place(curve, x_min, K, c, v)]
-    curve._fibers[x_min] = places
-    return places
+        return [CurvePlace(curve, x_min, K, xi, K.zero, ramified=False)]
+    c = curve.h1.eval_in(K, xi)
+    v = curve.f.eval_in(K, xi)
+    sols, ramified = solve_y_quadratic(K, c, v)
+    if not sols:
+        return K, c, v
+    return [CurvePlace(curve, x_min, K, xi, beta, ramified=(len(sols) == 1)) for beta in sols]
 
 
 def _inert_place(curve, x_min, K_e, c, v):
@@ -415,9 +427,11 @@ def _inert_place(curve, x_min, K_e, c, v):
 
     The compositum K_e[y]/(y^2 + cy - v) = F_{q^2e} is written in the basis
     (1, y) over K_e, flattened over F_q.  Its residue field is F_q[T]/(N),
-    N the minimal polynomial of the first generator z = y + a, a in K_e in
-    ascending encoding (`first_generator`; a = 0 unless y lies in a proper
-    subfield).  The same inverse gives the coordinates of x in powers of z.
+    N the minimal polynomial of the first generator z = y + a (`first_generator`),
+    a = 0 and then the a in K_e outside F_q in ascending encoding: a = 0
+    fails only when y lies in a proper subfield, and for a nonzero a in F_q
+    F_q(y + a) = F_q(y).  The same inverse gives the coordinates of x in
+    powers of z.
     """
     base = curve.base
     dim = 2 * x_min.degree
@@ -433,7 +447,8 @@ def _inert_place(curve, x_min, K_e, c, v):
             cols.append(list(p0) + list(p1))
         return cols
 
-    a, _, inv, N = first_generator(base, dim, K_e.elements(), power_coords)
+    candidates = (a for a in K_e.elements() if a == K_e.zero or any(a[1:]))
+    a, _, inv, N = first_generator(base, dim, candidates, power_coords)
     K_P = ExtensionRing(base, N)
     xroot = tuple(linalg.mat_vec(base, inv, list(K_e.gen()) + list(K_e.zero)))
     beta = K_P.sub(K_P.gen(), K_e.to_poly(a).eval_in(K_P, xroot))
@@ -450,10 +465,10 @@ def enumerate_curve_places(curve, d):
     check_guard(base.q ** d, f"place enumeration degree {d} on {curve!r}")
     out = []
     for m in iter_irreducibles(base, d):
-        out.extend(p for p in fiber_places(curve, m) if p.degree == d)
+        out.extend(fiber_places(curve, m, d))
     if d % 2 == 0 and curve.has_y:
         for m in iter_irreducibles(base, d // 2):
-            out.extend(p for p in fiber_places(curve, m) if p.degree == d)
+            out.extend(fiber_places(curve, m, d))
     out.sort(key=CurvePlace.order_key)
     if d == 1:
         out.append(curve.infinity)
@@ -473,7 +488,7 @@ def find_place_of_degree(curve, n):
         tries += 1
         if tries > cap:
             break
-        places = [p for p in fiber_places(curve, m) if p.degree == n]
+        places = fiber_places(curve, m, n)
         if places:
             return min(places, key=lambda p: p.ramified)  # unramified first
     raise PlanInfeasible(f"no degree-{n} place found within {cap} candidates")
@@ -645,27 +660,51 @@ def _top_degree(funcs):
 
 
 def _frame_values(funcs, place, order):
-    den_deg = max(f.den.degree for f in funcs)
-    extra = 2 * max(den_deg, 1) + 2
-    prec = order + extra
+    """Order-`order` values through series frames, at the precision they need.
+
+    The inverse of a denominator of valuation v at the place, and so each
+    value, is known to 2v terms fewer than the frame.  The first frame at a
+    finite place therefore takes order + 2v terms, v the largest
+    multiplicity of x_min in a denominator times the ramification index e
+    (e = 2, and one term more, at a ramified place); at infinity it takes
+    order + 1.  A frame that falls short doubles, up to
+    16 (order + 2 max(deg den, 1) + 2) terms, the last try.
+    """
     top = _top_degree(funcs)
+    cap = 16 * (order + 2 * max(max(f.den.degree for f in funcs), 1) + 2)
+    if place.is_infinity:
+        prec = order + 1
+    else:
+        e = 2 if place.ramified else 1
+        v = e * max(_multiplicity(den, place.x_min) for den in {f.den for f in funcs})
+        prec = order + 2 * v + (e - 1)
     while True:
         frame = Frame(place, prec, top)
         try:
             series = frame.eval_funcs(funcs)
         except CcmaError:
-            prec *= 2
-            if prec > 16 * (order + extra):
+            if prec >= cap:
                 raise
+            prec = min(2 * prec, cap)
             continue
         if all(s.prec >= order for s in series):
             out = []
             for s in series:
                 if s.normalized_val() < 0:
                     raise CcmaError("function has a pole at an evaluation place")
-                out.append([s.coefficient(e) for e in range(order)])
+                out.append([s.coefficient(j) for j in range(order)])
             return out
         prec *= 2
+
+
+def _multiplicity(poly, m):
+    """The largest k with m^k dividing the nonzero poly."""
+    k = 0
+    while True:
+        quot, rem = poly.divmod(m)
+        if not rem.is_zero():
+            return k
+        poly, k = quot, k + 1
 
 
 def evaluation_rows(curve, funcs, place, order, conv=None):

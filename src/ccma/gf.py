@@ -686,12 +686,20 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-# is_irreducible decides degrees 2 and 3 by a root scan while q is at most
-# this, and by its gcd root screen above: the scan's up to q evaluations
-# outgrow the screen's polynomial products.  Mean us per call, scan/screen,
-# on 200 random monic polynomials with a nonzero constant term (timeit, best
-# of 5; 2-vCPU VM, Python 3.11), quadratics then cubics: q = 16 12/98 15/130;
-# 32 24/118 28/161; 64 41/93 55/158; 128 89/141 99/200; 256 166/162 209/216.
+# While q is at most this, is_irreducible first scans F_q for a root at every
+# degree; above it a gcd root screen does that job, since the scan's up to q
+# evaluations outgrow the screen's polynomial products.  Mean us per call,
+# scan/screen, on 200 random monic polynomials with a nonzero constant term
+# (timeit, best of 5; 2-vCPU VM, Python 3.11), quadratics then cubics:
+# q = 16 12/98 15/130; 32 24/118 28/161; 64 41/93 55/158; 128 89/141
+# 99/200; 256 166/162 209/216.  Degrees 4, 8 and 14, the whole test as it
+# is / with the screen first and rows from products by x^q (as before the
+# scan ran at every degree), best of 11 interleaved passes, same set-up:
+# q = 4 30/112 76/198 198/432; 8 39/139 63/187 180/383; 9 69/127 103/286
+# 381/707; 16 52/103 109/238 240/523; 32 64/118 163/274 485/646; 64 94/143
+# 158/267 636/760; 128 225/251 256/354 622/761.  The scan first loses at no
+# q <= 128; its narrowest margin, q = 128 at d = 4, lies within the run-to-run
+# spread of this VM (one uninterleaved best-of-5 pass gave 213/182 there).
 ROOT_SCAN_MAX_Q = 128
 
 
@@ -703,12 +711,19 @@ def is_irreducible(poly):
     Q is the matrix of the F_q-linear map f -> f^q on F_q[x]/(P): the kernel
     of Q - I (the Berlekamp subalgebra) has one dimension per distinct
     irreducible factor of a squarefree P.  Row i of Q is x^(iq) mod P.
-    Before the rows are built, a root screen rejects P when gcd(x^q - x, P)
-    has positive degree, that is when P has a root in F_q (the
-    distinct-degree step of von zur Gathen and Gerhard, Modern Computer
-    Algebra, ch. 14).  For d <= 3 a factorization has a linear factor, so
-    the screen alone decides; while q <= ROOT_SCAN_MAX_Q a scan for roots
-    in F_q decides before it.
+    P is rejected when it has a root in F_q: while q <= ROOT_SCAN_MAX_Q by
+    a scan of F_q before anything else, above that by the screen
+    gcd(x^q - x, P) once x^q is known (the distinct-degree step of von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 14).  For d <= 3 a factorization has a
+    linear factor, so that alone decides.  The rows come from one
+    multiply-by-x chain x^0, x^1, ..., x^((d-1)q) mod P while q <= 2d and
+    the scan runs: its (d - 1)q steps of one row operation each then cost
+    no more than d - 1 products x^((i-1)q) * x^q mod P of about 2d row
+    operations each, plus x^q itself.  Rows alone, us per polynomial,
+    chain/products (best of 9 interleaved passes over 30 random ones,
+    2-vCPU VM, Python 3.11), at q = 2d: q = 8 24/64, 16 143/232, 32
+    870/1127, 64 5273/6047; at q = 4d the chain loses: q = 32 293/263, 64
+    1755/1201.
     """
     d = poly.degree
     if d <= 0:
@@ -718,26 +733,42 @@ def is_irreducible(poly):
     if poly[0] == 0:
         return False
     sp = poly.spec
-    if d <= 3 and sp.q <= ROOT_SCAN_MAX_Q:
-        return all(poly.evaluate(a) for a in range(1, sp.q))
+    q = sp.q
+    scan = q <= ROOT_SCAN_MAX_Q
+    if scan:
+        if not all(poly.evaluate(a) for a in range(1, q)):
+            return False
+        if d <= 3:
+            return True
     poly = poly.monic()
     deriv = poly.derivative()
     if deriv.is_zero() or poly.gcd(deriv).degree > 0:
         return False
-    x = Poly.x(sp)
-    xq = x.pow_mod(sp.q, poly)
-    if (xq - x).gcd(poly).degree > 0:
-        return False
-    if d <= 3:
-        return True
-    cur = Poly.one(sp)
-    rows = []
-    for i in range(d):
-        if i:
-            cur = (cur * xq) % poly
-        row = [cur[j] for j in range(d)]
+    if scan and q <= 2 * d:
+        m = poly.coeffs[:-1]
+        cur = [1] + [0] * (d - 1)
+        rows = [cur]
+        for _ in range(d - 1):
+            for _ in range(q):
+                # x * cur, whose top digit wraps around as -top * m
+                cur = sp.sub_scaled([0] + cur[:-1], cur[-1], m)
+            rows.append(cur)
+    else:
+        x = Poly.x(sp)
+        xq = x.pow_mod(q, poly)
+        if not scan:
+            if (xq - x).gcd(poly).degree > 0:
+                return False
+            if d <= 3:
+                return True
+        cur = Poly.one(sp)
+        rows = []
+        for i in range(d):
+            if i:
+                cur = (cur * xq) % poly
+            rows.append([cur[j] for j in range(d)])
+    for i, row in enumerate(rows):
         row[i] = sp.sub(row[i], 1)
-        rows.append(row)
     return linalg.rank(sp, rows) == d - 1
 
 
@@ -932,8 +963,10 @@ class ExtensionRing:
         return power(self.mul, self.one, a, e)
 
     def inv(self, a):
-        # extended Euclid against the modulus
         sp = self.spec
+        if self.dim == 1:
+            return (sp.inv(a[0]),)
+        # extended Euclid against the modulus
         r0, r1 = self.modulus, Poly(sp, a)
         s0, s1 = Poly.zero(sp), Poly.one(sp)
         while not r1.is_zero():

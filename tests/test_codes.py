@@ -2,6 +2,7 @@
 
 import pytest
 
+from ccma import linalg
 from ccma.bilinear import (
     BilinearAlgorithm,
     CostTable,
@@ -28,6 +29,11 @@ F3 = FieldSpec.get(3)
 def _is_exact(S):
     """An exact supercode has dimension n."""
     return S.dim == S.n
+
+
+def _first_block_rank(S):
+    """Condition 1 holds when this is n: the first projection is onto F_{q^n}."""
+    return linalg.rank(S.algebra.base, [row[: S.n] for row in S.basis])
 
 
 def test_karatsuba_code_parameters():
@@ -73,7 +79,7 @@ def test_supercode_roundtrip_karatsuba():
     alg = karatsuba(extension_target(F2, 2))
     S = supercode_from_symmetric(alg)
     assert _is_exact(S) and S.dim == 2
-    assert S.condition1_holds() and S.condition2_holds()
+    assert _first_block_rank(S) == S.n and S.condition2_holds()
     back = symmetric_from_supercode(S)
     assert back.A == alg.A
     assert back.N == alg.N
@@ -103,7 +109,7 @@ def test_padded_supercode_reduces_to_exact():
     rows.append([0, 0, 0, 0, 0, 1])
     padded = Supercode(S.algebra, 4, rows)
     assert padded.dim == 3 and not _is_exact(padded)
-    assert padded.condition1_holds() and padded.condition2_holds()
+    assert _first_block_rank(padded) == padded.n and padded.condition2_holds()
     back = symmetric_from_supercode(padded)
     assert back.N == 4 and verify(back)
     assert back.A[:3] == alg.A  # the dropped generator leaves a dead product
@@ -156,8 +162,6 @@ def test_round_trip_builds_one_square_span(monkeypatch):
 
 
 def test_round_trip_decides_condition_1_from_its_row_reduction(monkeypatch):
-    from ccma import linalg
-
     alg = BilinearAlgorithm.from_json(Planner(F2).synth(8)["algorithm"])
     assert alg.symmetric
     rref = linalg.rref
@@ -178,7 +182,7 @@ def test_round_trip_decides_condition_1_from_its_row_reduction(monkeypatch):
     # one row with a zero second block fails both conditions; 1 is reported
     S = supercode_from_symmetric(karatsuba(extension_target(F2, 2)))
     both = Supercode(S.algebra, S.N, [[1, 0] + [0] * S.N])
-    assert not both.condition1_holds() and not both.condition2_holds()
+    assert _first_block_rank(both) != both.n and not both.condition2_holds()
     with pytest.raises(SupercodeConditionError) as err:
         symmetric_from_supercode(both)
     assert err.value.condition == 1

@@ -512,43 +512,78 @@ def test_asymmetric_divisor_pair_build():
 
 def test_inert_place_generator_scan_is_guarded(monkeypatch):
     # above x^3 + 2 on the Fermat cubic, x^3 = 2 lies in F_4, so y lies in
-    # F_16 and z = y + a is no generator for the four a in F_4: the fifth
-    # candidate, a = x, is the first of the degree-6 residue field
+    # F_16 and z = y is no generator; the scan skips the nonzero a in F_4,
+    # for which F_4(y + a) = F_4(y), so its second candidate, a = x, is the
+    # first of the degree-6 residue field
     x_min = Poly(F4, (2, 0, 0, 1))
     monkeypatch.delenv("CCMA_GUARD_LIMIT", raising=False)
     (place,) = fiber_places(fermat(), x_min)
     assert place.degree == 6 and place.residue.modulus.coeffs == (1, 0, 3, 1, 2, 1, 1)
-    for limit in ("2", "4"):
-        monkeypatch.setenv("CCMA_GUARD_LIMIT", limit)
-        with pytest.raises(GuardExceeded, match="generator scan"):
-            fiber_places(fermat(), x_min)
-    monkeypatch.setenv("CCMA_GUARD_LIMIT", "5")
+    monkeypatch.setenv("CCMA_GUARD_LIMIT", "1")
+    with pytest.raises(GuardExceeded, match="generator scan"):
+        fiber_places(fermat(), x_min)
+    monkeypatch.setenv("CCMA_GUARD_LIMIT", "2")
     (again,) = fiber_places(fermat(), x_min)
     assert (again.residue, again.xi, again.beta) == (place.residue, place.xi, place.beta)
 
 
-def test_inert_scans_on_the_shipped_curves_stop_early(monkeypatch):
-    # every inert place of the shipped curves while q^d <= 4096: the guard
-    # sees each scan's count, which starts again at 1 for the next scan
+def _generator_scans(monkeypatch):
+    """The candidate count of each generator scan, as the guard sees it."""
     scans = []
     check_guard = gf.check_guard
 
     def counted(size, what, limit=None):
         if what == "generator scan":
-            if size == 1:
+            if size == 1:  # the count starts again at 1 for the next scan
                 scans.append(0)
             scans[-1] = size
         return check_guard(size, what, limit)
 
     monkeypatch.setattr(gf, "check_guard", counted)
-    for inst in shipped_instances():
-        curve = CurveModel.from_json(inst["curve"])
+    return scans
+
+
+def test_inert_scans_on_the_shipped_curves_stop_early(monkeypatch):
+    # every inert place of the shipped curves above an x_min of degree d
+    # while q^d <= 4096, built by asking for each fibre with no degree
+    scans = _generator_scans(monkeypatch)
+    curves = [CurveModel.from_json(inst["curve"]) for inst in shipped_instances()]
+    for curve in curves:
+        d = 1
+        while curve.base.q ** d <= 4096:
+            for x_min in gf.iter_irreducibles(curve.base, d):
+                fiber_places(curve, x_min)
+            d += 1
+    assert len(scans) == 1469
+    assert scans.count(1) == 1463 and max(scans) == 2
+    # the place lists of those degrees build only the inert places they list
+    scans.clear()
+    for curve in curves:
+        curve = CurveModel(curve.base, curve.shape, curve.coefficients)
         d = 1
         while curve.base.q ** d <= 4096:
             curve.places(d)
             d += 1
-    assert len(scans) == 1469
-    assert scans.count(1) == 1463 and max(scans) == 5
+    assert len(scans) == 19
+    assert scans.count(1) == 17 and max(scans) == 2
+
+
+def test_inert_fibres_are_built_when_their_degree_is_asked(monkeypatch):
+    # Fermat over F_4 has no inert fibre above a rational x, so places(2)
+    # leaves every inert fibre above a quadratic x_min (degree 4) unbuilt
+    scans = _generator_scans(monkeypatch)
+    curve = fermat()
+    curve.places(2)
+    assert scans == []
+    lazy = curve.places(4)
+    assert scans and any(p.x_deg == 2 for p in lazy)
+    eager = fermat()
+    for d in (1, 2, 4):
+        for x_min in gf.iter_irreducibles(F4, d):
+            fiber_places(eager, x_min)
+    built = enumerate_curve_places(eager, 4)
+    assert lazy == built
+    assert [(p.residue, p.xi, p.beta) for p in lazy] == [(p.residue, p.xi, p.beta) for p in built]
 
 
 def test_sqrt_in_field_matches_brute_force():

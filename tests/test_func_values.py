@@ -116,6 +116,33 @@ def test_func_values_match_reference_on_curve_requests(monkeypatch):
     assert {"infinity", "order 1", "order 2"} <= kinds
 
 
+def test_finite_place_frames_start_at_the_needed_precision(monkeypatch):
+    # order + 2 v_P(den) terms (plus 1 where ramified) are enough at every
+    # finite place of the five curve requests: one Frame per call, no retry
+    frames = []
+    calls = []
+    frame_values = curves_mod._frame_values
+
+    class Counted(Frame):
+        def __init__(self, place, prec, top):
+            frames.append(place)
+            super().__init__(place, prec, top)
+
+    def counted(funcs, place, order):
+        start = len(frames)
+        out = frame_values(funcs, place, order)
+        calls.append((place, len(frames) - start))
+        return out
+
+    monkeypatch.setattr(curves_mod, "Frame", Counted)
+    monkeypatch.setattr(curves_mod, "_frame_values", counted)
+    for q, n in ((4, 4), (3, 9), (16, 13), (16, 14), (16, 15)):
+        Planner(spec_for_q(q), strategies=("curve",)).synth(n)
+    finite = [built for place, built in calls if not place.is_infinity]
+    assert finite and finite == [1] * len(finite)
+    assert any(place.ramified for place, _ in calls)
+
+
 @pytest.mark.parametrize("curve", [
     CurveModel(F4, WEIERSTRASS, (0, 0, 1, 0, 1)),  # Fermat y^2 + y = x^3 + 1
     CurveModel(F3, WEIERSTRASS, (0, 0, 0, 1, 2)),  # y^2 = x^3 + x + 2, ramified at x = 2

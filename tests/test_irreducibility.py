@@ -1,6 +1,9 @@
 """Differential tests: Butler's irreducibility test against the Rabin test it
-replaced, and the memoized irreducible stream against a direct filter."""
+replaced and against its own earlier form (root screen first, rows from
+products by x^q), and the memoized irreducible stream against a direct
+filter."""
 
+import itertools
 import random
 
 from ccma import gf, linalg
@@ -19,6 +22,7 @@ F2 = FieldSpec.get(2)
 F3 = FieldSpec.get(3)
 F4 = FieldSpec.get(2, 2)
 F5 = FieldSpec.get(5)
+F8 = FieldSpec.get(2, 3)
 F16 = FieldSpec.get(2, 4)
 F256 = FieldSpec.get(2, 8)
 
@@ -73,6 +77,64 @@ def rabin_is_irreducible(poly):
         if diff.is_zero() or diff.gcd(poly).degree > 0:
             return False
     return True
+
+
+def screen_first_is_irreducible(poly):
+    """Butler's test as it ran before the root scan went first at every degree.
+
+    A root scan decides degrees 2 and 3 while q <= gf.ROOT_SCAN_MAX_Q;
+    otherwise the gcd root screen runs after the squarefree check, and row i
+    is x^((i-1)q) * x^q mod P, x^q by square and multiply.
+    """
+    d = poly.degree
+    if d <= 0:
+        return False
+    if d == 1:
+        return True
+    if poly[0] == 0:
+        return False
+    sp = poly.spec
+    if d <= 3 and sp.q <= gf.ROOT_SCAN_MAX_Q:
+        return all(poly.evaluate(a) for a in range(1, sp.q))
+    poly = poly.monic()
+    deriv = poly.derivative()
+    if deriv.is_zero() or poly.gcd(deriv).degree > 0:
+        return False
+    x = Poly.x(sp)
+    xq = x.pow_mod(sp.q, poly)
+    if (xq - x).gcd(poly).degree > 0:
+        return False
+    if d <= 3:
+        return True
+    cur = Poly.one(sp)
+    rows = []
+    for i in range(d):
+        if i:
+            cur = (cur * xq) % poly
+        row = [cur[j] for j in range(d)]
+        row[i] = sp.sub(row[i], 1)
+        rows.append(row)
+    return linalg.rank(sp, rows) == d - 1
+
+
+def test_root_scan_first_matches_the_screen_first_test():
+    # every monic polynomial of degree <= 6 over F_2, F_3, F_4 and F_5, and
+    # of degree <= 5 over F_8 (its 262 144 sextics take a minute): rows from
+    # the multiply-by-x chain, since q <= 2d at every degree >= 4 there
+    for spec, dmax in ((F2, 6), (F3, 6), (F4, 6), (F5, 6), (F8, 5)):
+        for d in range(dmax + 1):
+            for poly in iter_monic(spec, d):
+                assert is_irreducible(poly) == screen_first_is_irreducible(poly), poly
+    # the first 300 candidates of the degree-14 walk over F_16 (chain rows)
+    for poly in itertools.islice(iter_monic(F16, 14), 300):
+        assert is_irreducible(poly) == screen_first_is_irreducible(poly), poly
+    # rows from products by x^q after the scan: q > 2d, q <= ROOT_SCAN_MAX_Q
+    rng = random.Random(25)
+    for spec, degrees in ((F16, (4, 5, 6, 7)), (FieldSpec.get(2, 6), (4, 8, 12))):
+        for d in degrees:
+            for _ in range(60):
+                poly = _random_monic(rng, spec, d)
+                assert is_irreducible(poly) == screen_first_is_irreducible(poly), poly
 
 
 def test_butler_matches_rabin_on_every_small_polynomial():
