@@ -888,9 +888,10 @@ def find_divisor(curve, Q, items, cost_table):
     candidate.  For n >= g every candidate is non-special, l(D) = n, and the
     conditions are L(D-Q) = 0 and L(2D-G) = 0.  Deterministic bounded
     search; raises DivisorSearchFailed when the candidate budget is
-    exhausted (never silently degrades).  The support pool reads the
-    curve's place lists (`CurveModel.places`), a degree only when the walk
-    over candidates first reads past the places already listed.
+    exhausted (never silently degrades), and GuardExceeded when the walk
+    reads past the guard limit, as it would forever on a pool that cannot
+    sum to n+g-1.  The support pool reads each degree of the curve's place
+    lists (`CurveModel.places`) only when the walk first reads past it.
     """
     n = Q.degree
     g = curve.genus
@@ -958,14 +959,17 @@ def _support_places(curve, Q, eval_places, target_deg):
 
 
 class _SupportPool:
-    """The places of an iterator, drawn from it only as far as they are read."""
+    """The places of an iterator, drawn only as far as read; reads count against the guard."""
 
     def __init__(self, places):
         self._places = places
         self._listed = []
+        self._reads = 0
+        self._limit = guard_limit()
 
     def get(self, idx):
         """The place at `idx`, or None past the last."""
+        self._reads = check_guard(self._reads + 1, "divisor walk", self._limit)
         listed = self._listed
         while idx >= len(listed):
             p = next(self._places, None)

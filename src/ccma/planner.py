@@ -109,8 +109,8 @@ class Planner:
             return
         for inst in self.instances:
             try:
-                curve = _instance_curve(inst, n)  # parsing guards its field
-                if curve is None or curve.base != self.base:
+                curve = _instance_curve(inst)  # parsing guards its field
+                if curve.base != self.base:
                     continue
                 *_, rank = _curve_plan(curve, n, self.table)
             except (PlanInfeasible, GuardExceeded):
@@ -119,20 +119,12 @@ class Planner:
                    {"kind": "curve", "instance": inst.get("name", "?")})
 
 
-def _instance_curve(inst, n):
-    """The shared curve of an instance that targets n, else None.
-
-    An instance file is outside input: MalformedPayload names the instance
-    when `targets` is not a list of integers >= 1, or its curve does not parse
-    or is not a supported model.
-    """
+def _instance_curve(inst):
+    """The shared curve of an instance file, outside input: MalformedPayload names a bad one."""
     name = inst.get("name", "?") if isinstance(inst, dict) else "?"
     try:
         _require_keys(inst, "instance", ("curve",))
-        targets = inst.get("targets", [])
-        if not isinstance(targets, list) or any(type(t) is not int or t < 1 for t in targets):
-            raise MalformedPayload(f"targets holds {targets!r}, not a list of integers >= 1")
-        return curves_mod.CurveModel.shared(inst["curve"]) if n in targets else None
+        return curves_mod.CurveModel.shared(inst["curve"])
     except GuardExceeded:
         raise
     except CcmaError as exc:
@@ -146,9 +138,9 @@ def curve_instance_synth(curve, n, cost_table):
     calls this only for the winning candidate, whose places come from the
     lists pricing enumerated (`CurveModel.places`).  The divisor search
     builds the algorithm; an assignment on which it fails is skipped for
-    the next one, for at most ASSIGNMENT_CAP assignments.  Raises
-    PlanInfeasible when the instance cannot reach n.  The built algorithm
-    is verified when it enters a certificate, not here.
+    the next one, for at most ASSIGNMENT_CAP assignments, but a guard hit
+    ends the instance.  Raises PlanInfeasible when the instance cannot
+    reach n.  The built algorithm is verified in its certificate, not here.
     """
     classes, counts, _ = _curve_plan(curve, n, cost_table)
     items_shape = [(d, u, c) for (d, u, _), c in zip(classes, counts) if c]
@@ -169,6 +161,8 @@ def curve_instance_synth(curve, n, cost_table):
         try:
             _, alg = curves_mod.find_divisor(curve, Q, items, cost_table)
             return alg
+        except GuardExceeded:
+            raise
         except CcmaError as exc:
             last_error = exc
     raise PlanInfeasible(f"curve instance failed after {tried} assignments: {last_error}")

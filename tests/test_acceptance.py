@@ -319,3 +319,13 @@ def test_criterion_9_property_suites():
                 break
     assert mutants_failed == 20
     print("ACCEPTANCE 9 PASS: dimension law x300, CRT x100, composition x50, mutants 20/20")
+
+
+def test_criterion_10_table2_q3_tail_on_the_f3_curve():
+    # the F_3 curve is priced at every n, and reaches the printed ranks here
+    for n in (17, 18):
+        cert, alg = _synth(3, n)
+        assert cert["rank"] == TABLE2[3][n - 2] == {17: 58, 18: 62}[n]
+        assert cert["strategy"] == {"kind": "curve", "instance": "cenk_ozbudak_f3"}
+        assert verify(alg)  # exhaustive, over every basis pair
+    print("ACCEPTANCE 10 PASS: ranks 58 and 62 for n = 17, 18 over F_3 on y^2 = x^3 + x + 2")

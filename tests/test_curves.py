@@ -7,7 +7,7 @@ import pytest
 from ccma import linalg
 from ccma.bilinear import CostTable, verify
 from ccma import gf
-from ccma.errors import CcmaError, ConditionFailure, GuardExceeded
+from ccma.errors import CcmaError, ConditionFailure, GuardExceeded, PlanInfeasible
 from ccma.gf import ExtensionRing, FieldSpec, Poly, lex_least_irreducible
 from ccma.planner import shipped_instances
 from ccma.curves import (
@@ -270,6 +270,33 @@ def test_find_divisor_reports_failure():
         find_divisor(c, Q, items, CostTable(F4))
 
 
+def test_divisor_walk_is_guarded(monkeypatch):
+    # at n = 16 the 33 rational places all go to G, so only degree-2 support
+    # places are left for a divisor of odd degree 17: no multiset of them sums
+    # to it, and an unguarded walk reads the pool for minutes and yields nothing
+    import ccma.curves as curves_mod
+    from ccma.planner import Planner, spec_for_q
+
+    monkeypatch.setenv("CCMA_GUARD_LIMIT", str(2 ** 16))
+    reads = []
+    get = curves_mod._SupportPool.get
+
+    def counted(pool, idx):
+        reads.append(idx)
+        assert len(reads) <= 2 ** 18, "the divisor walk ran past the guard"
+        return get(pool, idx)
+
+    monkeypatch.setattr(curves_mod._SupportPool, "get", counted)
+    c = hyper()
+    Q = find_place_of_degree(c, 16)
+    items = [(p, 1) for p in enumerate_curve_places(c, 1)]
+    assert len(items) == 33
+    with pytest.raises(GuardExceeded, match="divisor walk"):
+        find_divisor(c, Q, items, CostTable(F16))
+    with pytest.raises(PlanInfeasible):
+        Planner(spec_for_q(16), strategies=("curve",)).synth(16)
+
+
 def test_build_baum_shokrollahi_rank8():
     c = fermat()
     Q = find_place_of_degree(c, 4)
@@ -360,7 +387,7 @@ def test_lazy_support_pool_walks_like_the_eager_pool(monkeypatch):
 
     import ccma.curves as curves_mod
     from ccma.curves import PLACE_SCAN_LIMIT, _divisor_candidates, _support_places, _SupportPool
-    from ccma.planner import Planner, shipped_instances
+    from ccma.planner import Planner, spec_for_q
 
     def eager_pool(curve, Q, eval_places, target_deg):
         pool = []
@@ -382,13 +409,10 @@ def test_lazy_support_pool_walks_like_the_eager_pool(monkeypatch):
     search = curves_mod.find_divisor
     monkeypatch.setattr(curves_mod, "find_divisor", lambda curve, Q, items, *rest:
                         searches.append((curve, Q, items)) or search(curve, Q, items, *rest))
-    requests = 0
-    for inst in shipped_instances():
-        curve = CurveModel.from_json(inst["curve"])
-        for n in inst["targets"]:
-            Planner(curve.base, strategies=("curve",), instances=[inst]).synth(n)
-            requests += 1
-    assert requests == 5 and len(searches) >= requests
+    requests = ((4, 4), (3, 9), (16, 13), (16, 14), (16, 15))  # the bench curve requests
+    for q, n in requests:
+        Planner(spec_for_q(q), strategies=("curve",)).synth(n)
+    assert len(searches) >= len(requests)
     lengths = []
     for curve, Q, items in searches:
         eval_places = {p for p, _ in items}

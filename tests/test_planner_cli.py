@@ -45,7 +45,7 @@ def test_curve_instance_that_cannot_reach_its_target_is_skipped():
     fermat = next(i for i in shipped_instances() if i["name"] == "fermat_f4")
     # n = 5: no divisor builds on any assignment; n = 2: no degree-2 place
     for n, rank in ((5, 11), (2, 3)):
-        instances = [dict(fermat, targets=[n])]
+        instances = [fermat]
         assert Planner(spec_for_q(4), instances=instances).synth(n)["rank"] == rank
         with pytest.raises(PlanInfeasible):
             Planner(spec_for_q(4), strategies=("curve",), instances=instances).synth(n)
@@ -96,10 +96,6 @@ def _fermat_int_coefficient(inst):
     inst["curve"]["coefficients"][2] = 7  # an encoded int, beyond F_4
 
 
-def _fermat_string_targets(inst):
-    inst["targets"] = "4"
-
-
 def _fermat_digit_beyond_p(inst):
     inst["curve"]["coefficients"][2] = [3, 0]  # 3 = 1 mod 2, but not canonical
 
@@ -109,7 +105,7 @@ def _fermat_unknown_shape(inst):
 
 
 @pytest.mark.parametrize("spoil", [_fermat_without_shape, _fermat_int_coefficient,
-                                   _fermat_string_targets, _fermat_digit_beyond_p,
+                                   _fermat_digit_beyond_p,
                                    _fermat_unknown_shape])
 def test_malformed_curve_instance_is_refused_by_name(spoil, tmp_path, monkeypatch, capsys):
     from ccma import planner as planner_mod
