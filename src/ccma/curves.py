@@ -1,29 +1,25 @@
-"""Interpolation on plane curves of genus 0-2.
+"""Interpolation on curves y^2 + h(x) y = f(x) of genus g >= 1.
 
-Supported models: the projective line ("rational"), Weierstrass cubics
-y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 (genus 1), and the genus-2
-curve y^2 + y = x^5 over fields of characteristic 2.
+Every model is read from its h and f: f monic of odd degree 2g + 1 >= 3,
+deg h <= g, smooth; this covers Weierstrass cubics (g = 1) and the
+imaginary hyperelliptic models of higher genus, in every characteristic.
 
 Functions are represented as (a(x) + b(x) y) / den(x); Riemann-Roch spaces
 are cut out of the pole-order filtration at the infinite place by local
-valuation constraints, computed with truncated series expansions: every
-model but the line is y^2 + h(x) y = f(x), with one expansion at infinity.
+valuation constraints, computed with truncated series expansions, with one
+expansion at infinity read off h and f.
 """
 
 import itertools
 
 from . import linalg
 from .bilinear import Algebra, interpolation_algorithm, place_columns
-from .bilinear import _payload_base, _payload_elements, _require_keys
+from .bilinear import _payload_base, _payload_claim, _payload_elements, _require_keys
 from .errors import CcmaError, ConditionFailure, DivisorSearchFailed, PlanInfeasible
 from .gf import ExtensionRing, FieldSpec, Poly, first_generator, flatten, iter_irreducibles
 from .gf import powers, unflatten
 from .guard import check_guard, guard_limit
 from .series import Laurent, eval_poly, newton_root
-
-WEIERSTRASS = "weierstrass"
-HYPER5 = "y2+y=x5"
-RATIONAL = "rational"
 
 # Degree-d places are enumerated only while q^d is at most this many x-values.
 PLACE_SCAN_LIMIT = 4096
@@ -35,91 +31,49 @@ _SHARED_CURVES = {}
 
 
 class CurveModel:
-    """A fixed plane model with its genus and infinite-place pole weights."""
+    """y^2 + h(x) y = f(x), with the genus and infinite-place pole weights f gives."""
 
-    def __init__(self, base, shape, coefficients=(), genus=None):
+    def __init__(self, base, h, f):
         self.base = base
-        self.shape = shape
-        self.coefficients = tuple(coefficients)
-        if shape == WEIERSTRASS:
-            if len(self.coefficients) != 5:
-                raise CcmaError("weierstrass model needs [a1, a2, a3, a4, a6]")
-            a1, a2, a3, a4, a6 = self.coefficients
-            self.h1 = Poly(base, (a3, a1))
-            self.f = Poly(base, (a6, a4, a2, 1))
-            self.wt_x, self.wt_y = 2, 3
-            self.genus = 1
-            if self._weierstrass_discriminant() == 0:
-                raise CcmaError("singular weierstrass model")
-        elif shape == HYPER5:
-            if base.p != 2:
-                raise CcmaError("y^2+y=x^5 is a characteristic-2 model")
-            self.h1 = Poly.one(base)
-            self.f = Poly(base, (0, 0, 0, 0, 0, 1))
-            self.wt_x, self.wt_y = 2, 5
-            self.genus = 2
-        elif shape == RATIONAL:
-            self.h1 = None
-            self.f = None
-            self.wt_x, self.wt_y = 1, None
-            self.genus = 0
-        else:
-            raise CcmaError(f"unsupported curve shape {shape!r}")
-        if genus is not None and genus != self.genus:
-            raise CcmaError("declared genus does not match the shape")
-        self.has_y = shape != RATIONAL
+        self.h = Poly(base, h)
+        self.f = Poly(base, f)
+        if not self.f.is_monic() or self.f.degree < 3 or self.f.degree % 2 == 0:
+            raise CcmaError("f is not monic of odd degree 2g + 1 >= 3")
+        self.genus = self.f.degree // 2
+        if self.h.degree > self.genus:
+            raise CcmaError(f"deg h exceeds the genus {self.genus}")
+        if not _is_smooth(self.h, self.f):
+            raise CcmaError("singular model")
+        self.wt_x, self.wt_y = 2, self.f.degree
         # x_min -> the places above it, or (K, c, v) while an inert one is unbuilt
         self._fibers = {}
         # degree -> the complete sorted list of its places, once enumerated
         self.places_of_degree = {}
         self.infinity = CurvePlace(self, None, None, None, None)
 
-    def _weierstrass_discriminant(self):
-        sp = self.base
-        a1, a2, a3, a4, a6 = self.coefficients
-        m = sp.mul
-
-        def times(n, v):
-            return m(sp.scalar(n), v)
-
-        b2 = sp.add(m(a1, a1), times(4, a2))
-        b4 = sp.add(times(2, a4), m(a1, a3))
-        b6 = sp.add(m(a3, a3), times(4, a6))
-        b8 = sp.add(
-            sp.add(m(m(a1, a1), a6), times(4, m(a2, a6))),
-            sp.add(
-                sp.neg(m(m(a1, a3), a4)),
-                sp.sub(m(a2, m(a3, a3)), m(a4, a4)),
-            ),
-        )
-        term = sp.neg(m(m(b2, b2), b8))
-        term = sp.sub(term, times(8, m(b4, m(b4, b4))))
-        term = sp.sub(term, times(27, m(b6, b6)))
-        term = sp.add(term, times(9, m(b2, m(b4, b6))))
-        return term
-
     def __eq__(self, other):
         return (
             isinstance(other, CurveModel)
             and self.base == other.base
-            and self.shape == other.shape
-            and self.coefficients == other.coefficients
+            and self.h == other.h
+            and self.f == other.f
         )
 
     def __hash__(self):
-        return hash((self.base, self.shape, self.coefficients))
+        return hash((self.base, self.h, self.f))
 
     def __repr__(self):
-        return f"CurveModel({self.base!r}, {self.shape!r}, g={self.genus})"
+        return f"CurveModel({self.base!r}, h={self.h!r}, f={self.f!r}, g={self.genus})"
 
     @classmethod
     def from_json(cls, data):
         """The model `describe` writes; MalformedPayload if it is not one."""
-        _require_keys(data, "curve", ("base", "shape"))
+        _require_keys(data, "curve", ("base", "h", "f"))
         _require_keys(data["base"], "base", ("p", "k"))
         base = _payload_base(data["base"])
-        coeffs = _payload_elements(data.get("coefficients", []), "coefficients", base, 1)
-        return cls(base, data["shape"], coeffs, data.get("genus"))
+        curve = cls(base, *(_payload_elements(data[key], key, base, 1) for key in "hf"))
+        _payload_claim(data, "genus", curve.genus)
+        return curve
 
     @classmethod
     def shared(cls, data):
@@ -140,8 +94,8 @@ class CurveModel:
                 "k": base.k,
                 "defining_poly": list(base.poly) if base.poly else None,
             },
-            "shape": self.shape,
-            "coefficients": [list(base.decode(c)) for c in self.coefficients],
+            "h": [list(base.decode(c)) for c in self.h.coeffs],
+            "f": [list(base.decode(c)) for c in self.f.coeffs],
             "genus": self.genus,
         }
 
@@ -163,10 +117,9 @@ class CurveModel:
             return out
         for i in range(M // self.wt_x + 1):
             out.append((i, 0, i * self.wt_x))
-        if self.has_y:
-            top = M - self.wt_y
-            for i in range(top // self.wt_x + 1) if top >= 0 else []:
-                out.append((i, 1, i * self.wt_x + self.wt_y))
+        top = M - self.wt_y
+        for i in range(top // self.wt_x + 1) if top >= 0 else []:
+            out.append((i, 1, i * self.wt_x + self.wt_y))
         out.sort(key=lambda t: (t[2], t[1]))
         return [(i, j) for i, j, _ in out]
 
@@ -175,6 +128,20 @@ class CurveModel:
         if j == 0:
             return FuncElem(self, xs, Poly.zero(self.base), Poly.one(self.base))
         return FuncElem(self, Poly.zero(self.base), xs, Poly.one(self.base))
+
+
+def _is_smooth(h, f):
+    """Whether y^2 + h y = f is smooth; its one point at infinity always is.
+
+    For odd p, (2y + h)^2 = 4f + h^2: smooth iff 4f + h^2 is squarefree.  For
+    p = 2 a singular point has h(x) = 0 and h'(x) y = f'(x) with y^2 = f(x),
+    so one exists iff h and h'^2 f + f'^2 share a root.
+    """
+    if f.spec.p == 2:
+        dh = h.derivative()
+        return h.gcd(dh * dh * f + f.derivative() * f.derivative()).degree == 0
+    disc = f.scale(f.spec.scalar(4)) + h * h
+    return disc.gcd(disc.derivative()).degree == 0
 
 
 class CurvePlace:
@@ -279,13 +246,9 @@ class FuncElem:
         aa = a1 * a2
         cross = a1 * b2 + a2 * b1
         bb = b1 * b2
-        if curve.has_y:
-            # y^2 = f - h1 y
-            a = aa + bb * curve.f
-            b = cross - bb * curve.h1
-        else:
-            a = aa
-            b = Poly.zero(curve.base)
+        # y^2 = f - h y
+        a = aa + bb * curve.f
+        b = cross - bb * curve.h
         return FuncElem(curve, a, b, self.den * other.den).normalize()
 
     def scale(self, c):
@@ -412,9 +375,7 @@ def _fiber(curve, x_min):
     """The split or ramified places above x_min, or (K, c, v) for an inert fibre."""
     K = ExtensionRing(curve.base, x_min)
     xi = K.gen()
-    if not curve.has_y:
-        return [CurvePlace(curve, x_min, K, xi, K.zero, ramified=False)]
-    c = curve.h1.eval_in(K, xi)
+    c = curve.h.eval_in(K, xi)
     v = curve.f.eval_in(K, xi)
     sols, ramified = solve_y_quadratic(K, c, v)
     if not sols:
@@ -452,7 +413,7 @@ def _inert_place(curve, x_min, K_e, c, v):
     K_P = ExtensionRing(base, N)
     xroot = tuple(linalg.mat_vec(base, inv, list(K_e.gen()) + list(K_e.zero)))
     beta = K_P.sub(K_P.gen(), K_e.to_poly(a).eval_in(K_P, xroot))
-    lhs = K_P.add(K_P.mul(beta, beta), K_P.mul(curve.h1.eval_in(K_P, xroot), beta))
+    lhs = K_P.add(K_P.mul(beta, beta), K_P.mul(curve.h.eval_in(K_P, xroot), beta))
     assert lhs == curve.f.eval_in(K_P, xroot)
     return CurvePlace(curve, x_min, K_P, xroot, beta, ramified=False)
 
@@ -466,7 +427,7 @@ def enumerate_curve_places(curve, d):
     out = []
     for m in iter_irreducibles(base, d):
         out.extend(fiber_places(curve, m, d))
-    if d % 2 == 0 and curve.has_y:
+    if d % 2 == 0:
         for m in iter_irreducibles(base, d // 2):
             out.extend(fiber_places(curve, m, d))
     out.sort(key=CurvePlace.order_key)
@@ -565,10 +526,10 @@ def _local_series(place, prec):
     def const(c, window=prec + 1):
         return Laurent.from_constant(K, K.embed_base(c), window)
 
-    if curve.has_y and place.ramified and place.degree == 1:
+    if place.ramified and place.degree == 1:
         # uniformizer t = y - y0; solve y^2 + h(x) y - f(x) = 0 for the x series
         sy = Laurent(K, 0, [place.beta, K.one] + [K.zero] * (prec - 1))
-        coeffs = [const(curve.h1[i]).mul(sy).sub(const(c)) for i, c in enumerate(curve.f.coeffs)]
+        coeffs = [const(curve.h[i]).mul(sy).sub(const(c)) for i, c in enumerate(curve.f.coeffs)]
         coeffs[0] = coeffs[0].add(sy.mul(sy))
         return K, newton_root(coeffs, place.xi, K, prec), sy.truncate(prec)
     if place.x_deg != place.degree:
@@ -579,33 +540,26 @@ def _local_series(place, prec):
     coeffs = [const(c) for c in place.x_min.coeffs]
     coeffs[0].coeffs[1] = K.neg(K.one)
     sx = newton_root(coeffs, place.xi, K, prec)
-    if not curve.has_y:
-        return K, sx, Laurent.from_constant(K, K.zero, prec)
     fx = eval_poly(curve.f, sx, K, prec)
-    hx = eval_poly(curve.h1, sx, K, prec)
+    hx = eval_poly(curve.h, sx, K, prec)
     return K, sx, newton_root([fx.neg(), hx, const(1, prec)], place.beta, K, prec)
 
 
 def _infinity_series(curve, prec):
     """(sx, sy): x and y at the infinite place, in a uniformizer t.
 
-    On the line x = 1/t.  Every other model is y^2 + h(x) y = f(x), f monic
-    of degree 2g + 1, deg h <= g: x = s/t^2, y = s^g/t^(2g+1), and t^(4g+2)
-    times the equation is G(s) = s^2g + sum h_j s^(g+j) t^(2g+1-2j)
-    - sum f_i s^i t^(4g+2-2i), with G(1) = 0 and G'(1) = -1 at t = 0: one
-    Newton root from s(0) = 1.
+    With f monic of degree 2g + 1 and deg h <= g: x = s/t^2,
+    y = s^g/t^(2g+1), and t^(4g+2) times the equation is G(s) = s^2g
+    + sum h_j s^(g+j) t^(2g+1-2j) - sum f_i s^i t^(4g+2-2i), with G(1) = 0
+    and G'(1) = -1 at t = 0: one Newton root from s(0) = 1.
     """
     base = curve.base
-    if not curve.has_y:
-        sx = Laurent(base, -1, [1] + [0] * prec, prec)  # x = 1/t exactly
-        sy = Laurent.from_constant(base, 0, prec)
-        return sx, sy
     g = curve.genus
     window = prec + 2 * curve.wt_y
     # rows[k][e]: the coefficient of s^k t^e; h fills odd e, f even e
     rows = [[0] * window for _ in range(2 * g + 2)]
     rows[2 * g][0] = 1
-    for j, c in enumerate(curve.h1.coeffs):
+    for j, c in enumerate(curve.h.coeffs):
         rows[g + j][2 * g + 1 - 2 * j] = c
     for i, c in enumerate(curve.f.coeffs):
         rows[i][4 * g + 2 - 2 * i] = base.neg(c)
@@ -649,7 +603,7 @@ def func_values_at(curve, funcs, place, order):
     out = []
     for f in funcs:
         num = value(f.a)
-        if curve.has_y and not f.b.is_zero():
+        if not f.b.is_zero():
             num = K.add(num, K.mul(value(f.b), place.beta))
         out.append([K.mul(num, inverses[f.den])])
     return out

@@ -261,7 +261,7 @@ def test_criterion_9_property_suites():
             D = CurveDivisor(curve, support)
             if D.degree < 2 * g - 1 or D.degree > 10:
                 continue
-            assert rr_dim(curve, D) == D.degree + 1 - g, (curve.shape, support)
+            assert rr_dim(curve, D) == D.degree + 1 - g, (curve, support)
             done += 1
     # CRT round trip
     F2, F3 = FieldSpec.get(2), FieldSpec.get(3)

@@ -229,11 +229,11 @@ BAD_ELEMENTS = [
 @pytest.mark.parametrize(
     "bad,message", BAD_ELEMENTS, ids=["high", "negative", "bool", "float", "count", "scalar"]
 )
-@pytest.mark.parametrize("key", ["A", "B", "W", "Q", "coefficients"])
+@pytest.mark.parametrize("key", ["A", "B", "W", "Q", "f"])
 def test_malformed_payload_elements_keep_their_messages(key, bad, message):
-    if key == "coefficients":
+    if key == "f":
         (data,) = [i["curve"] for i in shipped_instances() if i["name"] == "fermat_f4"]
-        data["coefficients"][0] = bad
+        data["f"][0] = bad
         parse = CurveModel.from_json
     else:
         data = CostTable(F4).get(2, 1).to_json()

@@ -1,19 +1,16 @@
 """Curve models, places, Riemann-Roch spaces, conditions, and assembly."""
 
+import itertools
 import random
 
 import pytest
 
-from ccma import linalg
 from ccma.bilinear import CostTable, verify
 from ccma import gf
 from ccma.errors import CcmaError, ConditionFailure, GuardExceeded, PlanInfeasible
 from ccma.gf import ExtensionRing, FieldSpec, Poly, lex_least_irreducible
 from ccma.planner import shipped_instances
 from ccma.curves import (
-    HYPER5,
-    RATIONAL,
-    WEIERSTRASS,
     CurveDivisor,
     CurveModel,
     ccma_build_curve,
@@ -25,6 +22,7 @@ from ccma.curves import (
     riemann_roch_basis,
     rr_dim,
     sqrt_in_field,
+    _is_smooth,
 )
 
 F2 = FieldSpec.get(2)
@@ -34,38 +32,74 @@ F16 = FieldSpec.get(2, 4)
 
 
 def fermat():
-    return CurveModel(F4, WEIERSTRASS, (0, 0, 1, 0, 1))  # y^2+y = x^3+1
+    return CurveModel(F4, (1,), (1, 0, 0, 1))  # y^2+y = x^3+1
 
 
 def cenk():
-    return CurveModel(F3, WEIERSTRASS, (0, 0, 0, 1, 2))  # y^2 = x^3+x+2
+    return CurveModel(F3, (), (2, 1, 0, 1))  # y^2 = x^3+x+2
 
 
 def hyper():
-    return CurveModel(F16, HYPER5)
-
-
-def _apply(alg, x, y):
-    """Multiply two coordinate vectors with the algorithm: W((A x) .* (B y))."""
-    sp = alg.target.base
-    ax = linalg.mat_vec(sp, alg.A, x)
-    by = linalg.mat_vec(sp, alg.B, y)
-    return linalg.mat_vec(sp, alg.W, [sp.mul(a, b) for a, b in zip(ax, by)])
+    return CurveModel(F16, (1,), (0, 0, 0, 0, 0, 1))  # y^2+y = x^5
 
 
 def test_model_validation():
-    with pytest.raises(CcmaError):
-        CurveModel(F3, WEIERSTRASS, (0, 0, 0, 0, 0))  # y^2 = x^3 is singular
-    with pytest.raises(CcmaError):
-        CurveModel(F3, HYPER5)  # wrong characteristic
-    with pytest.raises(CcmaError):
-        CurveModel(F4, WEIERSTRASS, (0, 0, 1, 0, 1), genus=2)
+    with pytest.raises(CcmaError, match="singular"):
+        CurveModel(F3, (), (0, 0, 0, 1))  # y^2 = x^3
+    with pytest.raises(CcmaError, match="singular"):
+        CurveModel(F4, (), (1, 0, 0, 1))  # y^2 = x^3 + 1 in characteristic 2
+    with pytest.raises(CcmaError, match="odd degree"):
+        CurveModel(F3, (), (1, 0, 0, 0, 1))  # even degree
+    with pytest.raises(CcmaError, match="odd degree"):
+        CurveModel(F3, (), (1, 0, 0, 2))  # not monic
+    with pytest.raises(CcmaError, match="odd degree"):
+        CurveModel(F3, (), (1, 1))  # genus 0
+    with pytest.raises(CcmaError, match="deg h"):
+        CurveModel(F4, (1, 0, 1), (1, 0, 0, 1))
+    # y^2 + y = x^5 is a smooth genus-2 model in every characteristic
+    assert CurveModel(F3, (1,), (0, 0, 0, 0, 0, 1)).genus == 2
 
 
 def test_json_roundtrip():
-    c = fermat()
-    back = CurveModel.from_json(c.describe())
-    assert back == c and back.genus == 1
+    for inst in shipped_instances():
+        c = CurveModel.from_json(inst["curve"])
+        assert c.describe() == inst["curve"]
+        back = CurveModel.from_json(c.describe())
+        assert back == c and back.genus == c.genus
+
+
+def _weierstrass_discriminant(sp, a1, a2, a3, a4, a6):
+    """The discriminant of y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
+    m = sp.mul
+
+    def times(n, v):
+        return m(sp.scalar(n), v)
+
+    b2 = sp.add(m(a1, a1), times(4, a2))
+    b4 = sp.add(times(2, a4), m(a1, a3))
+    b6 = sp.add(m(a3, a3), times(4, a6))
+    b8 = sp.add(
+        sp.add(m(m(a1, a1), a6), times(4, m(a2, a6))),
+        sp.add(
+            sp.neg(m(m(a1, a3), a4)),
+            sp.sub(m(a2, m(a3, a3)), m(a4, a4)),
+        ),
+    )
+    term = sp.neg(m(m(b2, b2), b8))
+    term = sp.sub(term, times(8, m(b4, m(b4, b4))))
+    term = sp.sub(term, times(27, m(b6, b6)))
+    term = sp.add(term, times(9, m(b2, m(b4, b6))))
+    return term
+
+
+def test_smoothness_agrees_with_the_weierstrass_discriminant():
+    models = 0
+    for base in (F2, F3, F4, FieldSpec.get(5)):
+        for a1, a2, a3, a4, a6 in itertools.product(range(base.q), repeat=5):
+            smooth = _is_smooth(Poly(base, (a3, a1)), Poly(base, (a6, a4, a2, 1)))
+            assert smooth == (_weierstrass_discriminant(base, a1, a2, a3, a4, a6) != 0)
+            models += 1
+    assert models == 4424
 
 
 def test_place_counts_match_known_values():
@@ -82,7 +116,7 @@ def _affine_points(curve, r):
     in any model of F_{q^r}.
     """
     base = curve.base
-    h, f = curve.h1.coeffs, curve.f.coeffs
+    h, f = curve.h.coeffs, curve.f.coeffs
     assert all(c < base.p for c in h + f)
     big = FieldSpec.get(base.p, base.k * r)
 
@@ -182,7 +216,7 @@ def test_riemann_roch_dimension_law_random_divisors():
             D = CurveDivisor(curve, support)
             if D.degree < 2 * g - 1:
                 continue
-            assert rr_dim(curve, D) == D.degree + 1 - g, (curve.shape, support)
+            assert rr_dim(curve, D) == D.degree + 1 - g, (curve, support)
 
 
 def test_product_closure():
@@ -210,31 +244,6 @@ def test_product_closure():
         mat = [r[:-1] for r in rows]
         rhs = [r[-1] for r in rows]
         assert linalg.solve(F3, mat, rhs) is not None
-
-
-def test_rational_shape_matches_genus0():
-    c = CurveModel(F2, RATIONAL)
-    assert len(enumerate_curve_places(c, 1)) == 3
-    assert rr_dim(c, CurveDivisor(c, {c.infinity: 3})) == 4  # genus 0
-    Q = find_place_of_degree(c, 2)
-    finite = [p for p in enumerate_curve_places(c, 1) if not p.is_infinity]
-    items = [(finite[0], 2), (finite[1], 1)]  # degree 3 >= 2n + g - 1
-    table = CostTable(F2)
-    D, _ = find_divisor(c, Q, items, table)
-    assert D.degree == 1 and D.get(c.infinity) == 1  # (n-1) * infinity
-    alg = ccma_build_curve(c, Q, D, D, items, 1, table)
-    assert alg.N == 4 and verify(alg)
-    # cross-module agreement: same products as the rational-interpolation build
-    from ccma.genus0 import build as g0_build, plan_search
-
-    plan = plan_search(F2, 2, 1, table)
-    ref = g0_build(plan, table)
-    assert ref.target.Q == alg.target.Q
-    for x in range(4):
-        for y in range(4):
-            xv = [x & 1, x >> 1]
-            yv = [y & 1, y >> 1]
-            assert _apply(alg, xv, yv) == _apply(ref, xv, yv)
 
 
 def test_check_conditions_baum_shokrollahi():
@@ -346,22 +355,14 @@ def test_find_divisor_passes_riemann_roch_predicate():
     fc = fermat()
     fQ = find_place_of_degree(fc, 4)
     affine = [p for p in enumerate_curve_places(fc, 1) if not p.is_infinity]
-    rc = CurveModel(F2, RATIONAL)
-    rQ = find_place_of_degree(rc, 2)
-    finite = [p for p in enumerate_curve_places(rc, 1) if not p.is_infinity]
-    cases = [
-        (fc, fQ, [(p, 1) for p in affine[:8]], CostTable(F4), 8),
-        (rc, rQ, [(finite[0], 2), (finite[1], 1)], CostTable(F2), 4),
-    ]
-    for c, Q, items, table, rank in cases:
-        n = Q.degree
-        D, alg = find_divisor(c, Q, items, table)
-        G = CurveDivisor(c, {p: u for p, u in items})
-        assert D.degree == n + c.genus - 1
-        assert rr_dim(c, D) == n
-        assert rr_dim(c, D.sub(CurveDivisor(c, {Q: 1}))) == 0
-        assert rr_dim(c, D.scale(2).sub(G)) == 0
-        assert alg.N == rank and verify(alg)
+    items = [(p, 1) for p in affine[:8]]
+    D, alg = find_divisor(fc, fQ, items, CostTable(F4))
+    G = CurveDivisor(fc, {p: u for p, u in items})
+    assert D.degree == 4 + fc.genus - 1
+    assert rr_dim(fc, D) == 4
+    assert rr_dim(fc, D.sub(CurveDivisor(fc, {fQ: 1}))) == 0
+    assert rr_dim(fc, D.scale(2).sub(G)) == 0
+    assert alg.N == 8 and verify(alg)
 
 
 def test_curve_instance_synth_tests_divisors_by_building(monkeypatch):
@@ -474,43 +475,6 @@ def test_curve_build_with_multiplicity_at_q():
     assert verify(alg)
 
 
-def test_rational_shape_differential_against_genus0():
-    # the strict-theorem curve path and the direct polynomial path are
-    # independent implementations; their products must agree pointwise
-    import itertools
-    import random
-
-    from ccma.genus0 import build as g0_build, plan_search
-
-    cases = [
-        (F2, 3, {(0, 2), (1, 2), (2, 1)}),   # finite places x, x+1, x^2+x+1
-        (F3, 2, {(0, 1), (1, 1), (2, 1)}),
-    ]
-    rng = random.Random(41)
-    for base, n, shape in cases:
-        c = CurveModel(base, RATIONAL)
-        table = CostTable(base)
-        Q = find_place_of_degree(c, n)
-        finite = [p for p in enumerate_curve_places(c, 1) if not p.is_infinity]
-        finite += [p for p in enumerate_curve_places(c, 2) if p.x_min != Q.x_min]
-        items = []
-        for idx, u in sorted(shape):
-            items.append((finite[idx], u))
-        degG = sum(p.degree * u for p, u in items)
-        assert degG >= 2 * n - 1
-        D, _ = find_divisor(c, Q, items, table)
-        alg = ccma_build_curve(c, Q, D, D, items, 1, table)
-        plan = plan_search(base, n, 1, table)
-        ref = g0_build(plan, table)
-        assert verify(alg) and verify(ref)
-        assert ref.target.Q == alg.target.Q
-        q = base.q
-        for _ in range(60):
-            x = [rng.randrange(q) for _ in range(n)]
-            y = [rng.randrange(q) for _ in range(n)]
-            assert _apply(alg, x, y) == _apply(ref, x, y)
-
-
 def test_asymmetric_divisor_pair_build():
     # caller-supplied D1 != D2: the assembled algorithm is asymmetric yet exact
     c = fermat()
@@ -583,7 +547,7 @@ def test_inert_scans_on_the_shipped_curves_stop_early(monkeypatch):
     # the place lists of those degrees build only the inert places they list
     scans.clear()
     for curve in curves:
-        curve = CurveModel(curve.base, curve.shape, curve.coefficients)
+        curve = CurveModel(curve.base, curve.h.coeffs, curve.f.coeffs)
         d = 1
         while curve.base.q ** d <= 4096:
             curve.places(d)

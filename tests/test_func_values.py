@@ -15,8 +15,6 @@ import ccma.curves as curves_mod
 from ccma.errors import CcmaError
 from ccma.gf import FieldSpec, Poly
 from ccma.curves import (
-    HYPER5,
-    WEIERSTRASS,
     CurveDivisor,
     CurveModel,
     Frame,
@@ -40,7 +38,7 @@ def reference_values(curve, funcs, place, order):
             out = []
             for f, denv in zip(funcs, dens):
                 num = f.a.eval_in(K, place.xi)
-                if curve.has_y and not f.b.is_zero():
+                if not f.b.is_zero():
                     num = K.add(num, K.mul(f.b.eval_in(K, place.xi), place.beta))
                 out.append([K.mul(num, K.inv(denv))])
             return out
@@ -144,8 +142,8 @@ def test_finite_place_frames_start_at_the_needed_precision(monkeypatch):
 
 
 @pytest.mark.parametrize("curve", [
-    CurveModel(F4, WEIERSTRASS, (0, 0, 1, 0, 1)),  # Fermat y^2 + y = x^3 + 1
-    CurveModel(F3, WEIERSTRASS, (0, 0, 0, 1, 2)),  # y^2 = x^3 + x + 2, ramified at x = 2
+    CurveModel(F4, (1,), (1, 0, 0, 1)),  # Fermat y^2 + y = x^3 + 1
+    CurveModel(F3, (), (2, 1, 0, 1)),  # y^2 = x^3 + x + 2, ramified at x = 2
 ], ids=["fermat_f4", "cenk_f3"])
 def test_func_values_match_reference_on_random_divisors(curve):
     rng = random.Random(53)
@@ -185,9 +183,9 @@ def test_frame_poly_at_claims_only_known_coefficients():
     # the precision, and it knows at least as much as Horner on the same frame
     rng = random.Random(59)
     F16 = FieldSpec.get(2, 4)
-    fermat = CurveModel(F4, WEIERSTRASS, (0, 0, 1, 0, 1))
-    cenk = CurveModel(F3, WEIERSTRASS, (0, 0, 0, 1, 2))
-    hyper = CurveModel(F16, HYPER5)
+    fermat = CurveModel(F4, (1,), (1, 0, 0, 1))
+    cenk = CurveModel(F3, (), (2, 1, 0, 1))
+    hyper = CurveModel(F16, (1,), (0, 0, 0, 0, 0, 1))
     cases = [(fermat, fermat.infinity), (hyper, hyper.infinity), (cenk, cenk.infinity)]
     cases += [(cenk, p) for p in enumerate_curve_places(cenk, 1) if p.ramified]
     cases += [(fermat, enumerate_curve_places(fermat, 3)[0])]

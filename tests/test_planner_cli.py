@@ -39,6 +39,19 @@ def test_synth_4_4_curve_instance_reaches_8():
     assert verify(alg) and alg.symmetric
 
 
+def test_genus2_curve_over_f3_reaches_the_printed_3_11():
+    # y^2 = x^5 + 2x^4 + x^3 + 2x^2 + x: no shipped instance, and no model
+    # a fixed shape could name; the default strategies answer 35
+    genus2 = {"name": "genus2_f3", "curve": {
+        "base": {"p": 3, "k": 1, "defining_poly": None},
+        "h": [], "f": [[0], [1], [2], [1], [2], [1]]}}
+    cert = Planner(spec_for_q(3), instances=[genus2]).synth(11)
+    assert cert["rank"] == 34
+    assert cert["strategy"] == {"kind": "curve", "instance": "genus2_f3"}
+    assert verify(BilinearAlgorithm.from_json(cert["algorithm"]))
+    assert Planner(spec_for_q(3)).synth(11)["rank"] == 35
+
+
 def test_curve_instance_that_cannot_reach_its_target_is_skipped():
     from ccma.errors import PlanInfeasible
 
@@ -88,25 +101,33 @@ def test_shipped_instances_present():
     assert {"fermat_f4", "hyperelliptic_f16", "cenk_ozbudak_f3"} <= names
 
 
-def _fermat_without_shape(inst):
-    del inst["curve"]["shape"]
+def _fermat_without_f(inst):
+    del inst["curve"]["f"]
 
 
 def _fermat_int_coefficient(inst):
-    inst["curve"]["coefficients"][2] = 7  # an encoded int, beyond F_4
+    inst["curve"]["f"][2] = 7  # an encoded int, beyond F_4
 
 
 def _fermat_digit_beyond_p(inst):
-    inst["curve"]["coefficients"][2] = [3, 0]  # 3 = 1 mod 2, but not canonical
+    inst["curve"]["f"][2] = [3, 0]  # 3 = 1 mod 2, but not canonical
 
 
-def _fermat_unknown_shape(inst):
-    inst["curve"]["shape"] = "y2=x7"
+def _fermat_even_degree(inst):
+    inst["curve"]["f"].append([1, 0])  # y^2 + y = x^4 + x^3 + 1
 
 
-@pytest.mark.parametrize("spoil", [_fermat_without_shape, _fermat_int_coefficient,
-                                   _fermat_digit_beyond_p,
-                                   _fermat_unknown_shape])
+def _fermat_singular(inst):
+    inst["curve"]["h"] = []  # y^2 = x^3 + 1 is singular in characteristic 2
+
+
+def _fermat_wrong_genus(inst):
+    inst["curve"]["genus"] = 2
+
+
+@pytest.mark.parametrize("spoil", [_fermat_without_f, _fermat_int_coefficient,
+                                   _fermat_digit_beyond_p, _fermat_even_degree,
+                                   _fermat_singular, _fermat_wrong_genus])
 def test_malformed_curve_instance_is_refused_by_name(spoil, tmp_path, monkeypatch, capsys):
     from ccma import planner as planner_mod
 
