@@ -11,6 +11,7 @@ expansion at infinity read off h and f.
 """
 
 import itertools
+import json
 
 from . import linalg
 from .bilinear import Algebra, interpolation_algorithm, place_columns
@@ -26,7 +27,8 @@ PLACE_SCAN_LIMIT = 4096
 # Divisor candidates tried before the search gives up.
 DIVISOR_CANDIDATES = 5000
 
-# guard limit -> {curve: the one CurveModel equal to it}; see CurveModel.shared
+# guard limit -> {curve, or its instance data as sorted JSON: the one
+# CurveModel equal to it}; see CurveModel.shared
 _SHARED_CURVES = {}
 
 
@@ -81,10 +83,17 @@ class CurveModel:
 
         Its fibres and place lists then serve every later request of the
         process.  The registry is keyed by the guard limit: a cached place
-        list skips the guard of `enumerate_curve_places`.
+        list skips the guard of `enumerate_curve_places`.  Within it, each
+        distinct `data` is parsed once, and equal curves share one model;
+        a malformed `data` is parsed, and refused, on every call.
         """
-        curve = cls.from_json(data)
-        return _SHARED_CURVES.setdefault(guard_limit(), {}).setdefault(curve, curve)
+        registry = _SHARED_CURVES.setdefault(guard_limit(), {})
+        key = json.dumps(data, sort_keys=True)
+        curve = registry.get(key)
+        if curve is None:
+            curve = cls.from_json(data)
+            curve = registry[key] = registry.setdefault(curve, curve)
+        return curve
 
     def describe(self):
         base = self.base
@@ -621,13 +630,14 @@ def _frame_values(funcs, place, order):
     finite place therefore takes order + 2v terms, v the largest
     multiplicity of x_min in a denominator times the ramification index e
     (e = 2, and one term more, at a ramified place); at infinity it takes
-    order + 1.  A frame that falls short doubles, up to
-    16 (order + 2 max(deg den, 1) + 2) terms, the last try.
+    the terms `_infinity_start` reads off the pole orders.  A frame that
+    falls short doubles, up to 16 (order + 2 max(deg den, 1) + 2) terms, the
+    last try.
     """
     top = _top_degree(funcs)
     cap = 16 * (order + 2 * max(max(f.den.degree for f in funcs), 1) + 2)
     if place.is_infinity:
-        prec = order + 1
+        prec = _infinity_start(place.curve, funcs, order)
     else:
         e = 2 if place.ramified else 1
         v = e * max(_multiplicity(den, place.x_min) for den in {f.den for f in funcs})
@@ -649,6 +659,28 @@ def _frame_values(funcs, place, order):
                 out.append([s.coefficient(j) for j in range(order)])
             return out
         prec *= 2
+
+
+def _infinity_start(curve, funcs, order):
+    """The least frame precision P that knows each function to `order` terms at infinity.
+
+    x has pole order 2 and y pole order w = 2g + 1, and a frame of P terms
+    knows sx^k to P + 2w - 2k and sy to P + w (`_infinity_series` expands
+    to P + 2w).  So a numerator a + b y of pole order N is known to P - L,
+    L its loss on the powers it reads, and the inverse of a denominator of
+    degree D, of pole order 2D, to P - max(0, 2D - 2w) + 4D: a quotient
+    is known to P + 2D - L and to P + 4D - N - max(0, 2D - 2w).
+    """
+    w = curve.wt_y
+    need = 0
+    for f in funcs:
+        D = f.den.degree
+        N, L = max(0, 2 * f.a.degree), max(0, 2 * f.a.degree - 2 * w)
+        if not f.b.is_zero():
+            N = max(N, 2 * f.b.degree + w)
+            L = max(L, w, 2 * f.b.degree - w)
+        need = max(need, L - 2 * D, N - 4 * D + max(0, 2 * D - 2 * w))
+    return order + need
 
 
 def _multiplicity(poly, m):

@@ -19,7 +19,9 @@ Every field with q <= 2^16 multiplies through log/antilog tables over a
 fixed primitive element, built in O(q); for odd p with k > 1 it also adds
 through a Zech table.  Only larger fields multiply schoolbook and add digit
 by digit.  Row kernels on `FieldSpec` (`scaled`, `sub_scaled`, `dot`) carry
-the inner loops of `linalg` and of polynomial and quotient-ring products.
+the inner loops of polynomial and quotient-ring products, and of `linalg`
+except over F_{2^k} with q <= 256, where rows are packed one byte per
+coefficient (`FieldSpec.packs_rows`).
 
 The canonical total order on monic polynomials of one degree is ascending
 integer value sum(c_i * q^i); defining irreducibles are always the least
@@ -187,7 +189,12 @@ class FieldSpec:
     Larger fields multiply schoolbook with reduction and add digit by digit.
     The row kernels `scaled`, `sub_scaled` and `dot` do whole rows on the
     field's fastest path: XOR for p = 2, plain `% p` for prime fields and
-    direct table indexing otherwise.
+    direct table indexing otherwise.  For p = 2 and q <= 256 (`packs_rows`)
+    a row also packs into one int, one byte per coefficient: f times it is
+    one `bytes.translate` with `byte_scale(f)`, and a sum is one XOR;
+    `linalg` and `is_irreducible` work on such rows.  The translate tables
+    and the rows of powers (`power_row`) are built on first use, not with
+    the field.
     """
 
     _cache = {}
@@ -226,6 +233,11 @@ class FieldSpec:
         self._exp = self._log = self._zech = None
         if self.q <= _LOG_TABLE_MAX_Q:
             self._build_tables()
+        self.packs_rows = p == 2 and self.q <= 256
+        # f -> byte_scale(f), and i -> the q-byte row of a^i over all a in F_q,
+        # each built on first use
+        self._byte_scales = {}
+        self._power_rows = []
 
     @classmethod
     def get(cls, p, k=1, poly=None):
@@ -424,6 +436,34 @@ class FieldSpec:
                 m = log[x] + log[y]
                 acc = add_power(acc, m - q1 if m >= q1 else m)
         return acc
+
+    # -- packed rows (p = 2, q <= 256) ---------------------------------------
+
+    def byte_scale(self, f):
+        """The `bytes.translate` table of y -> f*y, built on the first use of f.
+
+        Only while `packs_rows`: a row packed one byte per coefficient is
+        scaled by f in one translate of its bytes.
+        """
+        table = self._byte_scales.get(f)
+        if table is None:
+            q = self.q
+            if f:
+                exp, lf = self._exp, self._log[f]
+                table = bytes([0] + [exp[lf + n] for n in self._log[1:q]]) + bytes(256 - q)
+            else:
+                table = bytes(256)
+            self._byte_scales[f] = table
+        return table
+
+    def power_row(self, i):
+        """The q bytes a^i for a = 0, 1, ..., q - 1 (0^0 = 1), while `packs_rows`."""
+        rows = self._power_rows
+        while len(rows) <= i:
+            e, q1 = len(rows), self.q - 1
+            exp = self._exp
+            rows.append(bytes([0 ** e] + [exp[n * e % q1] for n in self._log[1:]]))
+        return rows[i]
 
     # -- table-free arithmetic and the table build ---------------------------
 
@@ -690,16 +730,18 @@ class Poly:
 # degree; above it a gcd root screen does that job, since the scan's up to q
 # evaluations outgrow the screen's polynomial products.  Mean us per call,
 # scan/screen, on 200 random monic polynomials with a nonzero constant term
-# (timeit, best of 5; 2-vCPU VM, Python 3.11), quadratics then cubics:
-# q = 16 12/98 15/130; 32 24/118 28/161; 64 41/93 55/158; 128 89/141
-# 99/200; 256 166/162 209/216.  Degrees 4, 8 and 14, the whole test as it
-# is / with the screen first and rows from products by x^q (as before the
-# scan ran at every degree), best of 11 interleaved passes, same set-up:
-# q = 4 30/112 76/198 198/432; 8 39/139 63/187 180/383; 9 69/127 103/286
-# 381/707; 16 52/103 109/238 240/523; 32 64/118 163/274 485/646; 64 94/143
-# 158/267 636/760; 128 225/251 256/354 622/761.  The scan first loses at no
-# q <= 128; its narrowest margin, q = 128 at d = 4, lies within the run-to-run
-# spread of this VM (one uninterleaved best-of-5 pass gave 213/182 there).
+# (timeit, best of 5; 2-vCPU VM, Python 3.11), quadratics then cubics, with
+# the packed scan of p = 2: q = 16 2/54 2/71; 32 2/54 3/77; 64 2/61 3/84; 128
+# 3/67 3/94; 256 3/75 4/109.  Degrees 4, 8 and 14, the whole test as it is /
+# with the screen first and rows from products by x^q, best of 11 interleaved
+# passes, same set-up: q = 4 15/59 30/111 43/169; 8 17/83 28/155 52/267; 16
+# 53/106 34/218 80/607; 32 52/116 123/261 310/522; 64 54/132 138/282 384/744;
+# 128 60/143 158/302 432/676.  So for p = 2 the scan wins at every q <= 256,
+# and 128 is no longer the crossover there.  The cutoff stands from the
+# Horner scan, which odd p still runs and p = 2 ran before rows were packed
+# (an older VM about half as fast): quadratics and cubics q = 128 89/141
+# 99/200, 256 166/162 209/216; degrees 4, 8 and 14 q = 9 69/127 103/286
+# 381/707, 128 225/251 256/354 622/761.
 ROOT_SCAN_MAX_Q = 128
 
 
@@ -720,10 +762,15 @@ def is_irreducible(poly):
     the scan runs: its (d - 1)q steps of one row operation each then cost
     no more than d - 1 products x^((i-1)q) * x^q mod P of about 2d row
     operations each, plus x^q itself.  Rows alone, us per polynomial,
-    chain/products (best of 9 interleaved passes over 30 random ones,
-    2-vCPU VM, Python 3.11), at q = 2d: q = 8 24/64, 16 143/232, 32
+    chain/products on lists (best of 9 interleaved passes over 30 random
+    ones, 2-vCPU VM, Python 3.11), at q = 2d: q = 8 24/64, 16 143/232, 32
     870/1127, 64 5273/6047; at q = 4d the chain loses: q = 32 293/263, 64
     1755/1201.
+    For p = 2 (q <= ROOT_SCAN_MAX_Q <= 256, so `packs_rows`) the scan
+    evaluates P at all of F_q at once, as the XOR over i of c_i times the
+    packed row (a^i) over a in F_q, one translate each, and the chain runs
+    on one packed int: shift up a byte, XOR the top byte's multiple of P.
+    The rows reach `linalg.rank` as lists, which it packs again.
     """
     d = poly.degree
     if d <= 0:
@@ -736,7 +783,17 @@ def is_irreducible(poly):
     q = sp.q
     scan = q <= ROOT_SCAN_MAX_Q
     if scan:
-        if not all(poly.evaluate(a) for a in range(1, q)):
+        if sp.packs_rows:
+            # P at every a of F_q at once, one byte per a: the XOR of the
+            # rows c_i * a^i; the byte at a = 0 is P(0) != 0
+            values = 0
+            for i, c in enumerate(poly.coeffs):
+                if c:
+                    term = sp.power_row(i).translate(sp.byte_scale(c))
+                    values ^= int.from_bytes(term, "little")
+            if 0 in values.to_bytes(q, "little"):
+                return False
+        elif not all(poly.evaluate(a) for a in range(1, q)):
             return False
         if d <= 3:
             return True
@@ -744,7 +801,19 @@ def is_irreducible(poly):
     deriv = poly.derivative()
     if deriv.is_zero() or poly.gcd(deriv).degree > 0:
         return False
-    if scan and q <= 2 * d:
+    if scan and q <= 2 * d and sp.packs_rows:
+        # x * cur on one packed int: shift up a byte, and the top byte f
+        # wraps around as f * m (p = 2), read from m_scaled[f]
+        m = bytes(poly.coeffs[:-1])
+        m_scaled = [int.from_bytes(m.translate(sp.byte_scale(f)), "little") for f in range(q)]
+        high, mask = 8 * (d - 1), (1 << 8 * d) - 1
+        cur = 1
+        rows = [[1] + [0] * (d - 1)]
+        for _ in range(d - 1):
+            for _ in range(q):
+                cur = ((cur << 8) & mask) ^ m_scaled[cur >> high]
+            rows.append(list(cur.to_bytes(d, "little")))
+    elif scan and q <= 2 * d:
         m = poly.coeffs[:-1]
         cur = [1] + [0] * (d - 1)
         rows = [cur]

@@ -23,7 +23,7 @@ from ccma.curves import (
     func_values_at,
     riemann_roch_basis,
 )
-from ccma.planner import Planner, spec_for_q
+from ccma.planner import Planner, shipped_instances, spec_for_q
 from ccma.series import eval_poly
 
 F3 = FieldSpec.get(3)
@@ -139,6 +139,38 @@ def test_finite_place_frames_start_at_the_needed_precision(monkeypatch):
     finite = [built for place, built in calls if not place.is_infinity]
     assert finite and finite == [1] * len(finite)
     assert any(place.ramified for place, _ in calls)
+
+
+def test_infinity_frames_start_at_the_needed_precision(monkeypatch):
+    # the pole orders of numerators and denominators give the start at
+    # infinity: one Frame per call on random divisors of the shipped curves
+    frames = []
+
+    class Counted(Frame):
+        def __init__(self, place, prec, top):
+            frames.append(prec)
+            super().__init__(place, prec, top)
+
+    monkeypatch.setattr(curves_mod, "Frame", Counted)
+    rng = random.Random(61)
+    calls = 0
+    for inst in shipped_instances():
+        curve = CurveModel.from_json(inst["curve"])
+        O = curve.infinity
+        support = [p for d in (1, 2) for p in enumerate_curve_places(curve, d)
+                   if p.x_deg == p.degree and not (p.ramified and p.degree > 1)]
+        for _ in range(25):
+            D = {O: rng.randrange(-1, 10)}
+            for p in rng.sample(support, 2):
+                D[p] = rng.randrange(-3, 5)
+            funcs = riemann_roch_basis(curve, CurveDivisor(curve, D))
+            for order in (1, 2, 4) if funcs else ():
+                frames.clear()
+                got = _outcome(func_values_at, curve, funcs, O, order)
+                assert len(frames) == 1, (inst["name"], D, order, frames)
+                assert got == _outcome(reference_values, curve, funcs, O, order)
+                calls += 1
+    assert calls > 100
 
 
 @pytest.mark.parametrize("curve", [

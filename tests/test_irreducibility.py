@@ -237,3 +237,34 @@ def test_interleaved_streams_share_one_ascending_sequence(monkeypatch):
     assert lex_least_irreducible(F4, 3) == expected[0]
     # every monic cubic was tested exactly once across all consumers
     assert len(tested) == 4 ** 3 and len(set(tested)) == 4 ** 3
+
+
+def _agreeing_irreducible(rng, spec, d):
+    """A random monic irreducible of degree d, on which Rabin's test agrees."""
+    while True:
+        poly = _random_monic(rng, spec, d)
+        if is_irreducible(poly):
+            assert rabin_is_irreducible(poly), poly
+            return poly
+
+
+def test_packed_rows_match_rabin():
+    # over F_{2^k} Butler's test runs on rows packed one byte per coefficient:
+    # the root scan decides every monic polynomial of degree <= 3 over F_32
+    F32, F64, F128 = FieldSpec.get(2, 5), FieldSpec.get(2, 6), FieldSpec.get(2, 7)
+    for d in range(4):
+        for poly in iter_monic(F32, d):
+            assert is_irreducible(poly) == rabin_is_irreducible(poly), poly
+    # the multiply-by-x chain (q <= 2d), and the scan then products by x^q at
+    # q = 128 > 2d: random polynomials, a product of two irreducibles (no
+    # root, so it reaches the rank) and an irreducible
+    rng = random.Random(28)
+    for spec, degrees, count in ((F32, (16,), 6), (F64, (32,), 2), (F128, range(4, 9), 4)):
+        for d in degrees:
+            half = _agreeing_irreducible(rng, spec, d // 2)
+            cases = [_random_monic(rng, spec, d) for _ in range(count)]
+            cases.append(half * _agreeing_irreducible(rng, spec, d - d // 2))
+            verdicts = [is_irreducible(p) for p in cases]
+            assert verdicts == [rabin_is_irreducible(p) for p in cases], (spec, d)
+            assert not verdicts[-1]
+            _agreeing_irreducible(rng, spec, d)

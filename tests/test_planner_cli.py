@@ -776,6 +776,27 @@ def test_shared_curves_are_kept_per_guard_limit(monkeypatch):
         Planner(F16, strategies=("curve",)).synth(13)
 
 
+def test_each_instance_is_parsed_once_per_process(monkeypatch):
+    # the registry is keyed by an instance's curve data, so a second request
+    # parses no shipped file again; a malformed one is refused every time
+    import ccma.curves as curves_mod
+
+    monkeypatch.setattr(curves_mod, "_SHARED_CURVES", {})
+    parsed = []
+    is_smooth = curves_mod._is_smooth
+    monkeypatch.setattr(curves_mod, "_is_smooth",
+                        lambda h, f: parsed.append(f) or is_smooth(h, f))
+    for _ in range(2):
+        Planner(spec_for_q(2)).synth(3)
+    assert len(parsed) == 3
+    bad = json.loads(json.dumps(next(i for i in shipped_instances() if i["name"] == "fermat_f4")))
+    _fermat_singular(bad)
+    for _ in range(2):
+        with pytest.raises(MalformedPayload, match="singular"):
+            Planner(spec_for_q(4), instances=[bad]).synth(4)
+    assert len(parsed) == 5
+
+
 def test_cli_bounds_table2_achieved_writes_every_row_past_a_failure(monkeypatch, capsys):
     from ccma.bounds import TABLE2
     from ccma.errors import PlanInfeasible
