@@ -12,6 +12,7 @@ expansion at infinity read off h and f.
 
 import itertools
 import json
+import math
 
 from . import linalg
 from .bilinear import Algebra, interpolation_algorithm, place_columns
@@ -167,6 +168,8 @@ class CurvePlace:
         self.xi = xi
         self.beta = beta
         self.ramified = ramified
+        # top -> the evaluation matrix E_P, built on first use (_evaluation_matrix)
+        self._evaluation = {}
         if x_min is None:
             self.degree = 1
             self.x_deg = None
@@ -579,42 +582,107 @@ def _infinity_series(curve, prec):
 # -- expansions and evaluation matrices ----------------------------------------
 
 
-def func_values_at(curve, funcs, place, order):
-    """Expansion coefficients to the given order for each function.
+class Evaluator:
+    """The evaluation of one list of functions at places, prepared once for the list.
 
-    Returns a list (per function) of `order` residue-field values.  At a
-    finite place with order 1 the residue ring is a field: the powers
-    xi^0..xi^top of the place's x-coordinate are taken once, each of a, b
-    and den is `dot` of its coefficients with the table's coordinate
-    columns, and each distinct denominator is inverted once (a Riemann-Roch
-    basis shares u(x), so usually one inverse per call).  Infinity, higher
-    orders and a denominator that vanishes at the place go through series
-    frames, which evaluate the same way over a table of powers of sx.
+    At a finite place and order 1 the residue ring is a field, and the
+    values of every function are one matrix product E_P C (`linalg.mat_mul`).
+    C is built here: its 2(top + 1) rows hold the coefficients of
+    x^0..x^top, first of each a and then of each b, one column per
+    function, and one more column per distinct denominator other than 1
+    holds that denominator's coefficients.  E_P, deg P rows and 2(top + 1)
+    columns, holds the coordinates of xi^k and of beta xi^k and is cached
+    on the place (`_evaluation_matrix`).  The columns of a function with
+    denominator D are then multiplied by the matrix of 1/D(P).  Infinity,
+    higher orders and a denominator that vanishes at the place go through
+    series frames (`_frame_values`).
     """
-    if not funcs:
-        return []
-    if place.is_infinity or order != 1:
-        return _frame_values(funcs, place, order)
-    K = place.residue
-    dot = curve.base.dot
-    columns = list(zip(*powers(K.mul, K.one, place.xi, _top_degree(funcs) + 1)))
 
-    def value(poly):
-        return tuple(dot(poly.coeffs, col) for col in columns)
+    def __init__(self, curve, funcs):
+        self.curve = curve
+        self.funcs = funcs
+        base = curve.base
+        self._top = _top_degree(funcs) if funcs else 0
+        one = Poly.one(base)
+        self._groups = {}  # denominator other than 1 -> the columns it divides
+        for j, f in enumerate(funcs):
+            if f.den != one:
+                self._groups.setdefault(f.den, []).append(j)
+        span = range(self._top + 1)
+        C = [[f.a[k] for f in funcs] + [den[k] for den in self._groups] for k in span]
+        C += [[f.b[k] for f in funcs] + [0] * len(self._groups) for k in span]
+        self._factor = linalg.RightFactor(base, C)
 
-    inverses = {}
-    for f in funcs:
-        if f.den not in inverses:
-            denv = value(f.den)
-            if denv == K.zero:
-                return _frame_values(funcs, place, order)
-            inverses[f.den] = K.inv(denv)
-    out = []
-    for f in funcs:
-        num = value(f.a)
-        if not f.b.is_zero():
-            num = K.add(num, K.mul(value(f.b), place.beta))
-        out.append([K.mul(num, inverses[f.den])])
+    def rows(self, place, order, conv=None):
+        """Stacked base-field rows of the order-u derived evaluation at a place.
+
+        Row layout: u blocks of deg(place) rows, one column per function; an
+        optional conv matrix rebases each block (e.g. into a cost-table
+        entry's field).
+        """
+        d = place.degree
+        rows = self._order_one(place) if order == 1 and not place.is_infinity else None
+        if rows is None:
+            rows = [[0] * len(self.funcs) for _ in range(order * d)]
+            values = _frame_values(self.funcs, place, order) if self.funcs else []
+            for col, vals in enumerate(values):
+                for j in range(order):
+                    vec = [vals[j]] if place.is_infinity else vals[j]
+                    for i in range(d):
+                        rows[j * d + i][col] = vec[i]
+        if conv is not None:
+            base = self.curve.base
+            rows = [row for j in range(order)
+                    for row in linalg.mat_mul(base, conv, rows[j * d : (j + 1) * d])]
+        return rows
+
+    def _order_one(self, place):
+        """The deg(place) value rows at a finite place, None if a denominator vanishes there."""
+        base = self.curve.base
+        values = linalg.mat_mul(base, _evaluation_matrix(place, self._top), self._factor)
+        if not self._groups:
+            return values
+        K = place.residue
+        width = len(self.funcs)
+        out = [row[:width] for row in values]
+        for c, cols in enumerate(self._groups.values()):
+            den = tuple(row[width + c] for row in values)
+            if den == K.zero:
+                return None
+            inverse = _multiples(K.times_gen, K.inv(den), K.dim)
+            scaled = linalg.mat_mul(base, [list(r) for r in zip(*inverse)], values)
+            for row, new in zip(out, scaled):
+                for j in cols:
+                    row[j] = new[j]
+        return out
+
+
+def _evaluation_matrix(place, top):
+    """E_P at a finite place: coordinates of xi^0..xi^top, then of beta xi^0..beta xi^top.
+
+    Cached on the place per top.  Each column is the last one times xi:
+    where x_deg = deg P, xi is the class of x and that step is
+    `ExtensionRing.times_gen` (a shift and one reduction row); at an inert
+    place it is a product.
+    """
+    E = place._evaluation.get(top)
+    if E is None:
+        K = place.residue
+        if place.x_deg == place.degree:
+            step = K.times_gen
+        else:
+            def step(a):
+                return K.mul(a, place.xi)
+        columns = _multiples(step, K.one, top + 1) + _multiples(step, place.beta, top + 1)
+        E = place._evaluation[top] = [list(row) for row in zip(*columns)]
+    return E
+
+
+def _multiples(step, a, k):
+    """a, step(a), ..., step^(k-1)(a): with step = times_gen and k = dim K, the columns of a's matrix."""
+    out = [a]
+    for _ in range(k - 1):
+        out.append(step(out[-1]))
     return out
 
 
@@ -694,23 +762,8 @@ def _multiplicity(poly, m):
 
 
 def evaluation_rows(curve, funcs, place, order, conv=None):
-    """Stacked base-field rows of the order-u derived evaluation at a place.
-
-    Row layout: u blocks of deg(place) rows; an optional conv matrix
-    rebases each residue value (e.g. into a cost-table entry's field).
-    """
-    base = curve.base
-    d = place.degree
-    values = func_values_at(curve, funcs, place, order)
-    rows = [[0] * len(funcs) for _ in range(order * d)]
-    for col, vals in enumerate(values):
-        for j in range(order):
-            vec = [vals[j]] if place.is_infinity else list(vals[j])
-            if conv is not None:
-                vec = linalg.mat_vec(base, conv, vec)
-            for i in range(d):
-                rows[j * d + i][col] = vec[i]
-    return rows
+    """`Evaluator.rows` of the list at one place."""
+    return Evaluator(curve, funcs).rows(place, order, conv)
 
 
 # -- divisors and Riemann-Roch spaces -------------------------------------------
@@ -786,6 +839,7 @@ def riemann_roch_basis(curve, D):
         return []
     funcs = [curve.monomial_func(i, j) for i, j in monomials]
     # constraint places: zeros of u_poly and negative-coefficient places
+    evaluator = Evaluator(curve, funcs)
     rows = []
     handled = set()
     for m, k in sorted(u_mults.items(), key=lambda kv: kv[0].order_key()):
@@ -794,12 +848,12 @@ def riemann_roch_basis(curve, D):
             val_u = (2 if place.ramified else 1) * k
             r = val_u - D.get(place)
             if r > 0:
-                rows.extend(evaluation_rows(curve, funcs, place, r))
+                rows.extend(evaluator.rows(place, r))
     for place, c in D.items_sorted():
         if place.is_infinity or place in handled:
             continue
         if c < 0:
-            rows.extend(evaluation_rows(curve, funcs, place, -c))
+            rows.extend(evaluator.rows(place, -c))
     if rows:
         kern = linalg.kernel_basis(base, rows)
     else:
@@ -836,11 +890,11 @@ def check_conditions(curve, Q, D1, D2, items, ell=1):
         linalg.rank(base, m1) == n * ell and linalg.rank(base, m2) == n * ell
     )
     D12 = D1.add(D2)
-    L12 = riemann_roch_basis(curve, D12)
+    L12 = Evaluator(curve, riemann_roch_basis(curve, D12))
     rows = []
     for place, u in items:
-        rows.extend(evaluation_rows(curve, L12, place, u))
-    report["b_injective"] = linalg.rank(base, rows) == len(L12)
+        rows.extend(L12.rows(place, u))
+    report["b_injective"] = linalg.rank(base, rows) == len(L12.funcs)
     # numerical criteria
     for label, Dk in (("1", D1), ("2", D2)):
         if label == "1" or not same:
@@ -873,11 +927,13 @@ def find_divisor(curve, Q, items, cost_table):
     at G injective on L(2D)); a ConditionFailure moves on to the next
     candidate.  For n >= g every candidate is non-special, l(D) = n, and the
     conditions are L(D-Q) = 0 and L(2D-G) = 0.  Deterministic bounded
-    search; raises DivisorSearchFailed when the candidate budget is
-    exhausted (never silently degrades), and GuardExceeded when the walk
-    reads past the guard limit, as it would forever on a pool that cannot
-    sum to n+g-1.  The support pool reads each degree of the curve's place
-    lists (`CurveModel.places`) only when the walk first reads past it.
+    search; raises DivisorSearchFailed when the candidates run out or the
+    budget is exhausted (never silently degrades), and GuardExceeded when
+    the walk reads past the guard limit.  The support pool reads each degree
+    of the curve's place lists (`CurveModel.places`) only when the walk
+    first reads past it; once it has read them all, the walk drops every
+    branch whose remaining degree the gcd of the pool's degrees does not
+    divide, so a pool that cannot sum to n+g-1 ends the walk at once.
     """
     n = Q.degree
     g = curve.genus
@@ -945,13 +1001,18 @@ def _support_places(curve, Q, eval_places, target_deg):
 
 
 class _SupportPool:
-    """The places of an iterator, drawn only as far as read; reads count against the guard."""
+    """The places of an iterator, drawn only as far as read; reads count against the guard.
+
+    Once the iterator is read to the end, `reaches` knows the gcd of the
+    degrees of the places from each index on.
+    """
 
     def __init__(self, places):
         self._places = places
         self._listed = []
         self._reads = 0
         self._limit = guard_limit()
+        self._suffix_gcds = None  # [gcd of the degrees from idx on], once all are listed
 
     def get(self, idx):
         """The place at `idx`, or None past the last."""
@@ -960,17 +1021,38 @@ class _SupportPool:
         while idx >= len(listed):
             p = next(self._places, None)
             if p is None:
+                self._suffix_gcds = gcds = [0] * (len(listed) + 1)
+                for i in range(len(listed) - 1, -1, -1):
+                    gcds[i] = math.gcd(gcds[i + 1], listed[i].degree)
                 return None
             listed.append(p)
         return listed[idx]
 
+    def reaches(self, idx, degree):
+        """Whether the places from idx on may sum to `degree` > 0.
+
+        False once all are listed and the gcd of their degrees does not
+        divide it.
+        """
+        gcds = self._suffix_gcds
+        if gcds is None:
+            return True
+        g = gcds[min(idx, len(gcds) - 1)]
+        return g != 0 and degree % g == 0
+
 
 def _multisets(pool, total_degree):
-    """Multisets over the pool with total degree equal to the target."""
+    """Multisets over the pool with total degree equal to the target.
+
+    A branch whose remaining degree the rest of the pool cannot reach
+    (`_SupportPool.reaches`) is dropped unread.
+    """
 
     def rec(idx, remaining):
         if remaining == 0:
             yield []
+            return
+        if not pool.reaches(idx, remaining):
             return
         p = pool.get(idx)
         if p is None:
@@ -1000,10 +1082,11 @@ def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table):
     L2 = L1 if same else riemann_roch_basis(curve, D2)
     L12 = riemann_roch_basis(curve, D1.add(D2))
 
-    EvQ1 = evaluation_rows(curve, L1, Q, ell)
-    EvQ2 = EvQ1 if same else evaluation_rows(curve, L2, Q, ell)
-    S1 = _right_inverse(base, EvQ1)
-    S2 = S1 if same else _right_inverse(base, EvQ2)
+    ev1 = Evaluator(curve, L1)
+    ev2 = ev1 if same else Evaluator(curve, L2)
+    ev12 = Evaluator(curve, L12)
+    S1 = linalg.RightFactor(base, _right_inverse(base, ev1.rows(Q, ell)))
+    S2 = S1 if same else linalg.RightFactor(base, _right_inverse(base, ev2.rows(Q, ell)))
 
     blocks = []
     for place, u in items:
@@ -1011,12 +1094,10 @@ def ccma_build_curve(curve, Q, D1, D2, items, ell, cost_table):
         conv = None
         if place.degree > 1:  # a rational place's residue is F_q itself
             conv = place_columns(place.residue.modulus, entry, 1, place.degree - 1)
-        X1 = linalg.mat_mul(base, evaluation_rows(curve, L1, place, u, conv), S1)
-        X2 = X1
-        if not same:
-            X2 = linalg.mat_mul(base, evaluation_rows(curve, L2, place, u, conv), S2)
-        blocks.append((entry, X1, X2, evaluation_rows(curve, L12, place, u, conv)))
-    T = evaluation_rows(curve, L12, Q, ell)
+        X1 = linalg.mat_mul(base, ev1.rows(place, u, conv), S1)
+        X2 = X1 if same else linalg.mat_mul(base, ev2.rows(place, u, conv), S2)
+        blocks.append((entry, X1, X2, ev12.rows(place, u, conv)))
+    T = ev12.rows(Q, ell)
     return interpolation_algorithm(
         target,
         blocks,

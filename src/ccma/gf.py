@@ -1028,6 +1028,17 @@ class ExtensionRing:
                 out = sp.sub_scaled(out, sp.neg(c), self._red[j - d])
         return tuple(out)
 
+    def times_gen(self, a):
+        """a times the class of x: a shift and at most one reduction row, no product."""
+        sp = self.spec
+        top = a[-1]
+        if self.dim == 1:
+            return (sp.mul(top, self._red[0][0]),)
+        out = (0,) + tuple(a[:-1])
+        if top:
+            out = sp.sub_scaled(out, sp.neg(top), self._red[0])
+        return tuple(out)
+
     def pow(self, a, e):
         return power(self.mul, self.one, a, e)
 

@@ -1,22 +1,57 @@
 """Dense linear algebra over a FieldSpec; matrices are lists of int rows.
 
 Every reduction (`rref`, and through it `solve`, `kernel_basis`, `invert`
-and `left_inverse`; `rank` by forward elimination alone) runs on one of two
-paths.  Over F_{2^k} with q <= 256 (`FieldSpec.packs_rows`) a row is packed
-into one int, one byte per coefficient: scaling it is one `bytes.translate`
-and adding two is one XOR, each in C whatever the row length (the packed
-elimination of Barbulescu, Detrey, Estibals and Zimmermann, "Finding
-optimal formulae for bilinear maps", WAIFI 2012).  Every other field
-eliminates on lists through the row kernels `scaled` and `sub_scaled`.
+and `left_inverse`; `rank` by forward elimination alone) and every product
+(`mat_mul`) runs on one of two paths.  Over F_{2^k} with q <= 256
+(`FieldSpec.packs_rows`) a row is packed into one int, one byte per
+coefficient: scaling it is one `bytes.translate` and adding two is one XOR,
+each in C whatever the row length (the packed elimination of Barbulescu,
+Detrey, Estibals and Zimmermann, "Finding optimal formulae for bilinear
+maps", WAIFI 2012).  Every other field eliminates and multiplies on lists
+through the row kernels `scaled` and `sub_scaled`.
 """
 
 
+class RightFactor:
+    """A right factor b of `mat_mul`, made once to multiply by it again.
+
+    While `spec.packs_rows` each row is packed once: its bytes, to translate,
+    and the int they pack, to XOR when the left entry is 1.
+    """
+
+    def __init__(self, spec, b):
+        self.rows = b
+        self.cols = len(b[0]) if b else 0
+        self.packed = None
+        if spec.packs_rows:
+            self.packed = [(raw, int.from_bytes(raw, "little")) for raw in map(bytes, b)]
+
+
 def mat_mul(spec, a, b):
-    cols = len(b[0]) if b else 0
+    """The product a b; b is a list matrix or a `RightFactor`.
+
+    While `spec.packs_rows` each nonzero entry x of a row of a adds x times
+    the matching packed row of b: one translate by `spec.byte_scale(x)` and
+    one XOR.  Otherwise each adds through the row kernel `sub_scaled`.
+    """
+    if not isinstance(b, RightFactor):
+        b = RightFactor(spec, b)
+    cols = b.cols
     out = []
+    if b.packed is not None:
+        scale = spec.byte_scale
+        for row in a:
+            acc = 0
+            for x, (raw, packed) in zip(row, b.packed):
+                if x == 1:
+                    acc ^= packed
+                elif x:
+                    acc ^= int.from_bytes(raw.translate(scale(x)), "little")
+            out.append(list(acc.to_bytes(cols, "little")))
+        return out
     for row in a:
         acc = [0] * cols
-        for x, bk in zip(row, b):
+        for x, bk in zip(row, b.rows):
             if x:
                 acc = spec.sub_scaled(acc, spec.neg(x), bk)
         out.append(acc)

@@ -214,21 +214,19 @@ def _assignments(base_items):
 
     Each degree's slots with u > 1 range over the index combinations of its
     pool, larger u first; the listed highs come before the u = 1 places.
+    The degrees combine in `itertools.product` order, the first degree
+    slowest, and each list is made only when it is read.
     """
-    per_degree = []
-    for shapes, pool in base_items:
-        ulist = []
-        for u, c in sorted(shapes, reverse=True):
-            if u > 1:
-                ulist.extend([u] * c)
-        options = []
-        for combo in itertools.combinations(range(len(pool)), len(ulist)):
-            highs = [(pool[pos], u) for pos, u in zip(combo, ulist)]
-            ones = [(p, 1) for pos, p in enumerate(pool) if pos not in combo]
-            options.append(highs + ones)
-        per_degree.append(options)
-    for chosen in itertools.product(*per_degree):
-        yield [item for part in chosen for item in part]
+    if not base_items:
+        yield []
+        return
+    (shapes, pool), rest = base_items[0], base_items[1:]
+    ulist = [u for u, c in sorted(shapes, reverse=True) if u > 1 for _ in range(c)]
+    for combo in itertools.combinations(range(len(pool)), len(ulist)):
+        part = [(pool[pos], u) for pos, u in zip(combo, ulist)]
+        part += [(p, 1) for pos, p in enumerate(pool) if pos not in combo]
+        for tail in _assignments(rest):
+            yield part + tail
 
 
 def verify_file_payload(data):

@@ -7,7 +7,13 @@ import pytest
 
 from ccma.bilinear import CostTable, verify
 from ccma import gf
-from ccma.errors import CcmaError, ConditionFailure, GuardExceeded, PlanInfeasible
+from ccma.errors import (
+    CcmaError,
+    ConditionFailure,
+    DivisorSearchFailed,
+    GuardExceeded,
+    PlanInfeasible,
+)
 from ccma.gf import ExtensionRing, FieldSpec, Poly, lex_least_irreducible
 from ccma.planner import shipped_instances
 from ccma.curves import (
@@ -282,28 +288,41 @@ def test_find_divisor_reports_failure():
 def test_divisor_walk_is_guarded(monkeypatch):
     # at n = 16 the 33 rational places all go to G, so only degree-2 support
     # places are left for a divisor of odd degree 17: no multiset of them sums
-    # to it, and an unguarded walk reads the pool for minutes and yields nothing
+    # to it, and once the walk has read the pool to its end the gcd of its
+    # degrees ends the walk, where it used to read on until the guard
     import ccma.curves as curves_mod
     from ccma.planner import Planner, spec_for_q
 
-    monkeypatch.setenv("CCMA_GUARD_LIMIT", str(2 ** 16))
     reads = []
     get = curves_mod._SupportPool.get
 
     def counted(pool, idx):
         reads.append(idx)
-        assert len(reads) <= 2 ** 18, "the divisor walk ran past the guard"
         return get(pool, idx)
 
     monkeypatch.setattr(curves_mod._SupportPool, "get", counted)
     c = hyper()
     Q = find_place_of_degree(c, 16)
-    items = [(p, 1) for p in enumerate_curve_places(c, 1)]
+    rational = enumerate_curve_places(c, 1)
+    items = [(p, 1) for p in rational]
     assert len(items) == 33
-    with pytest.raises(GuardExceeded, match="divisor walk"):
+    with pytest.raises(DivisorSearchFailed, match="within 0 candidates"):
         find_divisor(c, Q, items, CostTable(F16))
+    assert 0 < len(reads) <= 200
     with pytest.raises(PlanInfeasible):
         Planner(spec_for_q(16), strategies=("curve",)).synth(16)
+    # a walk the prune cannot end: with one rational place left in the pool
+    # degree 17 is reached, and when no candidate builds the guard stops it
+    def fail(*args):
+        raise ConditionFailure("every candidate fails")
+
+    monkeypatch.setattr(curves_mod, "ccma_build_curve", fail)
+    monkeypatch.setenv("CCMA_GUARD_LIMIT", str(2 ** 10))
+    reads.clear()
+    items = [(p, 1) for p in rational[1:-1]] + [(rational[-1], 2)]  # infinity at u = 2
+    with pytest.raises(GuardExceeded, match="divisor walk"):
+        find_divisor(c, Q, items, CostTable(F16))
+    assert len(reads) == 2 ** 10 + 1
 
 
 def test_build_baum_shokrollahi_rank8():

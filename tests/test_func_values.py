@@ -1,9 +1,10 @@
-"""Differential test: `func_values_at` against per-function evaluation.
+"""Differential test: `Evaluator` against per-function evaluation.
 
-The reference is the evaluation `func_values_at` replaced: each of a, b and
-den by its own Horner pass (`Poly.eval_in` at order 1, `series.eval_poly`
-on the frame's x series otherwise) and one inverse per function.  Both
-must give the same residue values on every (basis, place, order) the five
+The reference is the evaluation the matrix product E_P C replaced: each of
+a, b and den by its own Horner pass (`Poly.eval_in` at order 1,
+`series.eval_poly` on the frame's x series otherwise) and one inverse per
+function, stacked into rows one column at a time, each rebased by `mat_vec`.
+Both must give the same rows on every (basis, place, order, conv) the five
 curve benchmark requests build, and on random divisors over F_3 and F_4.
 """
 
@@ -12,6 +13,7 @@ import random
 import pytest
 
 import ccma.curves as curves_mod
+from ccma import linalg
 from ccma.errors import CcmaError
 from ccma.gf import FieldSpec, Poly
 from ccma.curves import (
@@ -19,8 +21,8 @@ from ccma.curves import (
     CurveModel,
     Frame,
     enumerate_curve_places,
+    evaluation_rows,
     fiber_places,
-    func_values_at,
     riemann_roch_basis,
 )
 from ccma.planner import Planner, shipped_instances, spec_for_q
@@ -80,6 +82,20 @@ def _outcome(fn, curve, funcs, place, order):
         return ("error", str(exc))
 
 
+def reference_rows(curve, funcs, place, order, conv=None):
+    """u blocks of deg(place) rows from `reference_values`, one column per function."""
+    d = place.degree
+    rows = [[0] * len(funcs) for _ in range(order * d)]
+    for col, vals in enumerate(reference_values(curve, funcs, place, order) if funcs else []):
+        for j in range(order):
+            vec = [vals[j]] if place.is_infinity else list(vals[j])
+            if conv is not None:
+                vec = linalg.mat_vec(curve.base, conv, vec)
+            for i in range(d):
+                rows[j * d + i][col] = vec[i]
+    return rows
+
+
 def _kind(place, order, funcs):
     if not funcs:
         return "empty"
@@ -96,22 +112,27 @@ def _kind(place, order, funcs):
 
 
 def test_func_values_match_reference_on_curve_requests(monkeypatch):
+    # every evaluation the five requests make goes through Evaluator.rows,
+    # conv included: in the Riemann-Roch bases and in the assembly
     calls = []
-    new = curves_mod.func_values_at
+    rows = curves_mod.Evaluator.rows
 
-    def record(curve, funcs, place, order):
-        calls.append((curve, list(funcs), place, order))
-        return new(curve, funcs, place, order)
+    def record(evaluator, place, order, conv=None):
+        out = rows(evaluator, place, order, conv)
+        calls.append((evaluator.curve, list(evaluator.funcs), place, order, conv,
+                      [row[:] for row in out]))
+        return out
 
-    monkeypatch.setattr(curves_mod, "func_values_at", record)
+    monkeypatch.setattr(curves_mod.Evaluator, "rows", record)
     for q, n in ((4, 4), (3, 9), (16, 13), (16, 14), (16, 15)):
         Planner(spec_for_q(q), strategies=("curve",)).synth(n)
     assert len(calls) > 100
     kinds = set()
-    for curve, funcs, place, order in calls:
-        assert new(curve, funcs, place, order) == reference_values(curve, funcs, place, order)
+    for curve, funcs, place, order, conv, got in calls:
+        assert got == reference_rows(curve, funcs, place, order, conv)
         kinds.add(_kind(place, order, funcs))
     assert {"infinity", "order 1", "order 2"} <= kinds
+    assert any(conv is not None for *_, conv, _ in calls)
 
 
 def test_finite_place_frames_start_at_the_needed_precision(monkeypatch):
@@ -166,9 +187,9 @@ def test_infinity_frames_start_at_the_needed_precision(monkeypatch):
             funcs = riemann_roch_basis(curve, CurveDivisor(curve, D))
             for order in (1, 2, 4) if funcs else ():
                 frames.clear()
-                got = _outcome(func_values_at, curve, funcs, O, order)
+                got = _outcome(evaluation_rows, curve, funcs, O, order)
                 assert len(frames) == 1, (inst["name"], D, order, frames)
-                assert got == _outcome(reference_values, curve, funcs, O, order)
+                assert got == _outcome(reference_rows, curve, funcs, O, order)
                 calls += 1
     assert calls > 100
 
@@ -197,11 +218,8 @@ def test_func_values_match_reference_on_random_divisors(curve):
             for order in (1, 2, 3) if place.degree == 1 else (1, 2):
                 if order > 1 and place.x_deg != place.degree:
                     continue  # no series frames at inert places, either way
-                got = _outcome(func_values_at, curve, funcs, place, order)
-                if funcs:
-                    assert got == _outcome(reference_values, curve, funcs, place, order)
-                else:
-                    assert got == []  # nothing to evaluate, so no frame either
+                got = _outcome(evaluation_rows, curve, funcs, place, order)
+                assert got == _outcome(reference_rows, curve, funcs, place, order)
                 kinds.add(_kind(place, order, funcs))
     expected = {"empty", "infinity", "order 1", "order 2", "order 3", "inert",
                 "vanishing denominator"}

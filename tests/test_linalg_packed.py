@@ -104,3 +104,41 @@ def test_packed_elimination_matches_the_list_reference(spec, monkeypatch):
     squares = [r for r in got if r[0] and len(r[0]) == len(r[0][0])]
     assert {r[6] is None for r in squares} == {True, False}
     assert None in [r[3] for r in got] and None not in [r[4] for r in got]
+
+
+def reference_mat_mul(spec, a, b):
+    """The list product: each nonzero entry of a adds its multiple of a row of b."""
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, bk in zip(row, b):
+            if x:
+                acc = spec.sub_scaled(acc, spec.neg(x), bk)
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=lambda s: f"q{s.q}")
+def test_packed_mat_mul_matches_the_list_reference(spec):
+    rng = random.Random(spec.q + 1)
+    # (rows of a, rows of b, columns of b): empty, no inner rows, no columns,
+    # one row, and sparse and dense products
+    shapes = [(0, 0, 0), (0, 4, 3), (3, 0, 0), (3, 4, 0), (1, 1, 1), (1, 6, 5), (5, 1, 4),
+              (7, 9, 6), (15, 42, 20), (4, 4, 4)]
+    cases = 0
+    for rows, inner, cols in shapes:
+        for density in (0.0, 0.3, 1.0):
+            a = [[rng.randrange(1, spec.q) if rng.random() < density else 0 for _ in range(inner)]
+                 for _ in range(rows)]
+            b = [[rng.randrange(spec.q) for _ in range(cols)] for _ in range(inner)]
+            expected = reference_mat_mul(spec, a, b)
+            assert len(expected) == rows and all(len(r) == cols for r in expected)
+            assert linalg.mat_mul(spec, a, b) == expected, (rows, inner, cols, density)
+            factor = linalg.RightFactor(spec, b)
+            assert factor.packed is not None
+            # a factor made once gives the same product on every call
+            for _ in range(2):
+                assert linalg.mat_mul(spec, a, factor) == expected
+            cases += 1
+    assert cases == 30

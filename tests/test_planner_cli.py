@@ -290,6 +290,33 @@ def test_curve_assignments_order():
     ]
 
 
+def test_curve_assignments_are_lazy(monkeypatch):
+    # 3 u = 2 slots on a pool of 40: C(40, 3) = 9 880 choices at the first
+    # degree; the first assignment reads one choice per degree, not the list
+    import itertools
+
+    from ccma import planner
+
+    combinations = itertools.combinations
+    read = []
+
+    def counted(pool, r):
+        for combo in combinations(pool, r):
+            read.append(combo)
+            yield combo
+
+    monkeypatch.setattr(planner.itertools, "combinations", counted)
+    pool = list(range(40))
+    base_items = [([(1, 37), (2, 3)], pool), ([(1, 1)], ["d"])]
+    stream = planner._assignments(base_items)
+    first = next(stream)
+    assert len(read) == 2
+    assert first == [(0, 2), (1, 2), (2, 2)] + [(p, 1) for p in pool[3:]] + [("d", 1)]
+    second, third = itertools.islice(stream, 2)
+    assert second[:3] == [(0, 2), (1, 2), (3, 2)] and third[:3] == [(0, 2), (1, 2), (4, 2)]
+    assert len(read) == 6
+
+
 def test_cli_usage_error_missing_file(capsys):
     assert main(["verify", "/nonexistent/path.json"]) == 1
 
