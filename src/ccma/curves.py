@@ -112,8 +112,9 @@ class CurveModel:
     def places(self, d):
         """The sorted degree-d places: enumerated (guarded) on the first call only.
 
-        Pricing, building and the divisor search of every request on the
-        curve read this one list, kept in `places_of_degree`.
+        Pricing counts the lists of degree <= genus only; building and the
+        divisor search read the degrees they use.  Each list is kept in
+        `places_of_degree`.
         """
         found = self.places_of_degree.get(d)
         if found is None:

@@ -11,11 +11,11 @@ from .bilinear import Algebra, interpolation_algorithm, place_columns
 from .errors import CcmaError, PlanInfeasible, VerificationError
 from .gf import (
     INFINITY,
-    count_irreducibles,
     is_irreducible,
     iter_irreducibles,
     lex_least_irreducible,
     local_columns,
+    place_counts,
 )
 from .guard import check_guard
 
@@ -98,6 +98,20 @@ class EvalPlan:
         }
 
 
+def place_classes(places, n, max_u, dim_cap):
+    """(d, u, available places) classes from the place counts B_1.. in `places`.
+
+    A class takes u <= max_u and d * u <= dim_cap.  The interpolation place
+    Q is the one place of degree n that no plan may use.
+    """
+    classes = []
+    for d, avail in enumerate(places, 1):
+        avail -= d == n
+        if avail > 0:
+            classes += [(d, u, avail) for u in range(1, max_u + 1) if d * u <= dim_cap]
+    return classes
+
+
 def price_plan(base, n, ell, cost_table):
     """(classes, counts, cost) of the least plan, from prices; builds nothing.
 
@@ -105,18 +119,8 @@ def price_plan(base, n, ell, cost_table):
     only ever prices cost-table entries smaller than its target.  counts
     and cost are None when no plan exists.
     """
-    q = base.q
     dim_cap = n * ell - 1
-    classes = []
-    for d in range(1, dim_cap + 1):
-        avail = (q + 1) if d == 1 else count_irreducibles(q, d)
-        if d == n:
-            avail -= 1  # the interpolation place itself
-        if avail <= 0:
-            continue
-        for u in range(1, 5):  # multiplicities up to 4
-            if d * u <= dim_cap:
-                classes.append((d, u, avail))
+    classes = place_classes(place_counts(base.q, (), dim_cap), n, 4, dim_cap)
     return (classes, *_lazy_plan_dp(classes, 2 * n * ell - 1, cost_table))
 
 

@@ -67,28 +67,30 @@ def is_prime(n):
     return True
 
 
-def _moebius(n):
-    result = 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            result = -result
-        f += 1
-    if n > 1:
-        result = -result
-    return result
+def place_counts(q, N, top):
+    """B_1..B_top: the places of each degree of a curve over F_q of genus len(N).
 
-
-def count_irreducibles(q, d):
-    """Number of monic irreducible polynomials of degree d over F_q."""
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total += _moebius(e) * q ** (d // e)
-    return total // d
+    N holds N_1..N_g, its rational points over F_{q^r}; genus 0 is the
+    empty N (B_d then counts the monic irreducibles, plus infinity at d = 1).
+    S_r = q^r + 1 - N_r are the power sums of the inverse roots of the
+    L-polynomial sum a_k T^k: Newton's identities with a_{2g-k} = q^(g-k) a_k
+    give every a_k and S_r, and N_r = sum_{d | r} d B_d is inverted degree by
+    degree (Stichtenoth, *Algebraic Function Fields and Codes*, 5.1).
+    """
+    g = len(N)
+    S = [0] + [q ** r + 1 - n for r, n in enumerate(N, 1)]
+    a = [1] + [0] * (2 * g)
+    for k in range(1, g + 1):
+        a[k] = -sum(S[i] * a[k - i] for i in range(1, k + 1)) // k
+    for k in range(g):
+        a[2 * g - k] = q ** (g - k) * a[k]
+    B = []
+    for d in range(1, top + 1):
+        if d > g:
+            S.append(-d * (a[d] if d <= 2 * g else 0)
+                     - sum(S[i] * a[d - i] for i in range(max(1, d - 2 * g), d)))
+        B.append((q ** d + 1 - S[d] - sum(r * B[r - 1] for r in range(1, d) if d % r == 0)) // d)
+    return B
 
 
 # -- shared arithmetic primitives ---------------------------------------------

@@ -20,7 +20,7 @@ from .bilinear import BilinearAlgorithm, CostTable, cheapest, unless_dropped, ve
 from .bilinear import _require_keys
 from .bounds import factor_prime_power, winograd
 from .errors import CcmaError, GuardExceeded, InvalidRequest, MalformedPayload, PlanInfeasible
-from .gf import FieldSpec
+from .gf import FieldSpec, place_counts
 from .guard import check_guard
 
 CERT_FORMAT = "ccma-certificate-v1"
@@ -52,7 +52,9 @@ class Planner:
     The root table is `CostTable.shared(base)`: entries that earlier
     planners of the process built and verified under the active guard
     limit are reused, not rebuilt.  Curve instances come from
-    `CurveModel.shared` in the same way, with their fibres and place lists.
+    `CurveModel.shared` in the same way, with their fibres and place lists;
+    a curve is priced from its place counts, which its places of degree at
+    most its genus determine (`_curve_plan`).
 
     The candidates for F_{q^n} are the root table's own (n, 1) candidates,
     in its order: its formulas and towers for `tower`, its genus-0 plan for
@@ -134,9 +136,9 @@ def _instance_curve(inst):
 def curve_instance_synth(curve, n, cost_table):
     """Deterministic driver: plan the place multiset, pick the divisor, build.
 
-    The planner prices a curve instance by its plan (`_curve_plan`) and
-    calls this only for the winning candidate, whose places come from the
-    lists pricing enumerated (`CurveModel.places`).  The divisor search
+    The planner prices a curve instance by its plan (`_curve_plan`), from
+    counts, and calls this only for the winning candidate, which enumerates
+    only the degrees its plan uses (`CurveModel.places`).  The divisor search
     builds the algorithm; an assignment on which it fails is skipped for
     the next one, for at most ASSIGNMENT_CAP assignments, but a guard hit
     ends the instance.  Raises PlanInfeasible when the instance cannot
@@ -171,42 +173,26 @@ def curve_instance_synth(curve, n, cost_table):
 def _curve_plan(curve, n, cost_table):
     """(classes, counts, rank): the least-cost place classes for n.
 
-    `counts` are the exact minimum-cost class counts, with shared
-    availability per degree, and `rank` their total: the rank of every
-    algorithm the instance builds for n.  Raises PlanInfeasible when the
-    classes cannot reach the degree target.
+    Place counts come from N_1..N_g (`gf.place_counts`), read off the places
+    of degree <= g: pricing enumerates no degree above the genus.  Classes
+    take u <= 2 and d <= 3 with q^d <= PLACE_SCAN_LIMIT.  `rank` is the
+    total of the least-cost class `counts`, the rank of every algorithm the
+    instance builds for n.  Raises PlanInfeasible when the curve has no
+    place of degree n or the classes cannot reach the degree target.
     """
-    need = 2 * n + curve.genus - 1
-    classes = _curve_classes(curve, need)
+    q, g = curve.base.q, curve.genus
+    found = [len(curve.places(d)) for d in range(1, g + 1)]
+    N = [sum(d * found[d - 1] for d in range(1, r + 1) if r % d == 0) for r in range(1, g + 1)]
+    top = sum(q ** d <= curves_mod.PLACE_SCAN_LIMIT for d in (1, 2, 3))
+    places = place_counts(q, N, max(n, top))
+    if not places[n - 1]:
+        raise PlanInfeasible(f"the curve has no place of degree {n}")
+    need = 2 * n + g - 1
+    classes = genus0.place_classes(places[:top], n, 2, need)
     counts, rank = genus0._lazy_plan_dp(classes, need, cost_table)
     if counts is None:
         raise PlanInfeasible("curve place classes cannot reach the degree target")
     return classes, counts, rank
-
-
-def _curve_classes(curve, need):
-    """Place classes (d, u, available places) for a degree target `need`.
-
-    Higher degrees are enumerated only when actually needed, each degree
-    once per curve object (`CurveModel.places`): pricing and building an
-    instance, its divisor search and every later request on the shared
-    curve read the same lists.
-    """
-    classes = []
-    capacity = 0
-    for d in (1, 2, 3):
-        if curve.base.q ** d > curves_mod.PLACE_SCAN_LIMIT:
-            break
-        avail = len(curve.places(d))
-        if avail <= 0:
-            continue
-        for u in (1, 2):
-            if d * u <= need:
-                classes.append((d, u, avail))
-        capacity += avail * 2 * d
-        if capacity >= need:
-            break
-    return classes
 
 
 def _assignments(base_items):

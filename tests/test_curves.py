@@ -110,6 +110,8 @@ def test_smoothness_agrees_with_the_weierstrass_discriminant():
 
 def test_place_counts_match_known_values():
     assert len(enumerate_curve_places(fermat(), 1)) == 9  # maximal: q+1+2g*sqrt(q)
+    assert len(enumerate_curve_places(fermat(), 2)) == 0  # N_2 = N_1 over F_16
+    assert gf.place_counts(4, [9], 2) == [9, 0]
     assert len(enumerate_curve_places(cenk(), 1)) == 4
     assert len(enumerate_curve_places(cenk(), 2)) == 6
     assert len(enumerate_curve_places(hyper(), 1)) == 33
@@ -139,52 +141,14 @@ def _affine_points(curve, r):
     return count
 
 
-def _place_counts_from_zeta(curve, top):
-    """B_1..B_top from N_1..N_g and the L-polynomial of the zeta function.
-
-    L(T) = prod(1 - alpha_i T) with N_r = q^r + 1 - S_r, S_r = sum alpha_i^r;
-    k a_k = -sum_{i<=k} S_i a_{k-i}, a_{2g-k} = q^(g-k) a_k, and
-    N_r = sum_{d | r} d B_d inverts by Moebius.
-    """
-    q, g = curve.base.q, curve.genus
-    S = {r: q ** r + 1 - (1 + _affine_points(curve, r)) for r in range(1, g + 1)}
-    a = [1] + [0] * (2 * g)
-    for k in range(1, g + 1):
-        total = -sum(S[i] * a[k - i] for i in range(1, k + 1))
-        assert total % k == 0
-        a[k] = total // k
-    for k in range(g):
-        a[2 * g - k] = q ** (g - k) * a[k]
-    for r in range(g + 1, top + 1):
-        S[r] = -r * (a[r] if r <= 2 * g else 0) - sum(
-            S[i] * a[r - i] for i in range(1, r) if r - i <= 2 * g)
-    N = {r: q ** r + 1 - S[r] for r in range(1, top + 1)}
-
-    def moebius(n):
-        out, f = 1, 2
-        while f * f <= n:
-            if n % f == 0:
-                n //= f
-                if n % f == 0:
-                    return 0
-                out = -out
-            f += 1
-        return -out if n > 1 else out
-
-    counts = []
-    for d in range(1, top + 1):
-        total = sum(moebius(d // r) * N[r] for r in range(1, d + 1) if d % r == 0)
-        assert total % d == 0
-        counts.append(total // d)
-    return counts
-
-
 def test_place_counts_against_zeta_relation():
     # brute-force N_1..N_g determine every B_d; enumeration must find them all
     # (Fermat F_4 has 648 places of degree 6: two lie above x^3 - w, x^3 - w^2
     # with y in F_16, inert fibres whose y generates no F_4096)
     for curve, top in ((fermat(), 6), (hyper(), 3), (cenk(), 7)):
-        expected = _place_counts_from_zeta(curve, top)
+        # one point at infinity: deg f is odd
+        N = [1 + _affine_points(curve, r) for r in range(1, curve.genus + 1)]
+        expected = gf.place_counts(curve.base.q, N, top)
         found = [len(enumerate_curve_places(curve, d)) for d in range(1, top + 1)]
         assert found == expected, (curve, found, expected)
     assert expected == [4, 6, 8, 12, 48, 124, 312]

@@ -41,7 +41,7 @@ def test_synth_4_4_curve_instance_reaches_8():
 
 def test_genus2_curve_over_f3_reaches_the_printed_3_11():
     # y^2 = x^5 + 2x^4 + x^3 + 2x^2 + x: no shipped instance, and no model
-    # a fixed shape could name; the default strategies answer 35
+    # a fixed shape could name; the shipped elliptic curve ties it at 34
     genus2 = {"name": "genus2_f3", "curve": {
         "base": {"p": 3, "k": 1, "defining_poly": None},
         "h": [], "f": [[0], [1], [2], [1], [2], [1]]}}
@@ -49,7 +49,8 @@ def test_genus2_curve_over_f3_reaches_the_printed_3_11():
     assert cert["rank"] == 34
     assert cert["strategy"] == {"kind": "curve", "instance": "genus2_f3"}
     assert verify(BilinearAlgorithm.from_json(cert["algorithm"]))
-    assert Planner(spec_for_q(3)).synth(11)["rank"] == 35
+    cert = Planner(spec_for_q(3)).synth(11)
+    assert (cert["rank"], cert["strategy"]) == (34, {"kind": "curve", "instance": "cenk_ozbudak_f3"})
 
 
 def test_curve_instance_that_cannot_reach_its_target_is_skipped():
@@ -788,6 +789,44 @@ def test_curve_request_enumerates_each_degree_once(monkeypatch):
         calls.clear()
         assert Planner(spec_for_q(q), strategies=("curve",)).synth(n) == cert
         assert calls == [], (q, n, calls)
+
+
+def test_curve_pricing_enumerates_no_degree_above_the_genus(monkeypatch):
+    # N_1..N_g fix every place count, so pricing reads the places of degree <= g
+    # only; fresh models, since a shared curve's cached lists would hide calls
+    import ccma.curves as curves_mod
+    from ccma.planner import _curve_plan
+
+    calls = []
+    enumerate_places = curves_mod.enumerate_curve_places
+    monkeypatch.setattr(curves_mod, "enumerate_curve_places",
+                        lambda curve, d: calls.append(d)
+                        or enumerate_places(curve, d))
+    for inst in shipped_instances():
+        calls.clear()
+        curve = curves_mod.CurveModel.from_json(inst["curve"])
+        table = CostTable.shared(curve.base)
+        for n in range(11, 19):
+            _curve_plan(curve, n, table)
+        assert calls and max(calls) <= curve.genus, (inst["name"], calls)
+
+
+def test_curve_with_no_place_of_degree_n_is_refused_at_pricing(monkeypatch):
+    # the Fermat cubic over F_4 is maximal and keeps N_2 = N_1 = 9: no place of
+    # degree 2, so it must not price (4,2), nor scan for a Q it cannot find
+    import ccma.curves as curves_mod
+    from ccma.planner import _curve_plan
+
+    fermat = next(i for i in shipped_instances() if i["name"] == "fermat_f4")
+    curve = curves_mod.CurveModel.from_json(fermat["curve"])
+    with pytest.raises(PlanInfeasible, match="no place of degree 2"):
+        _curve_plan(curve, 2, CostTable.shared(curve.base))
+    scans = []
+    monkeypatch.setattr(curves_mod, "find_place_of_degree",
+                        lambda *args: scans.append(args))
+    with pytest.raises(PlanInfeasible):
+        Planner(spec_for_q(4), strategies=("curve",), instances=[fermat]).synth(2)
+    assert scans == []
 
 
 def test_shared_curves_are_kept_per_guard_limit(monkeypatch):
