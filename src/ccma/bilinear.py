@@ -11,7 +11,7 @@ l > 1.  Karatsuba serves each two-dimensional one.
 """
 
 import operator
-from functools import partial
+from functools import partial, reduce
 
 from . import linalg
 from .bounds import winograd
@@ -56,6 +56,7 @@ class Algebra:
         self.m = self.Q.degree
         self.dim = self.m * ell
         self.ring = ExtensionRing(base, self.Q)
+        self._powers = None  # coordinates of x^0..x^(2m-2), for l = 1
 
     @property
     def n(self):
@@ -79,6 +80,21 @@ class Algebra:
                 self.ring._red[s - m] if s >= m else [1 if t == s else 0 for t in range(m)]
             )
         return out
+
+    def product_row(self, i):
+        """The coordinates of e_i e_0, e_i e_1, ..., e_i e_(dim-1), in one list.
+
+        For the extension field these are x^i..x^(i+m-1), a slice of the
+        coordinates of x^0..x^(2m-2) (identity rows, then the ring's
+        reduction rows), kept after the first call.
+        """
+        if self.ell > 1:
+            return [c for k in range(self.dim) for c in self.basis_product(i, k)]
+        m = self.m
+        if self._powers is None:
+            unit = [1 if t == s else 0 for s in range(m) for t in range(m)]
+            self._powers = unit + [c for row in self.ring._red for c in row]
+        return self._powers[i * m : (i + m) * m]
 
     def mul_coords(self, x, y):
         # one ring product for the field: the supercode round trip calls this
@@ -148,52 +164,85 @@ class BilinearAlgorithm:
     def failing_pair(self):
         """The first failing basis pair (i, k) in (i, k) order, or None.
 
-        The product of e_i and e_k is the sum over terms j of v_j times
-        column j of W, where v_j = a_j(e_i) b_j(e_k).  Each v times column j
-        is packed into one int with a slot per base-p digit of each output
-        coordinate, and kept in a dict per column on the first v that
-        occurs, so a pair costs N lookups.  For p = 2 the slots are bits,
-        added by XOR; for odd p they hold up to N(p-1) and are added as
-        integers, then taken mod p.  The target algebra is commutative, so
-        when A = B the pair (k, i) fails iff (i, k) does, and only k >= i
-        is checked.
+        Row i of the products e_i e_k, all k at once, is the sum over terms
+        j of a_j(e_i) T_j, where T_j = b_j (x) w_j holds b_j(e_k) times
+        column j of W in the slots of output k.  Each T_j is packed into one
+        int, and each multiple a T_j that occurs is packed once, so the
+        check costs dim * N packed additions (the packed rows of Barbulescu,
+        Detrey, Estibals and Zimmermann, WAIFI 2012).  A slot is one byte per
+        element over F_{2^k} with q <= 256 and over F_p with p < 128, where
+        a T_j is one `bytes.translate` with `byte_scale(a)`; one byte per
+        base-p digit over the other fields with p < 128; and, for larger p,
+        wide enough to hold a sum of N digits.  Rows add by XOR for p = 2;
+        otherwise as ints, with every byte slot taken mod p by one translate
+        before it can pass 255.  The first slot that differs from
+        `Algebra.product_row(i)` names k.  When A = B a failure at k < i
+        fails at row k first, so the answer is that of the pairs k >= i.
         """
         target = self.target
         sp = target.base
-        p, k_digits, q = sp.p, sp.k, sp.q
-        dim = target.dim
-        if p == 2:
-            add, slot_base = operator.xor, 2
+        p, dim = sp.p, target.dim
+        if sp.packs_rows or (sp.k == 1 and p < 128):
+            width, slot_bits = 1, 8  # slots per element, bits per slot
+
+            def encode(elements):
+                return int.from_bytes(bytes(elements), "little")
+
+            def outer(b_row, w_col):
+                w = bytes(w_col)
+                return b"".join([w.translate(sp.byte_scale(b)) for b in b_row])
+
+            def scale(a, t):
+                return int.from_bytes(t.translate(sp.byte_scale(a)), "little")
         else:
-            add, slot_base = operator.add, 1 << (self.N * (p - 1)).bit_length()
+            width = sp.k
+            slot_bits = 8 if p < 128 else (max(self.N, 1) * (p - 1)).bit_length()
 
-        def packed(coords):
-            if p == 2 or k_digits == 1:  # an encoding is its own slot content
-                return pack(coords, slot_base ** k_digits)
-            return pack([d for c in coords for d in digits(c, p, k_digits)], slot_base)
+            def encode(elements):
+                return pack(flatten(sp, elements), 1 << slot_bits)
 
-        def canonical(acc):
-            """The coordinates packed base q, as pack(basis_product, q)."""
-            if p == 2:
+            def outer(b_row, w_col):
+                return [c for b in b_row for c in sp.scaled(b, w_col)]
+
+            def scale(a, t):
+                return encode(sp.scaled(a, t))
+
+        slots = dim * dim * width
+        if p == 2:
+
+            def total(terms):
+                return reduce(operator.xor, terms, 0)
+        elif slot_bits == 8:
+            mod_p = FieldSpec.get(p).byte_scale(1)  # b -> b % p
+            chunk = 255 // (p - 1) - 1  # terms that fit on top of a reduced row
+
+            def total(terms):
+                acc = 0
+                for s in range(0, len(terms), chunk):
+                    acc += sum(terms[s : s + chunk])
+                    acc = int.from_bytes(acc.to_bytes(slots, "little").translate(mod_p), "little")
                 return acc
-            return pack([d % p for d in digits(acc, slot_base, dim * k_digits)], p)
+        else:
 
-        w_cols = list(zip(*self.W))
-        tables = [{0: 0} for _ in range(self.N)]
-        symmetric = self.symmetric
+            def total(terms):
+                base = 1 << slot_bits
+                return pack([d % p for d in digits(sum(terms), base, slots)], base)
+
+        outers = [outer(b_row, w_col) for b_row, w_col in zip(self.B, zip(*self.W))]
+        multiples = [{} for _ in outers]
         for i in range(dim):
-            start = i if symmetric else 0
-            sums = [0] * (dim - start)
-            for a_row, b_row, w_col, table in zip(self.A, self.B, w_cols, tables):
-                if not a_row[i]:
-                    continue
-                values = sp.scaled(a_row[i], b_row[start:])
-                for v in set(values).difference(table):
-                    table[v] = packed(sp.scaled(v, w_col))
-                sums = list(map(add, sums, map(table.__getitem__, values)))
-            for k, acc in enumerate(sums, start):
-                if canonical(acc) != pack(target.basis_product(i, k), q):
-                    return (i, k)
+            terms = []
+            for a_row, t, cache in zip(self.A, outers, multiples):
+                a = a_row[i]
+                if a:
+                    term = cache.get(a)
+                    if term is None:
+                        term = cache[a] = scale(a, t)
+                    terms.append(term)
+            diff = total(terms) ^ encode(target.product_row(i))
+            if diff:
+                element = ((diff & -diff).bit_length() - 1) // (slot_bits * width)
+                return (i, element // dim)
         return None
 
     def to_json(self):
@@ -406,13 +455,12 @@ def schoolbook(target):
     dim = target.dim
     A = []
     B = []
-    cols = []
     for i in range(dim):
         for k in range(dim):
             A.append([1 if t == i else 0 for t in range(dim)])
             B.append([1 if t == k else 0 for t in range(dim)])
-            cols.append(target.basis_product(i, k))
-    W = [[cols[s][h] for s in range(dim * dim)] for h in range(dim)]
+    products = [c for i in range(dim) for c in target.product_row(i)]
+    W = [products[h::dim] for h in range(dim)]
     return BilinearAlgorithm(target, A, B, W, meta={"method": "schoolbook"})
 
 
@@ -719,13 +767,9 @@ def brute_force_min_rank(target, max_rank, symmetric_only=False, limit=None):
         pairs = [(v, v) for v in phis]
     else:
         pairs = [(a, b) for a in phis for b in phis]
-    # flattened target tensor columns per output coordinate
-    T = [[0] * dim for _ in range(dim * dim)]
-    for i in range(dim):
-        for k in range(dim):
-            prod = target.basis_product(i, k)
-            for h in range(dim):
-                T[i * dim + k][h] = prod[h]
+    # flattened target tensor: row i * dim + k holds the coordinates of e_i e_k
+    products = [c for i in range(dim) for c in target.product_row(i)]
+    T = [products[s : s + dim] for s in range(0, dim ** 3, dim)]
     layers = []
     for a, b in pairs:
         lay = [0] * (dim * dim)

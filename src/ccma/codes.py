@@ -116,20 +116,25 @@ class Supercode:
         return first + second
 
     def square_span(self):
-        """Echelon basis of the span of all products of two basis rows (cached)."""
+        """The span of all products of two basis rows, reduced once (cached).
+
+        The products are reduced in [v | z] order, the N coordinates of the
+        second block first; returns (rows, pivots) of the echelon basis.  A
+        pivot at a column >= N is a row with v = 0 and z != 0.
+        """
         if self._square_span is None:
-            rows = []
+            n, rows = self.n, []
             for i in range(len(self.basis)):
                 for j in range(i, len(self.basis)):
-                    rows.append(self.product(self.basis[i], self.basis[j]))
+                    row = self.product(self.basis[i], self.basis[j])
+                    rows.append(row[n:] + row[:n])
             red, pivots = linalg.rref(self.algebra.base, rows)
-            self._square_span = [red[r] for r in range(len(pivots))]
+            self._square_span = red[: len(pivots)], pivots
         return self._square_span
 
     def condition2_holds(self):
-        span = self.square_span()
-        second = [row[self.n :] for row in span]
-        return linalg.rank(self.algebra.base, second) == len(span)
+        """The second projection is injective on the square span."""
+        return all(c < self.N for c in self.square_span()[1])
 
     def to_json(self):
         spec = self.algebra.base
@@ -182,16 +187,12 @@ def symmetric_from_supercode(S):
     # the supercode_from_symmetric rows are already canonical: S is exact
     sub = S if canon == S.basis else Supercode(S.algebra, S.N, canon)
     # condition 2 is on S's own square span, which outgrows sub's when S
-    # is not exact; for sub = S the reduction below decides it
-    if sub is not S and not S.condition2_holds():
+    # is not exact, so it holds on sub's too
+    if not S.condition2_holds():
         raise SupercodeConditionError(2, "second projection not injective on the square span")
-    span = sub.square_span()
-    # W solves W v = z for every (z, v) in the square span: one row
-    # reduction of [v | z] carries all n right-hand sides, free variables 0;
-    # a pivot in the z block is a square-span row with v = 0
-    red, pivots = linalg.rref(spec, [row[n:] + row[:n] for row in span])
-    if any(c >= S.N for c in pivots):
-        raise SupercodeConditionError(2, "second projection not injective on the square span")
+    # W solves W v = z for every (z, v) in sub's square span: its reduction
+    # in [v | z] order carries all n right-hand sides, free variables 0
+    red, pivots = sub.square_span()
     W = [[0] * S.N for _ in range(n)]
     for r, c in enumerate(pivots):
         for h in range(n):

@@ -439,18 +439,21 @@ class FieldSpec:
                 acc = add_power(acc, m - q1 if m >= q1 else m)
         return acc
 
-    # -- packed rows (p = 2, q <= 256) ---------------------------------------
+    # -- packed rows (p = 2 and q <= 256; byte_scale also over F_p, p < 256) --
 
     def byte_scale(self, f):
         """The `bytes.translate` table of y -> f*y, built on the first use of f.
 
-        Only while `packs_rows`: a row packed one byte per coefficient is
-        scaled by f in one translate of its bytes.
+        Only while `packs_rows`, or over F_p with p < 256 (where any byte y
+        goes to f*y mod p): a row packed one byte per coefficient is scaled
+        by f in one translate of its bytes.
         """
         table = self._byte_scales.get(f)
         if table is None:
             q = self.q
-            if f:
+            if self.k == 1 and self.p > 2:
+                table = bytes(f * y % q for y in range(256))
+            elif f:
                 exp, lf = self._exp, self._log[f]
                 table = bytes([0] + [exp[lf + n] for n in self._log[1:q]]) + bytes(256 - q)
             else:

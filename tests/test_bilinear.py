@@ -12,6 +12,7 @@ from ccma.errors import FieldMismatch, MalformedPayload, VerificationError
 from ccma.gf import FieldSpec, Poly, field_extend, is_irreducible
 from ccma.bilinear import (
     STALE,
+    Algebra,
     BilinearAlgorithm,
     CostTable,
     brute_force_min_rank,
@@ -518,6 +519,14 @@ def test_packed_check_agrees_with_the_scalar_loop():
     # fields beyond the log tables: q > 2^16, and odd p with k > 1
     algs += [_karatsuba_beyond_tables(FieldSpec.get(2, 17), 1),
              _karatsuba_beyond_tables(FieldSpec.get(3, 11), 0)]
+    # odd p whose slot sums pass a byte unless reduced on the way: 150
+    # copies of a term with every output 2 add 300 to a slot, 0 mod 3
+    kara = karatsuba(extension_target(F3, 2))
+    algs.append(BilinearAlgorithm(kara.target, kara.A + [[1, 1]] * 150,
+                                  kara.B + [[1, 1]] * 150,
+                                  [row + [2] * 150 for row in kara.W]))
+    # the byte encodings end at p = 127; wider slots from p = 131 on, and p > 256
+    algs += [_karatsuba_beyond_tables(FieldSpec.get(p), 0) for p in (127, 131, 257)]
     assert any(alg.symmetric for alg in algs) and not all(alg.symmetric for alg in algs)
     checked = 0
     for base_alg in algs:
@@ -542,6 +551,27 @@ def test_packed_check_agrees_with_the_scalar_loop():
     for spec in (F2, F3, F9):
         empty = BilinearAlgorithm(extension_target(spec, 2), [], [], [[], []])
         assert empty.failing_pair() == _reference_failing_pair(empty) == (0, 0)
+
+
+def test_extension_check_reads_the_power_window(monkeypatch):
+    alg = CostTable(F4).get(5, 1)
+    assert alg.target.kind == "extension"
+    bad = BilinearAlgorithm(alg.target, alg.A, alg.B, alg.W)
+    bad.W[3][4] = F4.add(bad.W[3][4], 1)
+    product = Algebra.basis_product
+    calls = []
+
+    def counted(self, i, k):
+        calls.append((i, k))
+        return product(self, i, k)
+
+    monkeypatch.setattr(Algebra, "basis_product", counted)
+    assert alg.failing_pair() is None
+    pair = bad.failing_pair()
+    # the expected rows are slices of x^0..x^(2m-2), not products per pair
+    assert calls == []
+    monkeypatch.undo()
+    assert pair is not None and pair == _reference_failing_pair(bad)
 
 
 def test_extension_basis_product_is_the_ring_product():

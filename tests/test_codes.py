@@ -176,9 +176,10 @@ def test_round_trip_decides_condition_1_from_its_row_reduction(monkeypatch):
     assert back.A == alg.A and verify(back)
     # verification implies both conditions for the supercode of a symmetric
     # algorithm; the recovery reads condition 1 off the pivots of the
-    # reduction it takes of the basis, and condition 2 off the reduction
-    # that solves for W, with no separate rank of either block
-    assert len(calls) == 4
+    # reduction it takes of the basis, and condition 2 off the one reduction
+    # of the square span, which also solves for W; the third is the inverse
+    # of the first block, with no separate rank of either block
+    assert len(calls) == 3
     # one row with a zero second block fails both conditions; 1 is reported
     S = supercode_from_symmetric(karatsuba(extension_target(F2, 2)))
     both = Supercode(S.algebra, S.N, [[1, 0] + [0] * S.N])
