@@ -811,15 +811,18 @@ def brute_force_min_rank(target, max_rank, symmetric_only=False, limit=None):
 STALE = object()  # a nesting candidate whose entries broke its price
 
 
-def cheapest(candidates):
+def cheapest(candidates, dropped=None):
     """Build the first candidate of least price from `candidates()`.
 
     `candidates()` gives (price, build, detail) triples in tie-break order.
     All are priced before any is built: they are sorted stably by price and
     built in that order until one `build()` returns an algorithm rather
-    than None (a candidate that drops out).  Returns that algorithm with
-    its detail, the certificate record of its strategy; losing candidates
-    are never built.  Returns None when every candidate drops out.
+    than None or the error that dropped the candidate (`unless_dropped`).
+    Returns that algorithm with its detail, the certificate record of its
+    strategy; losing candidates are never built.  Returns None when every
+    candidate drops out.  `dropped`, when given, is emptied before each
+    pricing and receives (detail, error) for each candidate that drops out
+    with an error; `candidates()` may add its own.
 
     A price is a promise, and prices only rise.  A candidate that nests
     entries builds them first, and returns STALE when one came out above
@@ -827,29 +830,45 @@ def cheapest(candidates):
     follows an entry built since the last pricing, so the loop ends.  Any
     other built rank that differs from its price raises.
     """
+    dropped = [] if dropped is None else dropped
     while True:
+        dropped.clear()
         for price, build, detail in sorted(candidates(), key=lambda cand: cand[0]):
             alg = build()
             if alg is STALE:
                 break
-            if alg is None:
-                continue
-            if alg.N != price:
-                raise VerificationError(f"built rank {alg.N} differs from its price {price}")
-            return alg, detail
+            if isinstance(alg, CcmaError):
+                dropped.append((detail, alg))
+            elif alg is not None:
+                if alg.N != price:
+                    raise VerificationError(f"built rank {alg.N} differs from its price {price}")
+                return alg, detail
         else:
             return None
 
 
 def unless_dropped(build, *args):
-    """`build(*args)`, or None when it is infeasible or hits the guard."""
+    """`build(*args)`, or the error when it is infeasible or hits the guard."""
     try:
         return build(*args)
-    except (PlanInfeasible, GuardExceeded):
-        return None
+    except (PlanInfeasible, GuardExceeded) as exc:
+        return exc
 
 
 # -- cost table ----------------------------------------------------------------
+
+
+class _PriceLog:
+    """A cost table's prices, logging each (d, u, price) read in order."""
+
+    def __init__(self, table):
+        self.table = table
+        self.read = []
+
+    def cost(self, d, u=1):
+        price = self.table.cost(d, u)
+        self.read.append((d, u, price))
+        return price
 
 
 # guard limit -> {field: CostTable}: the tables every planner of this
@@ -882,6 +901,7 @@ class CostTable:
         self.base = base
         self._entries = {}
         self._prices = {}
+        self._plans = {}
         self._registry = {} if registry is None else registry
         self._registry[base] = self
 
@@ -900,6 +920,25 @@ class CostTable:
         if (d, u) not in self._prices:
             self._prices[d, u] = min((c[0] for c in self._candidates(d, u)), default=(d * u) ** 2)
         return self._prices[d, u]
+
+    def plan(self, classes, budget):
+        """(counts, total) of the least plan over (d, u, avail) `classes`.
+
+        `genus0._lazy_plan_dp` solves a request once: the solve is stored
+        with the exact prices it read, in order, and returned again while
+        each is still this table's price.  An entry built above its price
+        changes that price, and the next request solves again.
+        """
+        from . import genus0
+
+        key = (tuple(classes), budget)
+        stored = self._plans.get(key)
+        if stored is not None and all(self.cost(d, u) == price for d, u, price in stored[0]):
+            return stored[1]
+        log = _PriceLog(self)
+        solved = genus0._lazy_plan_dp(classes, budget, log)
+        self._plans[key] = log.read, solved
+        return solved
 
     def get(self, d, u=1):
         key = (d, u)

@@ -163,10 +163,7 @@ def supercode_from_symmetric(alg):
     if not verify(alg):
         raise CcmaError("algorithm does not verify")
     dim = alg.target.dim
-    rows = []
-    for i in range(dim):
-        e = [1 if t == i else 0 for t in range(dim)]
-        rows.append(e + linalg.mat_vec(alg.target.base, alg.A, e))
+    rows = [[int(t == i) for t in range(dim)] + [row[i] for row in alg.A] for i in range(dim)]
     return Supercode(alg.target, alg.N, rows)
 
 
@@ -175,15 +172,13 @@ def symmetric_from_supercode(S):
     spec = S.algebra.base
     n = S.n
     # exact sub-supercode: the rows with a pivot in the first block; there
-    # are n of them exactly when the first projection is surjective
+    # are n of them exactly when the first projection is surjective, and
+    # then their pivots are 0..n-1, so they are the rows (e_i, u(e_i))
     red, pivots = linalg.rref(spec, S.basis)
-    exact_rows = [red[r] for r, p in enumerate(pivots) if p < n]
-    if len(exact_rows) != n:
+    canon = [red[r] for r, p in enumerate(pivots) if p < n]
+    if len(canon) != n:
         raise SupercodeConditionError(1, "first projection not surjective")
-    M = [row[:n] for row in exact_rows]
-    Minv = linalg.invert(spec, M)
-    canon = linalg.mat_mul(spec, Minv, exact_rows)  # rows (e_i, u(e_i))
-    A = [ [canon[i][n + l] for i in range(n)] for l in range(S.N) ]
+    A = [[canon[i][n + l] for i in range(n)] for l in range(S.N)]
     # the supercode_from_symmetric rows are already canonical: S is exact
     sub = S if canon == S.basis else Supercode(S.algebra, S.N, canon)
     # condition 2 is on S's own square span, which outgrows sub's when S

@@ -121,7 +121,7 @@ def price_plan(base, n, ell, cost_table):
     """
     dim_cap = n * ell - 1
     classes = place_classes(place_counts(base.q, (), dim_cap), n, 4, dim_cap)
-    return (classes, *_lazy_plan_dp(classes, 2 * n * ell - 1, cost_table))
+    return (classes, *cost_table.plan(classes, 2 * n * ell - 1))
 
 
 def plan_search(base, n, ell, cost_table):
@@ -162,8 +162,13 @@ def _lazy_plan_dp(classes, budget, cost_table):
     `remaining` degree when `used` places of class i's degree are taken.
     Its memo keeps that cost and the largest count of class i reaching it,
     so following the stored counts from (0, budget, 0) reads the
-    lexicographically greatest least plan.  A state depends only on the
-    prices of its own suffix: pricing classes up to index k clears memo[0..k].
+    lexicographically greatest least plan.  A count whose price, plus the
+    degree it leaves times the least price per unit of degree among the
+    later classes, cannot beat the least total found so far is skipped:
+    that sum bounds every completion, so the memo stays exact.  A state
+    depends only on the prices of its own suffix: a round whose pricing
+    changes classes up to index k clears memo[0..k], and a round that
+    changes no price ends the search.
     """
     INF = float("inf")
     last = len(classes)
@@ -172,6 +177,14 @@ def _lazy_plan_dp(classes, budget, cost_table):
     memo = [{} for _ in classes]
     # class i + 1 draws on the places of class i's degree
     shares = [i + 1 < last and classes[i + 1][0] == d for i, (d, _, _) in enumerate(classes)]
+    # rate[i]: (price, degree) of the least price per unit of degree among classes i..
+    rate = [None] * (last + 1)
+
+    def rerate(top):
+        for i in range(top, -1, -1):
+            d, u, _ = classes[i]
+            r = rate[i + 1]
+            rate[i] = r if r is not None and r[0] * d * u <= price[i] * r[1] else (price[i], d * u)
 
     def best(i, remaining, used):
         if remaining <= 0:
@@ -182,16 +195,22 @@ def _lazy_plan_dp(classes, budget, cost_table):
         if hit is not None:
             return hit[0]
         d, u, avail = classes[i]
-        du = d * u
+        du, p = d * u, price[i]
+        later = rate[i + 1]
         least, pick = INF, 0
         # from high to low: the strict < keeps the larger count on a tie
         for c in range(min(avail - used, -(-remaining // du)), -1, -1):
-            total = c * price[i] + best(i + 1, remaining - c * du, used + c if shares[i] else 0)
+            total, rest = c * p, remaining - c * du
+            if rest > 0:
+                if later is None or total - (-rest * later[0] // later[1]) >= least:
+                    continue
+                total += best(i + 1, rest, used + c if shares[i] else 0)
             if total < least:
                 least, pick = total, c
         memo[i][(remaining, used)] = (least, pick)
         return least
 
+    rerate(last - 1)
     while True:
         total = best(0, budget, 0)
         if total == INF:
@@ -203,15 +222,19 @@ def _lazy_plan_dp(classes, budget, cost_table):
             counts.append(c)
             remaining -= c * d * u
             used = used + c if shares[i] else 0
-        pending = [i for i, c in enumerate(counts) if c and not exact[i]]
-        if not pending:
-            return counts, int(total)
-        for i in pending:
-            d, u, _ = classes[i]
-            price[i] = cost_table.cost(d, u)
-            exact[i] = True
-        for i in range(pending[-1] + 1):
+        changed = -1
+        for i, c in enumerate(counts):
+            if c and not exact[i]:
+                d, u, _ = classes[i]
+                exact[i] = True
+                cost = cost_table.cost(d, u)
+                if cost != price[i]:
+                    price[i], changed = cost, i
+        if changed < 0:
+            return counts, total
+        for i in range(changed + 1):
             memo[i].clear()
+        rerate(changed)
 
 
 def _item_key(item):

@@ -81,10 +81,16 @@ class Planner:
         self.table = CostTable.shared(base)
 
     def synth(self, n):
-        """Best verified algorithm across the enabled strategies."""
-        best = cheapest(partial(self._candidates, n))
+        """Best verified algorithm across the enabled strategies.
+
+        When none is found, the error names each candidate that dropped
+        out, with the error that dropped it.
+        """
+        dropped = []
+        best = cheapest(partial(self._candidates, n, dropped), dropped)
         if best is None:
-            raise PlanInfeasible(f"no strategy produced an algorithm for n={n}")
+            why = "".join(f"; {_candidate_name(detail)} dropped: {exc}" for detail, exc in dropped)
+            raise PlanInfeasible(f"no strategy produced an algorithm for n={n}{why}")
         return self.certificate(*best)
 
     def certificate(self, alg, strategy):
@@ -101,8 +107,12 @@ class Planner:
             "algorithm": alg.to_json(),
         }
 
-    def _candidates(self, n):
-        """(rank, build, detail) of every enabled candidate, in tie-break order."""
+    def _candidates(self, n, dropped):
+        """(rank, build, detail) of every enabled candidate, in tie-break order.
+
+        A curve instance that cannot be priced drops out here: it adds
+        (detail, error) to `dropped`.
+        """
         if "tower" in self.strategies:
             yield from self.table._composition_candidates(n, 1)
         if "g0" in self.strategies:
@@ -110,20 +120,26 @@ class Planner:
         if "curve" not in self.strategies:
             return
         for inst in self.instances:
+            name = inst.get("name", "?") if isinstance(inst, dict) else "?"
+            detail = {"kind": "curve", "instance": name}
             try:
-                curve = _instance_curve(inst)  # parsing guards its field
+                curve = _instance_curve(inst, name)  # parsing guards its field
                 if curve.base != self.base:
                     continue
                 *_, rank = _curve_plan(curve, n, self.table)
-            except (PlanInfeasible, GuardExceeded):
+            except (PlanInfeasible, GuardExceeded) as exc:
+                dropped.append((detail, exc))
                 continue
-            yield (rank, partial(unless_dropped, curve_instance_synth, curve, n, self.table),
-                   {"kind": "curve", "instance": inst.get("name", "?")})
+            yield rank, partial(unless_dropped, curve_instance_synth, curve, n, self.table), detail
 
 
-def _instance_curve(inst):
+def _candidate_name(detail):
+    """A candidate's strategy kind, and its instance's name for a curve."""
+    return f"{detail['kind']} {detail['instance']}" if "instance" in detail else detail["kind"]
+
+
+def _instance_curve(inst, name):
     """The shared curve of an instance file, outside input: MalformedPayload names a bad one."""
-    name = inst.get("name", "?") if isinstance(inst, dict) else "?"
     try:
         _require_keys(inst, "instance", ("curve",))
         return curves_mod.CurveModel.shared(inst["curve"])
@@ -189,7 +205,7 @@ def _curve_plan(curve, n, cost_table):
         raise PlanInfeasible(f"the curve has no place of degree {n}")
     need = 2 * n + g - 1
     classes = genus0.place_classes(places[:top], n, 2, need)
-    counts, rank = genus0._lazy_plan_dp(classes, need, cost_table)
+    counts, rank = cost_table.plan(classes, need)
     if counts is None:
         raise PlanInfeasible("curve place classes cannot reach the degree target")
     return classes, counts, rank

@@ -177,9 +177,10 @@ def test_round_trip_decides_condition_1_from_its_row_reduction(monkeypatch):
     # verification implies both conditions for the supercode of a symmetric
     # algorithm; the recovery reads condition 1 off the pivots of the
     # reduction it takes of the basis, and condition 2 off the one reduction
-    # of the square span, which also solves for W; the third is the inverse
-    # of the first block, with no separate rank of either block
-    assert len(calls) == 3
+    # of the square span, which also solves for W; the rows of the first
+    # with a pivot in the first block are already (e_i, u(e_i)), so there is
+    # no inverse, and no separate rank of either block
+    assert len(calls) == 2
     # one row with a zero second block fails both conditions; 1 is reported
     S = supercode_from_symmetric(karatsuba(extension_target(F2, 2)))
     both = Supercode(S.algebra, S.N, [[1, 0] + [0] * S.N])

@@ -279,6 +279,21 @@ def test_planner_refuses_unknown_strategy():
         Planner(spec_for_q(3), strategies=())
 
 
+def test_a_request_with_no_answer_names_each_dropped_candidate(capsys):
+    # hyperelliptic_f16 prices (16,16) at 33, but its divisor walk ends with
+    # no candidate: the error names the instance and why it dropped out
+    with pytest.raises(PlanInfeasible) as err:
+        Planner(spec_for_q(16), strategies=("curve",)).synth(16)
+    assert str(err.value).startswith("no strategy produced an algorithm for n=16; ")
+    assert ("curve hyperelliptic_f16 dropped: curve instance failed after 1 assignments: "
+            "no divisor of degree 17 found") in str(err.value)
+    # a curve that cannot be priced drops out too, on the same one error line
+    assert main(["synth", "--q", "4", "--n", "2", "--strategies", "curve"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no strategy produced an algorithm for n=2; "
+        "curve fermat_f4 dropped: the curve has no place of degree 2\n")
+
+
 def test_curve_assignments_order():
     # one u = 2 slot walks the pool; the high slot is listed first
     from ccma.planner import _assignments
@@ -499,8 +514,9 @@ def test_losing_splits_cannot_fail_a_request(monkeypatch):
 def _built_reference(planner, n):
     """Build every candidate and keep the first of least N: the rule that
     pricing first must reproduce."""
-    found = [(build(), detail) for _, build, detail in planner._candidates(n)]
-    alg, detail = min((f for f in found if f[0] is not None), key=lambda f: f[0].N)
+    found = [(build(), detail) for _, build, detail in planner._candidates(n, [])]
+    alg, detail = min((f for f in found if isinstance(f[0], BilinearAlgorithm)),
+                      key=lambda f: f[0].N)
     return alg.to_json(), detail
 
 
