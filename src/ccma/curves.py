@@ -18,8 +18,7 @@ from . import linalg
 from .bilinear import Algebra, interpolation_algorithm, place_columns
 from .bilinear import _payload_base, _payload_claim, _payload_elements, _require_keys
 from .errors import CcmaError, ConditionFailure, DivisorSearchFailed, PlanInfeasible
-from .gf import ExtensionRing, FieldSpec, Poly, first_generator, flatten, iter_irreducibles
-from .gf import powers, unflatten
+from .gf import ExtensionRing, Poly, digits, first_generator, iter_irreducibles, pack, powers
 from .guard import check_guard, guard_limit
 from .series import Laurent, eval_poly, newton_root
 
@@ -282,33 +281,57 @@ class FuncElem:
 
 
 def solve_y_quadratic(K, c, v):
-    """Solutions y in the field K of y^2 + c y = v, sorted by encoding."""
+    """Solutions y in the field K of y^2 + c y = v, sorted by encoding, and
+    whether they are one double root.
+
+    In characteristic 2, y -> y^2 + c y is F_2-linear, so one elimination
+    over F_2 decides the equation.  An element is one int, its encoding:
+    bit i k + b holds bit b of coordinate i, F_q = F_(2^k).  The image of
+    the basis element 2^b xi^i is (2^b)^2 xi^(2i) + 2^b (c xi^i), where
+    xi^(2i) is a unit or a reduction row and c xi^i a `times_gen` step;
+    each image is reduced against the pivots found so far, tracking the
+    basis elements it combines.  v reduces to 0 exactly when a root y0
+    exists, and the combination tracked is y0.  The kernel is {0, c}, so
+    the roots are y0 and y0 + c, one double root exactly when c = 0.  Odd
+    characteristic completes the square (`sqrt_in_field`).
+    """
     sp = K.spec
     if sp.p == 2:
-        nbits = sp.k * K.dim
-        if c == K.zero:
-            # Frobenius is bijective: unique (ramified) square root
-            return [K.pow(v, 1 << (nbits - 1))], True
-        f2 = FieldSpec.get(2)
-        # z -> z^2 + z on the F_2-basis 2^b x^i (bit b of coefficient i):
-        # (2^b x^i)^2 = (2^b)^2 x^2i, so one square per power of x
-        cols = []
-        for i in range(K.dim):
-            unit = [0] * K.dim
-            unit[i] = 1
-            square = K.mul(tuple(unit), tuple(unit))
-            for b in range(sp.k):
-                unit[i] = 1 << b
-                img = K.add(K.scale(sp.mul(unit[i], unit[i]), square), tuple(unit))
-                cols.append(flatten(sp, img))
-        w = K.mul(v, K.inv(K.mul(c, c)))
-        sol = linalg.solve(f2, linalg.transpose(cols), flatten(sp, w))
-        if sol is None:
+        k, d = sp.k, K.dim
+        # times alpha, the generator of F_q over F_2 (encoded 2; 1 when
+        # k = 1), on every coordinate at once: a shift, and alpha^k where a
+        # top bit leaves its coordinate
+        tops = sum(1 << (i * k + k - 1) for i in range(d))
+        wrap = pack(sp.poly[:-1], 2) if k > 1 else 1
+
+        def times_alpha(a):
+            top = a & tops
+            return ((a ^ top) << 1) ^ ((top >> (k - 1)) * wrap)
+
+        pivots = {}  # leading bit -> (image, the basis elements it combines)
+
+        def reduce(img, comb):
+            while img:
+                pivot = pivots.get(img.bit_length() - 1)
+                if pivot is None:
+                    break
+                img ^= pivot[0]
+                comb ^= pivot[1]
+            return img, comb
+
+        for i, cx in enumerate(_multiples(K.times_gen, c, d)):
+            sq = 1 << (2 * i * k) if 2 * i < d else K.encode(K._red[2 * i - d])
+            cx = K.encode(cx)
+            for b in range(k):
+                img, comb = reduce(sq ^ cx, 1 << (i * k + b))
+                if img:
+                    pivots[img.bit_length() - 1] = (img, comb)
+                sq, cx = times_alpha(times_alpha(sq)), times_alpha(cx)
+        rest, y0 = reduce(K.encode(v), 0)
+        if rest:
             return [], False
-        z0 = tuple(unflatten(sp, sol))
-        y0 = K.mul(c, z0)
-        y1 = K.add(y0, c)
-        return sorted({y0, y1}, key=K.encode), False
+        roots = sorted({y0, y0 ^ K.encode(c)})
+        return [tuple(digits(y, sp.q, d)) for y in roots], len(roots) == 1
     # odd characteristic: complete the square
     half = K.embed_base(sp.inv(sp.scalar(2)))
     shift = K.mul(half, c)
@@ -385,15 +408,18 @@ def fiber_places(curve, x_min, degree=None):
 
 
 def _fiber(curve, x_min):
-    """The split or ramified places above x_min, or (K, c, v) for an inert fibre."""
+    """The split or ramified places above x_min, or (K, c, v) for an inert fibre.
+
+    c = h(xi) and v = f(xi) in K = F_q[x]/(x_min) are the coordinates of
+    h mod x_min and f mod x_min; `solve_y_quadratic` decides the fibre.
+    """
     K = ExtensionRing(curve.base, x_min)
-    xi = K.gen()
-    c = curve.h.eval_in(K, xi)
-    v = curve.f.eval_in(K, xi)
+    c, v = K.from_poly(curve.h), K.from_poly(curve.f)
     sols, ramified = solve_y_quadratic(K, c, v)
     if not sols:
         return K, c, v
-    return [CurvePlace(curve, x_min, K, xi, beta, ramified=(len(sols) == 1)) for beta in sols]
+    xi = K.gen()
+    return [CurvePlace(curve, x_min, K, xi, beta, ramified=ramified) for beta in sols]
 
 
 def _inert_place(curve, x_min, K_e, c, v):

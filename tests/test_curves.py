@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ccma.bilinear import CostTable, verify
-from ccma import gf
+from ccma import curves, gf, linalg
 from ccma.errors import (
     CcmaError,
     ConditionFailure,
@@ -27,6 +27,7 @@ from ccma.curves import (
     find_place_of_degree,
     riemann_roch_basis,
     rr_dim,
+    solve_y_quadratic,
     sqrt_in_field,
     _is_smooth,
 )
@@ -47,6 +48,10 @@ def cenk():
 
 def hyper():
     return CurveModel(F16, (1,), (0, 0, 0, 0, 0, 1))  # y^2+y = x^5
+
+
+def xy(base):
+    return CurveModel(base, (0, 1), (1, 0, 0, 1))  # y^2+xy = x^3+1
 
 
 def test_model_validation():
@@ -144,14 +149,22 @@ def _affine_points(curve, r):
 def test_place_counts_against_zeta_relation():
     # brute-force N_1..N_g determine every B_d; enumeration must find them all
     # (Fermat F_4 has 648 places of degree 6: two lie above x^3 - w, x^3 - w^2
-    # with y in F_16, inert fibres whose y generates no F_4096)
-    for curve, top in ((fermat(), 6), (hyper(), 3), (cenk(), 7)):
+    # with y in F_16, inert fibres whose y generates no F_4096).  On
+    # y^2 + xy = x^3 + 1, h = x is not constant and vanishes at x = 0, the
+    # one ramified finite place
+    counts = []
+    for curve, top in ((fermat(), 6), (hyper(), 3), (cenk(), 7), (xy(F2), 6), (xy(F4), 4)):
         # one point at infinity: deg f is odd
         N = [1 + _affine_points(curve, r) for r in range(1, curve.genus + 1)]
         expected = gf.place_counts(curve.base.q, N, top)
-        found = [len(enumerate_curve_places(curve, d)) for d in range(1, top + 1)]
+        places = [enumerate_curve_places(curve, d) for d in range(1, top + 1)]
+        found = [len(ps) for ps in places]
         assert found == expected, (curve, found, expected)
-    assert expected == [4, 6, 8, 12, 48, 124, 312]
+        counts.append(found)
+        if curve.h.degree > 0:
+            ramified = [p for ps in places for p in ps if p.ramified]
+            assert [p.x_min for p in ramified] == [Poly.x(curve.base)]
+    assert counts[2:] == [[4, 6, 8, 12, 48, 124, 312], [4, 2, 0, 2, 8, 8], [8, 4, 16, 68]]
 
 
 def test_riemann_roch_elliptic_standard_basis():
@@ -555,6 +568,77 @@ def test_inert_fibres_are_built_when_their_degree_is_asked(monkeypatch):
     built = enumerate_curve_places(eager, 4)
     assert lazy == built
     assert [(p.residue, p.xi, p.beta) for p in lazy] == [(p.residue, p.xi, p.beta) for p in built]
+
+
+def test_characteristic_2_quadratic_matches_brute_force():
+    # every v, and c = 0, 1 and seeded others, in every ring over F_2, F_4,
+    # F_8 and F_16 of at most 256 elements
+    rng = random.Random(34)
+    checks = 0
+    for k in (1, 2, 3, 4):
+        sp = FieldSpec.get(2, k)
+        dim = 1
+        while sp.q ** dim <= 256:
+            K = ExtensionRing(sp, lex_least_irreducible(sp, dim))
+            elements = list(K.elements())
+            others = [c for c in elements if c not in (K.zero, K.one)]
+            for c in [K.zero, K.one] + rng.sample(others, min(2, len(others))):
+                roots = {}
+                for y in elements:
+                    roots.setdefault(K.add(K.mul(y, y), K.mul(c, y)), []).append(y)
+                for v in elements:
+                    want = roots.get(v, [])
+                    assert solve_y_quadratic(K, c, v) == (want, len(want) == 1), (K, c, v)
+                    checks += 1
+            dim += 1
+    assert checks == 4772
+    # the first residue ring of each Q walk on y^2 + y = x^5 over F_16: each
+    # v = y^2 + c y gives back y and y + c
+    for dim in (13, 14, 15):
+        K = ExtensionRing(F16, lex_least_irreducible(F16, dim))
+        for _ in range(20):
+            y = tuple(rng.randrange(16) for _ in range(dim))
+            for c in (K.zero, K.one, tuple(rng.randrange(16) for _ in range(dim))):
+                v = K.add(K.mul(y, y), K.mul(c, y))
+                roots = sorted({y, K.add(y, c)}, key=K.encode)
+                assert solve_y_quadratic(K, c, v) == (roots, c == K.zero), (K, c, y)
+
+
+def test_characteristic_2_fibres_invert_power_and_solve_nothing(monkeypatch):
+    # a fibre reads h(xi) and f(xi) off h and f mod x_min and decides the
+    # quadratic by one packed F_2 elimination: no inverse, power, list
+    # solve or Horner evaluation runs inside `_fiber`
+    depth, calls = [0], {}
+    fiber = curves._fiber
+
+    def in_fiber(curve, x_min):
+        calls["_fiber"] = calls.get("_fiber", 0) + 1
+        depth[0] += 1
+        try:
+            return fiber(curve, x_min)
+        finally:
+            depth[0] -= 1
+
+    def counted(name, inner):
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            if depth[0]:
+                calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(curves, "_fiber", in_fiber)
+    for owner, name in ((ExtensionRing, "inv"), (ExtensionRing, "pow"),
+                        (linalg, "solve"), (Poly, "eval_in")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    fermat_f4, hyperelliptic_f16 = fermat(), hyper()
+    for curve, top in ((fermat_f4, 3), (hyperelliptic_f16, 2)):
+        for d in range(1, top + 1):
+            enumerate_curve_places(curve, d)
+    assert find_place_of_degree(hyperelliptic_f16, 13).degree == 13
+    assert calls.pop("_fiber") > 0
+    assert calls == {"inv": 0, "pow": 0, "solve": 0, "eval_in": 0}
 
 
 def test_sqrt_in_field_matches_brute_force():

@@ -549,6 +549,36 @@ def test_certificate_grid_is_pinned(monkeypatch):
     assert hashlib.sha256(hexes.encode()).hexdigest() == CERTIFICATE_GRID_DIGEST
 
 
+# the same digest over the curve-only certificates of y^2 + xy = x^3 + 1
+# over F_4 (n = 4..7), then over F_2 (n = 5..7): h = x is not constant, so
+# the fibres see c = h(xi) other than 1, and c = 0 above x = 0
+XY_CERTIFICATE_DIGEST = "2069178ba7190b133337ea06746fe0740a28794089463d3fd12aa502adafe27a"
+
+
+def test_certificates_on_a_curve_with_nonconstant_h_are_pinned(monkeypatch):
+    from ccma import curves as curves_mod
+
+    monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
+    monkeypatch.setattr(curves_mod, "_SHARED_CURVES", {})
+    F2 = {"p": 2, "k": 1, "defining_poly": None}
+    F4 = {"p": 2, "k": 2, "defining_poly": [1, 1, 1]}
+    certs = []
+    for base, ns in ((F4, range(4, 8)), (F2, range(5, 8))):
+        q = 2 ** base["k"]
+        zero, one = [0] * base["k"], [1] + [0] * (base["k"] - 1)
+        curve = {"base": base, "h": [zero, one], "f": [one, zero, zero, one]}
+        planner = Planner(spec_for_q(q), strategies=("curve",),
+                          instances=[{"name": f"xy_f{q}", "curve": curve}])
+        for n in ns:
+            cert = planner.synth(n)
+            assert verify(BilinearAlgorithm.from_json(cert["algorithm"])), n
+            certs.append(cert)
+    assert [c["rank"] for c in certs] == [8, 11, 14, 17, 14, 18, 24]
+    hexes = "".join(hashlib.sha256(json.dumps(cert, sort_keys=True).encode()).hexdigest()
+                    for cert in certs)
+    assert hashlib.sha256(hexes.encode()).hexdigest() == XY_CERTIFICATE_DIGEST
+
+
 def test_genus0_alone_has_no_plan_for_n_1(capsys):
     # a genus-0 item must be smaller than its target, and nothing is below
     # dimension 1
