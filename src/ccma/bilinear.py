@@ -858,19 +858,6 @@ def unless_dropped(build, *args):
 # -- cost table ----------------------------------------------------------------
 
 
-class _PriceLog:
-    """A cost table's prices, logging each (d, u, price) read in order."""
-
-    def __init__(self, table):
-        self.table = table
-        self.read = []
-
-    def cost(self, d, u=1):
-        price = self.table.cost(d, u)
-        self.read.append((d, u, price))
-        return price
-
-
 # guard limit -> {field: CostTable}: the tables every planner of this
 # process prices from, so an entry is built and verified once per process
 _SHARED_TABLES = {}
@@ -924,21 +911,17 @@ class CostTable:
     def plan(self, classes, budget):
         """(counts, total) of the least plan over (d, u, avail) `classes`.
 
-        `genus0._lazy_plan_dp` solves a request once: the solve is stored
-        with the exact prices it read, in order, and returned again while
-        each is still this table's price.  An entry built above its price
-        changes that price, and the next request solves again.
+        Every class is taken at this table's price, and `genus0._plan_dp`
+        solves once per classes, budget and price list: an entry built
+        above its price changes the list, and the next request solves again.
         """
         from . import genus0
 
-        key = (tuple(classes), budget)
-        stored = self._plans.get(key)
-        if stored is not None and all(self.cost(d, u) == price for d, u, price in stored[0]):
-            return stored[1]
-        log = _PriceLog(self)
-        solved = genus0._lazy_plan_dp(classes, budget, log)
-        self._plans[key] = log.read, solved
-        return solved
+        prices = tuple(self.cost(d, u) for d, u, _ in classes)
+        key = (tuple(classes), budget, prices)
+        if key not in self._plans:
+            self._plans[key] = genus0._plan_dp(classes, budget, prices)
+        return self._plans[key]
 
     def get(self, d, u=1):
         key = (d, u)

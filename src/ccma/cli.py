@@ -124,7 +124,10 @@ def cmd_verify(args):
 
 def cmd_bounds(args):
     planner_fn = None
-    if args.achieved and args.table == "table2":
+    if args.achieved:
+        if args.table != "table2":
+            raise InvalidRequest(f"--achieved: only table2 has an achieved column, not {args.table}")
+
         def planner_fn(q, n):
             return Planner(spec_for_q(q)).synth(n)
 

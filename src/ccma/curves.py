@@ -955,7 +955,8 @@ def find_divisor(curve, Q, items, cost_table):
     candidate.  For n >= g every candidate is non-special, l(D) = n, and the
     conditions are L(D-Q) = 0 and L(2D-G) = 0.  Deterministic bounded
     search; raises DivisorSearchFailed when the candidates run out or the
-    budget is exhausted (never silently degrades), and GuardExceeded when
+    budget is exhausted (never silently degrades), naming why the walk
+    found nothing (`_SupportPool.why_not`), and GuardExceeded when
     the walk reads past the guard limit.  The support pool reads each degree
     of the curve's place lists (`CurveModel.places`) only when the walk
     first reads past it; once it has read them all, the walk drops every
@@ -979,7 +980,8 @@ def find_divisor(curve, Q, items, cost_table):
         except ConditionFailure:
             continue
     raise DivisorSearchFailed(
-        f"no divisor of degree {target_deg} found within {tried} candidates"
+        f"no divisor of degree {target_deg} found within {tried} candidates: "
+        + pool.why_not(tried, target_deg)
     )
 
 
@@ -1066,6 +1068,19 @@ class _SupportPool:
             return True
         g = gcds[min(idx, len(gcds) - 1)]
         return g != 0 and degree % g == 0
+
+    def why_not(self, tried, degree):
+        """Why a walk that built none of `tried` candidates of `degree` ended."""
+        if tried == DIVISOR_CANDIDATES:
+            return f"the walk reached its cap of {DIVISOR_CANDIDATES} candidates"
+        if tried:
+            return "every candidate failed the conditions"
+        g = self._suffix_gcds[0]  # a walk that yields nothing reads the pool to its end
+        if g == 0:
+            return "the support pool is empty"
+        if degree % g:
+            return f"the support places have degrees of gcd {g}, which does not divide {degree}"
+        return "no multiset of the support places has that degree"
 
 
 def _multisets(pool, total_degree):

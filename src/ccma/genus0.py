@@ -115,6 +115,8 @@ def place_classes(places, n, max_u, dim_cap):
 def price_plan(base, n, ell, cost_table):
     """(classes, counts, cost) of the least plan, from prices; builds nothing.
 
+    Every class is priced at the cost table's price of its (d, u) entry,
+    and the table solves the plan once per price list (`CostTable.plan`).
     An item's local algebra has dimension d * u below n * ell, so a plan
     only ever prices cost-table entries smaller than its target.  counts
     and cost are None when no plan exists.
@@ -151,12 +153,12 @@ def plan_search(base, n, ell, cost_table):
     return EvalPlan(base, n, ell, Q, items, total)
 
 
-def _lazy_plan_dp(classes, budget, cost_table):
-    """Exact minimum-cost counts with lazily priced entries.
+def _plan_dp(classes, budget, prices):
+    """(counts, total) of the least plan over (d, u, avail) `classes` at `prices`.
 
-    Entries are priced optimistically at the local lower bound 2du-1 until
-    a candidate-optimal plan actually uses them; iterating to a fixpoint
-    yields the true optimum while never pricing irrelevant table entries.
+    `prices[i]` is the price of class i; a class's count is bounded by its
+    available places, shared with the next class when it has the same
+    degree.  counts and total are None when no plan covers `budget`.
 
     `best(i, remaining, used)` is the least cost of classes i.. that covers
     `remaining` degree when `used` places of class i's degree are taken.
@@ -165,26 +167,19 @@ def _lazy_plan_dp(classes, budget, cost_table):
     lexicographically greatest least plan.  A count whose price, plus the
     degree it leaves times the least price per unit of degree among the
     later classes, cannot beat the least total found so far is skipped:
-    that sum bounds every completion, so the memo stays exact.  A state
-    depends only on the prices of its own suffix: a round whose pricing
-    changes classes up to index k clears memo[0..k], and a round that
-    changes no price ends the search.
+    that sum bounds every completion, so the memo stays exact.
     """
     INF = float("inf")
     last = len(classes)
-    price = [2 * d * u - 1 for d, u, _ in classes]
-    exact = [False] * last
     memo = [{} for _ in classes]
     # class i + 1 draws on the places of class i's degree
     shares = [i + 1 < last and classes[i + 1][0] == d for i, (d, _, _) in enumerate(classes)]
     # rate[i]: (price, degree) of the least price per unit of degree among classes i..
     rate = [None] * (last + 1)
-
-    def rerate(top):
-        for i in range(top, -1, -1):
-            d, u, _ = classes[i]
-            r = rate[i + 1]
-            rate[i] = r if r is not None and r[0] * d * u <= price[i] * r[1] else (price[i], d * u)
+    for i in range(last - 1, -1, -1):
+        d, u, _ = classes[i]
+        r = rate[i + 1]
+        rate[i] = r if r is not None and r[0] * d * u <= prices[i] * r[1] else (prices[i], d * u)
 
     def best(i, remaining, used):
         if remaining <= 0:
@@ -195,7 +190,7 @@ def _lazy_plan_dp(classes, budget, cost_table):
         if hit is not None:
             return hit[0]
         d, u, avail = classes[i]
-        du, p = d * u, price[i]
+        du, p = d * u, prices[i]
         later = rate[i + 1]
         least, pick = INF, 0
         # from high to low: the strict < keeps the larger count on a tie
@@ -210,31 +205,17 @@ def _lazy_plan_dp(classes, budget, cost_table):
         memo[i][(remaining, used)] = (least, pick)
         return least
 
-    rerate(last - 1)
-    while True:
-        total = best(0, budget, 0)
-        if total == INF:
-            return None, None
-        counts = []
-        remaining, used = budget, 0
-        for i, (d, u, _) in enumerate(classes):
-            c = memo[i][(remaining, used)][1] if remaining > 0 else 0
-            counts.append(c)
-            remaining -= c * d * u
-            used = used + c if shares[i] else 0
-        changed = -1
-        for i, c in enumerate(counts):
-            if c and not exact[i]:
-                d, u, _ = classes[i]
-                exact[i] = True
-                cost = cost_table.cost(d, u)
-                if cost != price[i]:
-                    price[i], changed = cost, i
-        if changed < 0:
-            return counts, total
-        for i in range(changed + 1):
-            memo[i].clear()
-        rerate(changed)
+    total = best(0, budget, 0)
+    if total == INF:
+        return None, None
+    counts = []
+    remaining, used = budget, 0
+    for i, (d, u, _) in enumerate(classes):
+        c = memo[i][(remaining, used)][1] if remaining > 0 else 0
+        counts.append(c)
+        remaining -= c * d * u
+        used = used + c if shares[i] else 0
+    return counts, total
 
 
 def _item_key(item):

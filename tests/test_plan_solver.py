@@ -2,19 +2,23 @@
 
 `plan_requests.json` holds every distinct (classes, budget) that the plan
 solver received while synthesizing F_{q^n} for q in {2, 3, 4} and n <= 9
-(one planner per q), and for the five shipped curve-instance requests,
-with the real cost-table cost of each class it prices.  It was recorded
-while the planner's own genus-0 plans still admitted items up to
-dimension 2n - 2, so it holds larger class sets than synthesis now asks
-for.  `PYTHONPATH=src python tests/test_plan_solver.py` records the
-requests of the current planner instead.
+(one planner per q), and for the five shipped curve-instance requests.
+It was recorded while the solver priced classes lazily, so it holds the
+real cost-table cost of each class that solver read, and no other.  The
+reference below reads no other either; the classes it never read are
+filled in at their least price 2du - 1 and again at (du)^2, and the solver
+must agree with the reference on both.  It was recorded while the
+planner's own genus-0 plans still admitted items up to dimension 2n - 2,
+so it holds larger class sets than synthesis now asks for.
+`PYTHONPATH=src python tests/test_plan_solver.py` records the requests of
+the current planner, with the cost of every class, instead.
 """
 
 import json
 import os
 
 from ccma.errors import PlanInfeasible
-from ccma.genus0 import _lazy_plan_dp
+from ccma.genus0 import _plan_dp
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "plan_requests.json")
 CURVE_REQUESTS = ((4, 4), (3, 9), (16, 13), (16, 14), (16, 15))
@@ -101,23 +105,29 @@ def _reference_plan_dp(classes, budget, cost_table):
     raise PlanInfeasible("plan pricing did not converge")
 
 
-class _RecordedCosts:
-    """Cost table stand-in: the recorded costs, and the order they are asked."""
+class _Costs:
+    """Cost table stand-in for the reference."""
 
     def __init__(self, costs):
-        self.costs = {(d, u): cost for d, u, cost in costs}
-        self.priced = []
+        self.costs = costs
 
     def cost(self, d, u=1):
-        self.priced.append((d, u))
         return self.costs[(d, u)]
 
 
-def _solve(solver, request):
-    table = _RecordedCosts(request["costs"])
+# prices for the classes a request never read: the least, and schoolbook's
+FILLS = (lambda du: 2 * du - 1, lambda du: du * du)
+
+
+def _solves(request):
+    """(reference, `_plan_dp`) (counts, total) at each fill of the costs not read."""
     classes = [tuple(cls) for cls in request["classes"]]
-    counts, total = solver(classes, request["budget"], table)
-    return counts, total, table.priced
+    recorded = {(d, u): cost for d, u, cost in request["costs"]}
+    for fill in FILLS:
+        costs = {(d, u): recorded.get((d, u), fill(d * u)) for d, u, _ in classes}
+        expect = _reference_plan_dp(classes, request["budget"], _Costs(costs))
+        prices = tuple(costs[d, u] for d, u, _ in classes)
+        yield expect, _plan_dp(classes, request["budget"], prices)
 
 
 def test_plan_solver_matches_reference_on_recorded_requests():
@@ -126,8 +136,8 @@ def test_plan_solver_matches_reference_on_recorded_requests():
     assert len(requests) > 50
     feasible = 0
     for request in requests:
-        expect = _solve(_reference_plan_dp, request)
-        assert _solve(_lazy_plan_dp, request) == expect, request
+        for expect, got in _solves(request):
+            assert got == expect, request
         feasible += expect[0] is not None
     assert 0 < feasible < len(requests)
 
@@ -136,25 +146,18 @@ def _record():
     from ccma import genus0, planner
 
     seen, out = set(), []
-    solve = genus0._lazy_plan_dp
+    solve = genus0._plan_dp
 
-    def spy(classes, budget, cost_table):
-        priced = []
-
-        class Recording:
-            def cost(self, d, u=1):
-                priced.append([d, u, cost_table.cost(d, u)])
-                return priced[-1][2]
-
-        result = solve(classes, budget, Recording())
-        request = {"classes": [list(c) for c in classes], "budget": budget, "costs": priced}
+    def spy(classes, budget, prices):
+        costs = [[d, u, price] for (d, u, _), price in zip(classes, prices)]
+        request = {"classes": [list(c) for c in classes], "budget": budget, "costs": costs}
         key = json.dumps(request, sort_keys=True)
         if key not in seen:
             seen.add(key)
             out.append(request)
-        return result
+        return solve(classes, budget, prices)
 
-    genus0._lazy_plan_dp = spy
+    genus0._plan_dp = spy
     try:
         for q in (2, 3, 4):
             p = planner.Planner(planner.spec_for_q(q))
@@ -163,7 +166,7 @@ def _record():
         for q, n in CURVE_REQUESTS:
             planner.Planner(planner.spec_for_q(q), strategies=("curve",)).synth(n)
     finally:
-        genus0._lazy_plan_dp = solve
+        genus0._plan_dp = solve
     os.makedirs(os.path.dirname(DATA), exist_ok=True)
     with open(DATA, "w") as fh:
         json.dump(out, fh, separators=(",", ":"))

@@ -1,5 +1,8 @@
-"""The plan solver on random requests, and the cost table's stored solves."""
+"""The plan solver on random requests, the cost table's stored solves, and
+certificates above Table 2, where the solver decides most of a request."""
 
+import hashlib
+import json
 import random
 
 from ccma import bilinear, genus0
@@ -7,7 +10,7 @@ from ccma.bilinear import CostTable
 from ccma.gf import FieldSpec
 from ccma.planner import Planner, spec_for_q
 
-from test_plan_solver import _reference_plan_dp, _solve
+from test_plan_solver import _solves
 
 
 def _random_request(rng):
@@ -27,34 +30,36 @@ def _random_request(rng):
 
 
 def test_plan_solver_matches_reference_on_random_requests():
-    # counts, total and the order in which the solver prices its classes
+    # counts and total, with the classes the reference never reads at each fill
     rng = random.Random(33)
     outcomes = []
     for _ in range(400):
         request = _random_request(rng)
-        expect = _solve(_reference_plan_dp, request)
-        assert _solve(genus0._lazy_plan_dp, request) == expect, request
+        for expect, got in _solves(request):
+            assert got == expect, request
         outcomes.append(expect[0] is not None)
     assert 0 < outcomes.count(False) < outcomes.count(True)
 
 
 def _counted_solves(monkeypatch):
-    """Each `_lazy_plan_dp` call, as (classes, budget, the (d, u) it priced)."""
-    solves = []
-    solve = genus0._lazy_plan_dp
+    """Each `_plan_dp` call, as (table, classes, budget, prices)."""
+    solves, tables = [], []
+    solve, plan = genus0._plan_dp, CostTable.plan
 
-    def spy(classes, budget, prices):
-        read = []
-        solves.append((classes, budget, read))
+    def solve_spy(classes, budget, prices):
+        solves.append((tables[-1], tuple(classes), budget, prices))
+        return solve(classes, budget, prices)
 
-        class Reading:
-            def cost(self, d, u=1):
-                read.append((d, u))
-                return prices.cost(d, u)
+    def plan_spy(table, classes, budget):
+        # a plan reads its prices, which may solve other plans, before it solves
+        tables.append(table)
+        try:
+            return plan(table, classes, budget)
+        finally:
+            tables.pop()
 
-        return solve(classes, budget, Reading())
-
-    monkeypatch.setattr(genus0, "_lazy_plan_dp", spy)
+    monkeypatch.setattr(genus0, "_plan_dp", solve_spy)
+    monkeypatch.setattr(CostTable, "plan", plan_spy)
     return solves
 
 
@@ -64,30 +69,55 @@ def test_stored_solve_is_solved_again_when_a_price_it_read_rises(monkeypatch):
     classes, *first = genus0.price_plan(table.base, 7, 1, table)
     budget = 2 * 7 - 1
 
-    def reads():  # pricing a class solves its own plans too; count only this one
-        return [read for cls, b, read in solves if (cls, b) == (classes, budget)]
+    def mine():  # pricing a class solves its own plans too; count only this one
+        return [prices for _, cls, b, prices in solves if (cls, b) == (tuple(classes), budget)]
 
-    assert list(table.plan(classes, budget)) == first and len(reads()) == 1
-    # a price the solve did not read leaves it standing
-    unread = next((d, u) for d, u, _ in classes if (d, u) not in reads()[0])
-    table._prices[unread] = table.cost(*unread) + 5
-    assert list(table.plan(classes, budget)) == first and len(reads()) == 1
-    # an entry built above a price the solve read: the next request solves again
+    def prices():
+        return tuple(table.cost(d, u) for d, u, _ in classes)
+
+    assert mine() == [prices()]
+    # while every class price is unchanged, the stored solve answers
+    assert list(table.plan(classes, budget)) == first and len(mine()) == 1
+    # any class price that rises solves again, one the plan does not use too
+    unused = next((d, u) for (d, u, _), c in zip(classes, first[0]) if not c)
+    table._prices[unused] += 5
+    assert list(table.plan(classes, budget)) == first and mine()[1:] == [prices()]
+    # an entry built above a price the plan uses: the next request solves again
     used = next((d, u) for (d, u, _), c in zip(classes, first[0]) if c and d * u > 1)
     table._prices[used] += 5
     again = table.plan(classes, budget)
-    assert len(reads()) == 2 and used in reads()[1]
+    assert mine()[2:] == [prices()]
     monkeypatch.undo()
-    assert again == genus0._lazy_plan_dp(classes, budget, table)
+    assert again == genus0._plan_dp(classes, budget, prices())
     assert list(again) != first
 
 
 def test_table2_grid_solves_each_plan_once(monkeypatch):
     # the 21 cells q in {2, 3, 4}, n = 2..8 on fresh tables made 108 solves
-    # of 62 distinct requests before the table stored its solves
+    # of 62 distinct requests before the table stored its solves, when
+    # classes were priced lazily; pricing every class prices entries the
+    # lazy solver never reached, and their plans make 70
     monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
     solves = _counted_solves(monkeypatch)
     for q in (2, 3, 4):
         for n in range(2, 9):
             Planner(spec_for_q(q)).synth(n)
-    assert 0 < len(solves) <= 62
+    assert len(set(solves)) == len(solves)
+    assert 0 < len(solves) <= 70
+
+
+# sha256 of json.dumps(certificate, sort_keys=True), recorded while classes
+# were priced lazily: every class priced up front must build the same bytes
+ABOVE_THE_TABLE = {
+    (2, 24): "1451eee66b132672a3c92446ef66cb53e8ec942ea1628fa8f8f52fcad90a1a3a",
+    (3, 24): "965c15955e289711118b860f20a2b5fa8e689599ec68d0defcc1535bb5f79dca",
+    (2, 32): "0107e13bc78562234f18cfad69a060979e7a1fa23f5bca49352bf0d2e98ee957",
+    (4, 40): "a720e16e4f241a227bcfa1d77dbfb786a98b520a51b870ee64886dad05f0988f",
+}
+
+
+def test_certificates_above_the_table_are_pinned():
+    for (q, n), digest in ABOVE_THE_TABLE.items():
+        cert = Planner(spec_for_q(q)).synth(n)
+        text = json.dumps(cert, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (q, n, cert["rank"])

@@ -294,6 +294,23 @@ def test_a_request_with_no_answer_names_each_dropped_candidate(capsys):
         "curve fermat_f4 dropped: the curve has no place of degree 2\n")
 
 
+def test_a_divisor_walk_that_finds_nothing_says_why(capsys):
+    # (16,16): every rational place of hyperelliptic_f16 is in G, and the
+    # degree-2 places left cannot sum to the divisor degree 17
+    assert main(["synth", "--q", "16", "--n", "16", "--strategies", "curve"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no strategy produced an algorithm for n=16; curve hyperelliptic_f16 dropped: "
+        "curve instance failed after 1 assignments: no divisor of degree 17 found within "
+        "0 candidates: the support places have degrees of gcd 2, which does not divide 17\n")
+    from ccma.curves import DIVISOR_CANDIDATES, _SupportPool
+
+    pool = _SupportPool(iter([]))
+    assert pool.get(0) is None and pool.why_not(0, 17) == "the support pool is empty"
+    assert pool.why_not(1, 17) == "every candidate failed the conditions"
+    assert pool.why_not(DIVISOR_CANDIDATES, 17) == (
+        f"the walk reached its cap of {DIVISOR_CANDIDATES} candidates")
+
+
 def test_curve_assignments_order():
     # one u = 2 slot walks the pool; the high slot is listed first
     from ccma.planner import _assignments
@@ -359,6 +376,16 @@ def test_cli_bounds_table2_achieved(capsys):
     assert by_cell[(2, 4)]["status"] == "achieved"
     assert all(r["status"] == "achieved" for r in rows)
     assert code == 0
+
+
+def test_cli_bounds_achieved_is_refused_without_an_achieved_column(capsys):
+    # it was ignored, and these tables were written with exit 0
+    for table in ("table1", "table3", "m"):
+        assert main(["bounds", "--table", table, "--achieved"]) == 1, table
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --achieved: only table2 has an achieved column, "
+                                f"not {table}\n")
 
 
 def test_cli_verify_truncated_target(tmp_path, capsys):
