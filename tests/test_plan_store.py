@@ -30,7 +30,7 @@ def _random_request(rng):
 
 
 def test_plan_solver_matches_reference_on_random_requests():
-    # counts and total, with the classes the reference never reads at each fill
+    # counts and total; every class has a cost here, so both fills agree
     rng = random.Random(33)
     outcomes = []
     for _ in range(400):
@@ -42,24 +42,15 @@ def test_plan_solver_matches_reference_on_random_requests():
 
 
 def _counted_solves(monkeypatch):
-    """Each `_plan_dp` call, as (table, classes, budget, prices)."""
-    solves, tables = [], []
-    solve, plan = genus0._plan_dp, CostTable.plan
+    """Each `_plan_dp` call, as (classes, budget, prices)."""
+    solves = []
+    solve = genus0._plan_dp
 
-    def solve_spy(classes, budget, prices):
-        solves.append((tables[-1], tuple(classes), budget, prices))
+    def spy(classes, budget, prices):
+        solves.append((tuple(classes), budget, prices))
         return solve(classes, budget, prices)
 
-    def plan_spy(table, classes, budget):
-        # a plan reads its prices, which may solve other plans, before it solves
-        tables.append(table)
-        try:
-            return plan(table, classes, budget)
-        finally:
-            tables.pop()
-
-    monkeypatch.setattr(genus0, "_plan_dp", solve_spy)
-    monkeypatch.setattr(CostTable, "plan", plan_spy)
+    monkeypatch.setattr(genus0, "_plan_dp", spy)
     return solves
 
 
@@ -70,7 +61,7 @@ def test_stored_solve_is_solved_again_when_a_price_it_read_rises(monkeypatch):
     budget = 2 * 7 - 1
 
     def mine():  # pricing a class solves its own plans too; count only this one
-        return [prices for _, cls, b, prices in solves if (cls, b) == (tuple(classes), budget)]
+        return [prices for cls, b, prices in solves if (cls, b) == (tuple(classes), budget)]
 
     def prices():
         return tuple(table.cost(d, u) for d, u, _ in classes)
@@ -93,21 +84,22 @@ def test_stored_solve_is_solved_again_when_a_price_it_read_rises(monkeypatch):
 
 
 def test_table2_grid_solves_each_plan_once(monkeypatch):
-    # the 21 cells q in {2, 3, 4}, n = 2..8 on fresh tables made 108 solves
-    # of 62 distinct requests before the table stored its solves, when
-    # classes were priced lazily; pricing every class prices entries the
-    # lazy solver never reached, and their plans make 70
+    # the 21 cells q in {2, 3, 4}, n = 2..8 on fresh tables: each solve is
+    # stored under its own (classes, budget, prices) in its table, so no
+    # table solves one twice; pricing every class of a plan makes 70 solves
     monkeypatch.setattr(bilinear, "_SHARED_TABLES", {})
     solves = _counted_solves(monkeypatch)
     for q in (2, 3, 4):
         for n in range(2, 9):
             Planner(spec_for_q(q)).synth(n)
-    assert len(set(solves)) == len(solves)
+    tables = [t for registry in bilinear._SHARED_TABLES.values() for t in registry.values()]
+    assert len(solves) == sum(len(t._plans) for t in tables)
     assert 0 < len(solves) <= 70
 
 
-# sha256 of json.dumps(certificate, sort_keys=True), recorded while classes
-# were priced lazily: every class priced up front must build the same bytes
+# sha256 of json.dumps(certificate, sort_keys=True) above Table 2, where the
+# plan solver decides most of a request; recorded before classes were all
+# priced up front, which builds the same bytes
 ABOVE_THE_TABLE = {
     (2, 24): "1451eee66b132672a3c92446ef66cb53e8ec942ea1628fa8f8f52fcad90a1a3a",
     (3, 24): "965c15955e289711118b860f20a2b5fa8e689599ec68d0defcc1535bb5f79dca",

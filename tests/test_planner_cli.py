@@ -379,7 +379,6 @@ def test_cli_bounds_table2_achieved(capsys):
 
 
 def test_cli_bounds_achieved_is_refused_without_an_achieved_column(capsys):
-    # it was ignored, and these tables were written with exit 0
     for table in ("table1", "table3", "m"):
         assert main(["bounds", "--table", table, "--achieved"]) == 1, table
         captured = capsys.readouterr()
