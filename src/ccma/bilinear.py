@@ -14,7 +14,6 @@ import operator
 from functools import partial, reduce
 
 from . import linalg
-from .bounds import winograd
 from .errors import CcmaError, ConditionFailure, FieldMismatch, GuardExceeded
 from .errors import MalformedPayload, PlanInfeasible, VerificationError
 from .gf import (
@@ -390,6 +389,13 @@ def verify_or_raise(alg, context=""):
     return alg
 
 
+def winograd(q, n):
+    """Lower bound 2n-1 and the exactness predicate n <= q/2 + 1 (2n <= q + 2)."""
+    if n < 1:
+        raise CcmaError("n must be >= 1")
+    return 2 * n - 1, 2 * n <= q + 2
+
+
 def winograd_floor(alg):
     """Sanity gate: an extension-field decomposition has rank >= 2n-1."""
     target = alg.target
@@ -673,32 +679,74 @@ def _pivot_row(spec, v):
 
 
 def _eliminate(spec, v, pivot_row):
-    """v minus the multiple of a pivot row that clears v at that pivot."""
+    """v minus the multiple of a pivot row that clears v at that pivot; [] if 0."""
     piv, row = pivot_row
     c = v[piv]
-    return spec.sub_scaled(v, c, row) if c else v
+    if not c:
+        return v
+    v = spec.sub_scaled(v, c, row)
+    return v if any(v) else []
 
 
-def _reduce(spec, basis, v):
-    """Residue of v modulo a semi-echelon basis (a list of pivot rows)."""
-    for pivot_row in basis:
-        v = _eliminate(spec, v, pivot_row)
-    return v
+def _span_rows(spec, width):
+    """(pack, clear) for the rows of `width` coordinates of the span walk.
+
+    A row is false exactly when it is zero.  `clear(v, rows)` eliminates
+    each row at the pivot of the nonzero v, its first nonzero coordinate.
+    While `spec.packs_rows` a row is one int, one byte per coefficient as in
+    `linalg`: with `lead` the lowest nonzero byte of v, its multiples
+    (f / lead) v for f = 1..q-1 are made once, and each row loses the one
+    its own byte at the pivot picks, in one XOR.  Other fields keep list
+    rows, the zero row as [], and eliminate through `_eliminate`.
+    """
+    if spec.packs_rows:
+        q, ratios = spec.q, {}
+
+        def clear(v, rows):
+            shift = (v & -v).bit_length() - 1 & ~7
+            lead = v >> shift & 255
+            scales = ratios.get(lead)
+            if scales is None:  # f -> byte_scale(f / lead) for f = 1..q-1, None at f = lead
+                inv = spec.inv(lead)
+                scales = ratios[lead] = [
+                    spec.byte_scale(spec.mul(f, inv)) if f != lead else None for f in range(1, q)
+                ]
+            raw = v.to_bytes(width, "little")
+            multiples = [0] + [
+                v if s is None else int.from_bytes(raw.translate(s), "little") for s in scales
+            ]
+            return [x ^ multiples[x >> shift & 255] for x in rows]
+
+        return linalg._pack, clear
+
+    def clear(v, rows):
+        pivot_row = _pivot_row(spec, v)
+        return [x and _eliminate(spec, x, pivot_row) for x in rows]
+
+    return (lambda row: row if any(row) else []), clear
 
 
-def _first_spanning_combination(spec, layers, t_basis, r):
+def _first_spanning_combination(spec, layers, targets, r):
     """Lexicographically first r independent layers whose span S contains T.
 
-    Depth-first over `itertools.combinations(range(len(layers)), r)` order.
-    Each chosen layer either lies in T+S, or raises dim(T+S) by one; with r
-    independent layers dim(T+S) = dim T + (raises) >= r, with equality
-    exactly when T lies in S.  So a branch is cut as soon as it has more
-    than r - dim T raises, and every leaf reached contains T.  A layer that
-    already lies in S is skipped: a minimal decomposition has independent
-    terms.  Each level carries the residues of the remaining layers modulo
-    S and modulo T+S, updated by one elimination per chosen layer.
+    T is the span of the `targets` rows.  Depth-first over
+    `itertools.combinations(range(len(layers)), r)` order.  Each chosen
+    layer either lies in T+S, or raises dim(T+S) by one; with r independent
+    layers dim(T+S) = dim T + (raises) >= r, with equality exactly when T
+    lies in S.  So a branch is cut as soon as it has more than r - dim T
+    raises, and every leaf reached contains T.  A layer that already lies
+    in S is skipped: a minimal decomposition has independent terms.  Each
+    level carries the residues of the remaining layers modulo S and modulo
+    T+S, updated by one `clear` per chosen layer (`_span_rows`: packed
+    rows while `spec.packs_rows`, lists otherwise).
     """
-    budget = r - len(t_basis)
+    pack, clear = _span_rows(spec, len(layers[0]))
+    layers = [pack(lay) for lay in layers]
+    rows, top = [pack(t) for t in targets] + layers, len(targets)
+    for j in range(top):  # echelon T; the layers follow as residues modulo T
+        if rows[j]:
+            rows[j + 1 :] = clear(rows[j], rows[j + 1 :])
+    budget = r - sum(1 for t in rows[:top] if t)
     if budget < 0:
         return None
     count = len(layers)
@@ -708,29 +756,25 @@ def _first_spanning_combination(spec, layers, t_basis, r):
         depth = len(chosen)
         for i in range(start, count - (r - depth) + 1):
             v = s_res[i - start]
-            if not any(v):
+            if not v:
                 continue  # the layer lies in S
             w = ts_res[i - start]
-            grows = any(w)
-            if grows and raises == budget:
+            if w and raises == budget:
                 continue
             chosen.append(i)
             if depth + 1 == r:
                 return True
-            s_row = _pivot_row(spec, v)
-            s_next = [_eliminate(spec, x, s_row) for x in s_res[i + 1 - start :]]
-            if grows:
-                ts_row = _pivot_row(spec, w)
-                ts_next = [_eliminate(spec, x, ts_row) for x in ts_res[i + 1 - start :]]
+            s_next = clear(v, s_res[i + 1 - start :])
+            if w:
+                found = walk(i + 1, s_next, clear(w, ts_res[i + 1 - start :]), raises + 1)
             else:
-                ts_next = ts_res[i + 1 - start :]
-            if walk(i + 1, s_next, ts_next, raises + grows):
+                found = walk(i + 1, s_next, ts_res[i + 1 - start :], raises)
+            if found:
                 return True
             chosen.pop()
         return False
 
-    ts_res = [_reduce(spec, t_basis, lay) for lay in layers]
-    return chosen if walk(0, layers, ts_res, 0) else None
+    return chosen if walk(0, layers, rows[top:], 0) else None
 
 
 def check_search_space(spec, dim, max_rank, symmetric_only=False, limit=None):
@@ -779,13 +823,9 @@ def brute_force_min_rank(target, max_rank, symmetric_only=False, limit=None):
                     if b[k]:
                         lay[i * dim + k] = sp.mul(a[i], b[k])
         layers.append(lay)
-    t_basis = []
-    for h in range(dim):
-        res = _reduce(sp, t_basis, [row[h] for row in T])
-        if any(res):
-            t_basis.append(_pivot_row(sp, res))
+    targets = [[row[h] for row in T] for h in range(dim)]
     for r in range(1, max_rank + 1):
-        combo = _first_spanning_combination(sp, layers, t_basis, r)
+        combo = _first_spanning_combination(sp, layers, targets, r)
         if combo is None:
             continue
         aug = [[layers[s][row] for s in combo] + T[row] for row in range(dim * dim)]

@@ -9,8 +9,9 @@ that produced them, with any recipe/print mismatch surfaced explicitly.
 import math
 from fractions import Fraction
 
+from .bilinear import winograd
 from .errors import CcmaError, GuardExceeded, InvalidRequest, PlanInfeasible
-from .gf import is_prime
+from .gf import factor_prime_power, is_prime
 
 
 class BoundResult:
@@ -74,30 +75,7 @@ def render_like(value, printed):
     return f"{float(value):.0f}"
 
 
-def factor_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                raise InvalidRequest(f"{q} is not a prime power")
-            k = 0
-            v = q
-            while v % p == 0:
-                v //= p
-                k += 1
-            if v != 1:
-                raise InvalidRequest(f"{q} is not a prime power")
-            return p, k
-    raise InvalidRequest(f"{q} is not a prime power")
-
-
 # -- classical predicates ------------------------------------------------------
-
-
-def winograd(q, n):
-    """Lower bound 2n-1 and the exactness predicate n <= q/2 + 1."""
-    if n < 1:
-        raise CcmaError("n must be >= 1")
-    return 2 * n - 1, Fraction(n) <= Fraction(q, 2) + 1
 
 
 def epsilon_shokrollahi(q):

@@ -16,7 +16,6 @@ from .bilinear import (
     check_search_space,
     extension_target,
 )
-from .bounds import table_report
 from .codes import code_from_decomposition, supercode_from_symmetric
 from .errors import CcmaError, GuardExceeded, InvalidRequest
 from .guard import guard_limit
@@ -123,6 +122,8 @@ def cmd_verify(args):
 
 
 def cmd_bounds(args):
+    from .bounds import table_report  # only this command reads the bound catalog
+
     planner_fn = None
     if args.achieved:
         if args.table != "table2":

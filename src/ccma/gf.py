@@ -16,9 +16,9 @@ another basis, for towers and inert curve places), `reduction_rows`
 `trunc_mul` (the product in F[t]/(t^l)).
 
 Every field with q <= 2^16 multiplies through log/antilog tables over a
-fixed primitive element, built in O(q); for odd p with k > 1 it also adds
-through a Zech table.  Only larger fields multiply schoolbook and add digit
-by digit.  Row kernels on `FieldSpec` (`scaled`, `sub_scaled`, `dot`) carry
+fixed primitive element, built in O(q) on first use; for odd p with k > 1
+it also adds through a Zech table.  Only larger fields multiply schoolbook
+and add digit by digit.  Row kernels on `FieldSpec` (`scaled`, `sub_scaled`, `dot`) carry
 the inner loops of polynomial and quotient-ring products, and of `linalg`
 except over F_{2^k} with q <= 256, where rows are packed one byte per
 coefficient (`FieldSpec.packs_rows`).
@@ -43,6 +43,7 @@ from .errors import (
     CcmaError,
     DegreeOverflow,
     FieldMismatch,
+    InvalidRequest,
     NonCoprimeModuli,
     PoleAtPlace,
 )
@@ -65,6 +66,22 @@ def is_prime(n):
             return False
         f += 2
     return True
+
+
+def factor_prime_power(q):
+    for p in range(2, q + 1):
+        if q % p == 0:
+            if not is_prime(p):
+                raise InvalidRequest(f"{q} is not a prime power")
+            k = 0
+            v = q
+            while v % p == 0:
+                v //= p
+                k += 1
+            if v != 1:
+                raise InvalidRequest(f"{q} is not a prime power")
+            return p, k
+    raise InvalidRequest(f"{q} is not a prime power")
 
 
 def place_counts(q, N, top):
@@ -185,9 +202,10 @@ class FieldSpec:
 
     Element arithmetic works on the integer encoding.  A field with at most
     2^16 elements keeps log/antilog tables over its least primitive element
-    g, built in O(q): products, inverses and quotients are read as
-    exp[log a + log b], and for odd p with k > 1 sums and negatives go
-    through the Zech table Z(n) = log(1 + g^n) and g^((q-1)/2) = -1.
+    g, built in O(q) when first read (`_PendingTable`): products, inverses
+    and quotients are read as exp[log a + log b], and for odd p with k > 1
+    sums and negatives go through the Zech table Z(n) = log(1 + g^n) and
+    g^((q-1)/2) = -1.
     Larger fields multiply schoolbook with reduction and add digit by digit.
     The row kernels `scaled`, `sub_scaled` and `dot` do whole rows on the
     field's fastest path: XOR for p = 2, plain `% p` for prime fields and
@@ -231,10 +249,14 @@ class FieldSpec:
         else:
             self._red = None
         # exp[n] = g^n for 0 <= n < 2(q-1), log[a] for a != 0, and for odd
-        # p with k > 1 zech[n] = log(1 + g^n) (None where 1 + g^n = 0)
-        self._exp = self._log = self._zech = None
-        if self.q <= _LOG_TABLE_MAX_Q:
-            self._build_tables()
+        # p with k > 1 zech[n] = log(1 + g^n) (None where 1 + g^n = 0),
+        # built on the first read of an item of one of them
+        if self.q > _LOG_TABLE_MAX_Q:
+            self._exp = self._log = self._zech = None
+        else:
+            self._exp = _PendingTable(self, "_exp")
+            self._log = _PendingTable(self, "_log")
+            self._zech = _PendingTable(self, "_zech") if p > 2 and k > 1 else None
         self.packs_rows = p == 2 and self.q <= 256
         # f -> byte_scale(f), and i -> the q-byte row of a^i over all a in F_q,
         # each built on first use
@@ -507,7 +529,7 @@ class FieldSpec:
         primes = [r for r in range(2, q1 + 1) if q1 % r == 0 and is_prime(r)]
         # for k > 1 the constants have order dividing p - 1 < q - 1
         for g in range(1 if self.k == 1 else self.p, self.q):
-            if all(self.pow(g, q1 // r) != 1 for r in primes):
+            if all(power(self._mul_generic, 1, g, q1 // r) != 1 for r in primes):
                 return g
 
     def _build_tables(self):
@@ -521,7 +543,8 @@ class FieldSpec:
         q1 = q - 1
         g = self._primitive_element()
         unit = p ** (self.k // 2)
-        mul, add = self._mul_generic, self.add  # digit-wise until the tables exist
+        mul = self._mul_generic  # digit-wise: the tables do not exist yet
+        add = operator.xor if p == 2 else self._add_digits
         low = [mul(a, g) for a in range(unit)]
         high = [mul(a * unit, g) for a in range(q // unit)]
         exp = [1] * (2 * q1)
@@ -541,9 +564,39 @@ class FieldSpec:
                 s = e + 1 if e % p != p - 1 else e + 1 - p
                 if s:
                     zech[n] = log[s]
-            self._zech = zech
-        self._exp = exp
-        self._log = log
+        else:
+            zech = None
+        self._exp, self._log, self._zech = exp, log, zech
+
+
+class _PendingTable:
+    """`_exp`, `_log` or `_zech` of a field of at most 2^16 elements, unbuilt.
+
+    Reading an item or the length builds all three in place of the
+    stand-ins, so later calls index plain lists.  A field that only names
+    its q (a price over F_{q^d}) never builds them.  The attributes stay
+    plain instance attributes: a `__getattr__` or a descriptor in their
+    place would slow every read of them, and the multiply path reads `_exp`
+    and `_log` on every call.
+    """
+
+    __slots__ = ("spec", "name")
+
+    def __init__(self, spec, name):
+        self.spec = spec
+        self.name = name
+
+    def _table(self):
+        spec = self.spec
+        if getattr(spec, self.name) is self:
+            spec._build_tables()
+        return getattr(spec, self.name)
+
+    def __getitem__(self, i):
+        return self._table()[i]
+
+    def __len__(self):
+        return len(self._table())
 
 
 # -- polynomials over a FieldSpec -------------------------------------------

@@ -17,10 +17,9 @@ from functools import partial
 from . import curves as curves_mod
 from . import genus0
 from .bilinear import BilinearAlgorithm, CostTable, cheapest, unless_dropped, verify_or_raise
-from .bilinear import _require_keys
-from .bounds import factor_prime_power, winograd
+from .bilinear import _require_keys, winograd
 from .errors import CcmaError, GuardExceeded, InvalidRequest, MalformedPayload, PlanInfeasible
-from .gf import FieldSpec, place_counts
+from .gf import FieldSpec, factor_prime_power, place_counts
 from .guard import check_guard
 
 CERT_FORMAT = "ccma-certificate-v1"

@@ -1,6 +1,11 @@
 """Closed-form bound evaluators and golden-table regeneration."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+
+import ccma
 
 from ccma.bounds import (
     M_TABLE,
@@ -22,6 +27,23 @@ from ccma.bounds import (
     uniform_csym,
     winograd,
 )
+
+
+def test_winograd_predicate_is_the_rational_one():
+    for q in range(2, 70):
+        for n in range(1, 40):
+            assert winograd(q, n) == (2 * n - 1, Fraction(n) <= Fraction(q, 2) + 1), (q, n)
+
+
+def test_import_ccma_leaves_the_bound_catalog_out():
+    """`bounds` (and with it `fractions`) loads only where a table is asked for."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ccma.__file__)))
+    probe = ("import sys, ccma, ccma.cli; "
+             "print(sorted(m for m in ('ccma.bounds', 'fractions') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_winograd_examples():

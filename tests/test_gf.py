@@ -1,8 +1,13 @@
 """Field, polynomial, CRT, and local-expansion behavior."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import ccma
 
 from ccma.errors import CcmaError, DegreeOverflow, NonCoprimeModuli, PoleAtPlace
 from ccma.gf import (
@@ -333,6 +338,40 @@ def test_table_arithmetic_matches_generic_on_large_fields():
             _check_unary(spec, a)
             assert _table_ops(spec, a, b) == _reference_ops(spec, a, b), (spec, a, b)
     assert FieldSpec.get(2, 17)._mul is None
+
+
+def test_tables_are_built_on_first_read(monkeypatch):
+    built = []
+    build = FieldSpec._build_tables
+    monkeypatch.setattr(FieldSpec, "_build_tables", lambda self: (built.append(self.q), build(self)))
+    spec, odd = FieldSpec(2, 5), FieldSpec(3, 2)
+    assert built == [] and odd._zech is not None and spec._zech is None
+    assert spec.mul(3, 5) == spec._mul_generic(3, 5) and built == [32]
+    assert spec.mul(spec.inv(3), 3) == 1 and spec.scaled(7, [1, 2]) == [7, spec._mul_generic(7, 2)]
+    assert built == [32] and type(spec._exp) is type(spec._log) is list
+    assert odd.add(4, 7) == odd._add_digits(4, 7) and built == [32, 9]
+    assert type(odd._zech) is list and odd.neg(5) == odd._neg_digits(5)
+    assert FieldSpec(2, 17)._exp is None and built == [32, 9]
+
+
+def test_pricing_builds_no_tables_of_the_fields_it_prices():
+    """Pricing the (16,14) candidates reaches F_4096 through `field_extend`,
+    but reads only its q: no log/antilog tables of F_4096 are built."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ccma.__file__)))
+    probe = """
+from ccma import gf
+from ccma.planner import Planner, spec_for_q
+built = []
+build = gf.FieldSpec._build_tables
+gf.FieldSpec._build_tables = lambda self: (built.append(self.q), build(self))
+prices = [c[0] for c in Planner(spec_for_q(16))._candidates(14, [])]
+assert 4096 in {s.q for s in gf.FieldSpec._cache.values()}
+print(min(prices), sorted(built))
+"""
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "29 [2, 16]\n"
 
 
 def test_row_kernels_match_scalar_loops():
